@@ -14,17 +14,11 @@ import json
 import sys
 
 from .errors import ResourceLimitError, ShardOrderError
-from .lattice import build_lattice, covers_up, leq
+from .lattice import LATTICE_SIZE_CAP, build_lattice
 from .perms import Permutation, all_permutations, is_indecomposable
 from .preorders import Preorder, lam, mu, preorder_from_json, preorder_to_json
 from .shards import enumerate_shards, intersect, lower_shards, to_preorder
-from .shelling import (
-    chain_report,
-    count_decreasing_chains,
-    edge_label,
-    increasing_chain,
-    mobius,
-)
+from .shelling import chain_counts, chain_report, increasing_chain, mobius
 from .sortable import (
     CoxeterElement,
     all_coxeter_elements,
@@ -33,7 +27,6 @@ from .sortable import (
     sortable_permutations,
 )
 
-LATTICE_CAP = 7
 ELEMENT_CAP = 9
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -83,6 +76,17 @@ def _endpoints(args) -> tuple[Preorder, Preorder]:
     return bottom, top
 
 
+def _whole_lattice(args, bottom: Preorder, top: Preorder):
+    """The full lattice when [bottom, top] is all of it, else None.
+
+    Without a lattice, the shelling calls index the interval alone, which
+    is cheaper for every interval but the whole one.
+    """
+    if bottom == Preorder.discrete(args.n) and top == Preorder.complete(args.n):
+        return build_lattice(args.n, force=args.force)
+    return None
+
+
 def cmd_map(args) -> int:
     p = Permutation.parse(args.perm)
     _check_cap(p.n, ELEMENT_CAP, args.force, "map")
@@ -99,7 +103,7 @@ def cmd_unmap(args) -> int:
 
 
 def cmd_hasse(args) -> int:
-    _check_cap(args.n, LATTICE_CAP, args.force, "hasse")
+    _check_cap(args.n, LATTICE_SIZE_CAP, args.force, "hasse")
     lat = build_lattice(args.n, force=args.force)
     if args.format == "dot":
         _emit(lat.to_dot(), args.out)
@@ -122,9 +126,9 @@ def cmd_shards(args) -> int:
 
 
 def cmd_mobius(args) -> int:
-    _check_cap(args.n, LATTICE_CAP, args.force, "mobius")
+    _check_cap(args.n, LATTICE_SIZE_CAP, args.force, "mobius")
     bottom, top = _endpoints(args)
-    value = mobius(bottom, top)
+    value = mobius(bottom, top, _whole_lattice(args, bottom, top))
     _emit(
         _dump(
             {
@@ -132,7 +136,7 @@ def cmd_mobius(args) -> int:
                 "bottom": str(lam(bottom)),
                 "top": str(lam(top)),
                 "mobius": value,
-                "decreasing_chains": count_decreasing_chains(bottom, top),
+                "decreasing_chains": abs(value),
             }
         ),
         args.out,
@@ -141,14 +145,14 @@ def cmd_mobius(args) -> int:
 
 
 def cmd_chains(args) -> int:
-    _check_cap(args.n, LATTICE_CAP, args.force, "chains")
+    _check_cap(args.n, LATTICE_SIZE_CAP, args.force, "chains")
     bottom, top = _endpoints(args)
-    _emit(_dump(chain_report(bottom, top)), args.out)
+    _emit(_dump(chain_report(bottom, top, _whole_lattice(args, bottom, top))), args.out)
     return 0
 
 
 def cmd_sortable(args) -> int:
-    _check_cap(args.n, LATTICE_CAP, args.force, "sortable")
+    _check_cap(args.n, LATTICE_SIZE_CAP, args.force, "sortable")
     c = CoxeterElement.parse(args.coxeter, args.n)
     sortable = sortable_permutations(c)
     if args.format == "json":
@@ -183,7 +187,7 @@ def cmd_noncrossing(args) -> int:
         raise ValueError("--n is required without a partition argument")
     if args.coxeter is None:
         raise ValueError("--coxeter is required without a partition argument")
-    _check_cap(args.n, LATTICE_CAP, args.force, "noncrossing")
+    _check_cap(args.n, LATTICE_SIZE_CAP, args.force, "noncrossing")
     c = CoxeterElement.parse(args.coxeter, args.n)
     found = noncrossing_preorders(c)
     _emit(
@@ -220,22 +224,9 @@ def _suite_geometry(n: int) -> dict:
 
 def _suite_el(n: int) -> dict:
     bottom, top = Preorder.discrete(n), Preorder.complete(n)
-
-    def increasing_count(cur, last):
-        if cur == top:
-            return 1
-        total = 0
-        for c in covers_up(cur):
-            if not leq(c, top):
-                continue
-            lab = edge_label(cur, c)
-            if lab >= last:
-                total += increasing_count(c, lab)
-        return total
-
-    inc_count = increasing_count(bottom, 0)
+    lat = build_lattice(n, force=True)  # cmd_verify has checked the cap
+    inc_count, dec = chain_counts(bottom, top, lat)
     greedy = increasing_chain(bottom, top)
-    dec = count_decreasing_chains(bottom, top)
     ok = inc_count == 1 and list(greedy.labels) == sorted(greedy.labels)
     return {
         "suite": "el",
@@ -248,7 +239,8 @@ def _suite_el(n: int) -> dict:
 
 
 def _suite_mobius(n: int) -> dict:
-    value = mobius(Preorder.discrete(n), Preorder.complete(n))
+    lat = build_lattice(n, force=True)  # cmd_verify has checked the cap
+    value = mobius(Preorder.discrete(n), Preorder.complete(n), lat)
     indecomposable = sum(1 for p in all_permutations(n) if is_indecomposable(p))
     ok = abs(value) == indecomposable
     return {
@@ -293,7 +285,7 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    _check_cap(args.n, LATTICE_CAP, args.force, "verify")
+    _check_cap(args.n, LATTICE_SIZE_CAP, args.force, "verify")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = [SUITES[name](args.n) for name in names]
     ok = all(r["pass"] for r in results)

@@ -19,3 +19,10 @@ class CrossingPartitionError(ShardOrderError, ValueError):
 
 class ResourceLimitError(ShardOrderError):
     """A size cap was exceeded; pass force=True to override."""
+
+
+class InvariantError(ShardOrderError):
+    """An internal consistency check failed; the computed result is not trusted.
+
+    Raised instead of ``assert`` so that the checks also run under ``python -O``.
+    """

@@ -2,22 +2,32 @@
 The lattice of permutation pre-orders under containment of relations.
 
 Elements are the n! pre-orders mu(S_n); a <= b iff every related pair of a
-is related in b.  ``build_lattice`` enumerates everything and derives the
-cover digraph definitionally (no intermediate element), which doubles as
-the oracle for the constructive generator ``covers_up``.
+is related in b.  ``build_lattice`` enumerates everything and indexes it
+with one bitset kernel over the element indices: for each relation bit,
+the mask of elements holding it.  An element's up-set is the AND of those
+masks over its own bits, its down-set the AND of their complements over
+the bits it lacks, and its covers are its up-set restricted to the next
+rank layer.  One mask check makes those covers the definitional ones (no
+element strictly between): each up-set must be the element itself plus
+the up-sets of its covers.  Read from the top rank down, that check also
+makes every rank layer an antichain.  A failure raises ``InvariantError``.
+``interval_lattice`` indexes one closed interval the same way, from the
+elements a ``covers_up`` walk finds, so its cost follows the interval
+rather than n!.
 
 Going up by a cover combines two blocks that are incomparable or related
 by a cover.  If the merged interval newly overlaps blocks that were
 unrelated to both parts, each such block may sit above or below the merged
 block; ``covers_up`` branches over those orientations and keeps the
-candidates that are valid elements with exactly one block fewer.
+candidates that are valid elements with exactly one block fewer.  It is the
+constructive path for local work, and the kernel's oracle in the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import IncomparableError, ResourceLimitError
+from .errors import IncomparableError, InvariantError, ResourceLimitError
 from .perms import Permutation, all_permutations
 from .preorders import (
     Block,
@@ -52,7 +62,7 @@ def join(a: Preorder, b: Preorder) -> Preorder:
     rows = [ra | rb for ra, rb in zip(a.rows(), b.rows())]
     out = Preorder.from_rows(a.n, rows)
     if not is_permutation_preorder(out):
-        raise RuntimeError(f"join fell outside the lattice: {out}")
+        raise InvariantError(f"join fell outside the lattice: {out}")
     return out
 
 
@@ -141,10 +151,13 @@ class Interval:
 
 
 class OmegaLattice:
-    """The full lattice on S_n, built by enumeration.
+    """The lattice on S_n, or one closed interval of it, indexed.
 
     Elements are indexed by the lexicographic order of their lam words, so
-    diagrams and reports are stable across runs.
+    diagrams and reports are stable across runs.  ``up_mask[i]`` has bit j
+    set iff elements[i] <= elements[j], ``down_mask[i]`` bit j iff
+    elements[j] <= elements[i], and ``layers[r]`` holds the elements of
+    rank r (ranks are those of the full lattice).
     """
 
     def __init__(self, n: int, elements, words):
@@ -152,30 +165,15 @@ class OmegaLattice:
         self.elements: tuple[Preorder, ...] = tuple(elements)
         self.words: tuple[Permutation, ...] = tuple(words)
         self.index: dict[Preorder, int] = {q: i for i, q in enumerate(self.elements)}
-        self.rank: tuple[int, ...] = tuple(n - len(blocks(q)) for q in self.elements)
-        size = len(self.elements)
-        self.up_mask = [0] * size  # up_mask[i] bit j set iff elements[i] <= elements[j]
-        self.down_mask = [0] * size
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                if a.bits & ~b.bits == 0:
-                    self.up_mask[i] |= 1 << j
-                    self.down_mask[j] |= 1 << i
-        cover_lists = [[] for _ in range(size)]
-        for i in range(size):
-            rest = self.up_mask[i] & ~(1 << i)
-            j = 0
-            m = rest
-            while m:
-                if m & 1:
-                    between = self.up_mask[i] & self.down_mask[j]
-                    if between.bit_count() == 2:
-                        cover_lists[i].append(j)
-                m >>= 1
-                j += 1
-        self.covers: tuple[tuple[int, ...], ...] = tuple(tuple(c) for c in cover_lists)
-        self.bottom = self.index[Preorder.discrete(n)]
-        self.top = self.index[Preorder.complete(n)]
+        # lam(q) has one descending run per block, so rank = n - runs = descents
+        self.rank: tuple[int, ...] = tuple(
+            sum(a > b for a, b in zip(w.word, w.word[1:])) for w in self.words
+        )
+        self.up_mask, self.down_mask = _relation_masks(n, self.elements)
+        self.layers, self.covers = graded_covers(self.up_mask, self.rank)
+        full = (1 << len(self.elements)) - 1
+        self.bottom = self.up_mask.index(full)
+        self.top = self.down_mask.index(full)
 
     def __len__(self):
         return len(self.elements)
@@ -193,14 +191,15 @@ class OmegaLattice:
         """Unique maximal common lower bound, found by search."""
         i, j = self.index_of(a), self.index_of(b)
         common = self.down_mask[i] & self.down_mask[j]
-        best = max(_iter_bits(common), key=lambda k: self.rank[k])
+        best = max(iter_bits(common), key=lambda k: self.rank[k])
         if self.down_mask[best] != common:
-            raise RuntimeError("common lower bounds have no maximum")
+            raise InvariantError("common lower bounds have no maximum")
         return self.elements[best]
 
     def join(self, a: Preorder, b: Preorder) -> Preorder:
         out = join(a, b)
-        self.index_of(out)  # assert membership
+        if out not in self.index:
+            raise InvariantError(f"join is not an element of this lattice: {out}")
         return out
 
     def interval(self, bottom: Preorder, top: Preorder) -> Interval:
@@ -208,7 +207,7 @@ class OmegaLattice:
         if not self.leq_idx(i, j):
             raise IncomparableError(f"{lam(bottom)} is not below {lam(top)}")
         inside = self.up_mask[i] & self.down_mask[j]
-        ids = list(_iter_bits(inside))
+        ids = list(iter_bits(inside))
         local = {k: pos for pos, k in enumerate(ids)}
         edges = tuple(
             (local[k], local[c])
@@ -237,13 +236,64 @@ class OmegaLattice:
         return "\n".join(lines) + "\n"
 
 
-def _iter_bits(mask: int):
-    i = 0
+def iter_bits(mask: int):
+    """Indices of the set bits of a mask, ascending."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _relation_masks(n: int, elements) -> tuple[list[int], list[int]]:
+    """Up-set and down-set masks of every element under containment.
+
+    For each off-diagonal relation bit, ``has`` is the mask of the element
+    indices holding it; j is above i iff j holds every bit of i, and below
+    i iff j lacks every bit i lacks.
+    """
+    full = (1 << len(elements)) - 1
+    offdiag = [a * n + b for a in range(n) for b in range(n) if a != b]
+    has = {k: 0 for k in offdiag}
+    for i, q in enumerate(elements):
+        bit = 1 << i
+        for k in offdiag:
+            if q.bits >> k & 1:
+                has[k] |= bit
+    lacks = {k: full ^ mask for k, mask in has.items()}
+    up_mask, down_mask = [], []
+    for q in elements:
+        up = down = full
+        for k in offdiag:
+            if q.bits >> k & 1:
+                up &= has[k]
+            else:
+                down &= lacks[k]
+        up_mask.append(up)
+        down_mask.append(down)
+    return up_mask, down_mask
+
+
+def graded_covers(up_mask, rank) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """Rank layers and covers of a graded poset given by its up-set masks.
+
+    The covers of i are the elements above i one rank higher.  They are the
+    definitional covers exactly when every up-set is the element plus the
+    up-sets of its covers.  An element of top rank then has itself alone
+    above it, and going down a rank at a time, every strict upper bound has
+    a higher rank: nothing lies strictly between i and an element one rank
+    up, and every upper bound lies above a cover.
+    """
+    layers = [0] * (max(rank) + 2)
+    for i, r in enumerate(rank):
+        layers[r] |= 1 << i
+    covers = tuple(tuple(iter_bits(up & layers[rank[i] + 1])) for i, up in enumerate(up_mask))
+    for i, up in enumerate(up_mask):
+        generated = 1 << i
+        for c in covers[i]:
+            generated |= up_mask[c]
+        if generated != up:
+            raise InvariantError(f"up-set of element {i} is not generated by its covers")
+    return layers[:-1], covers
 
 
 def build_lattice(n: int, force: bool = False) -> OmegaLattice:
@@ -257,3 +307,22 @@ def build_lattice(n: int, force: bool = False) -> OmegaLattice:
     words = list(all_permutations(n))
     elements = [mu(p) for p in words]
     return OmegaLattice(n, elements, words)
+
+
+def interval_lattice(bottom: Preorder, top: Preorder) -> OmegaLattice:
+    """The closed interval [bottom, top] alone, indexed like the full lattice.
+
+    Its elements are those a ``covers_up`` walk from bottom reaches while
+    staying below top, so no n! enumeration and no size cap is involved.
+    """
+    if not leq(bottom, top):
+        raise IncomparableError("bottom is not below top")
+    seen = {bottom}
+    stack = [bottom]
+    while stack:
+        for c in covers_up(stack.pop()):
+            if c not in seen and leq(c, top):
+                seen.add(c)
+                stack.append(c)
+    words = sorted((lam(q) for q in seen), key=lambda w: w.word)
+    return OmegaLattice(bottom.n, [mu(w) for w in words], words)

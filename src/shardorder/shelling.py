@@ -8,14 +8,31 @@ the pairs that can be combined on the way to the top, merge the one whose
 larger placement is smallest.  The number of strictly decreasing maximal
 chains gives the Moebius number up to sign; the classical recursion is run
 alongside as an independent check and disagreement is fatal.
+
+Whole-interval counts run on an indexed lattice (``OmegaLattice``): the
+interval [b, t] is the mask ``up_mask[b] & down_mask[t]`` and its edges are
+the kernel's covers inside it.  Each edge label is computed once, from the
+descending runs of the lattice words (lam(mu(p)) = p, so the k-th run of
+the lower word is the block placed k-th).  Chains are counted by recursion
+memoized on (element, last label), and the Moebius recursion sums, for each
+element, one mask per distinct value over its down-set.  A caller may
+pass the full lattice (``build_lattice``) and reuse it; without one, each
+call indexes just the interval (``interval_lattice``), so small intervals
+stay cheap at any n.
+
+The kernel's covers are exact, not assumed: ``lattice.graded_covers``
+checks that each up-set is generated by its covers, which also makes each
+rank layer an antichain.  That check, the Moebius agreement and the EL
+invariants here raise ``InvariantError``, so they also run under
+``python -O``.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import IncomparableError
-from .lattice import covers_up, leq
+from .errors import IncomparableError, InvariantError
+from .lattice import OmegaLattice, covers_up, interval_lattice, iter_bits, leq
 from .preorders import Block, Preorder, block_order, blocks, lam, placements
 
 
@@ -39,7 +56,8 @@ def edge_label(lower: Preorder, upper: Preorder) -> int:
     b1, b2 = merged_pair(lower, upper)
     pl = placements(lower)
     label = max(pl[b1], pl[b2])
-    assert 2 <= label <= len(blocks(lower))
+    if not 2 <= label <= len(blocks(lower)):
+        raise InvariantError(f"edge label {label} out of range on {lam(lower)} -> {lam(upper)}")
     return label
 
 
@@ -94,93 +112,138 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
     while cur != top:
         pl = placements(cur)
         pairs = combinable_pairs(cur, top)
-        assert pairs, "strictly ordered interval must have a combinable pair"
+        if not pairs:
+            raise InvariantError("strictly ordered interval must have a combinable pair")
         scored = sorted(pairs, key=lambda p: max(pl[p[0]], pl[p[1]]))
         best = scored[0]
         best_label = max(pl[best[0]], pl[best[1]])
         if len(scored) > 1:
             runner_up = max(pl[scored[1][0]], pl[scored[1][1]])
-            assert best_label < runner_up, "minimal larger placement must be unique"
+            if best_label >= runner_up:
+                raise InvariantError("minimal larger placement must be unique")
         nexts = [
             c
             for c in covers_up(cur)
             if leq(c, top) and _same_block(c, best[0], best[1])
         ]
-        assert len(nexts) == 1, "exactly one cover below top merges the chosen pair"
+        if len(nexts) != 1:
+            raise InvariantError("exactly one cover below top merges the chosen pair")
         labels.append(best_label)
         cur = nexts[0]
         chain.append(cur)
-    out = LabeledChain(tuple(chain), tuple(labels))
-    assert all(x <= y for x, y in zip(out.labels, out.labels[1:])), (
-        "greedy chain must carry a weakly increasing label word"
-    )
-    return out
+    if any(x > y for x, y in zip(labels, labels[1:])):
+        raise InvariantError("greedy chain must carry a weakly increasing label word")
+    return LabeledChain(tuple(chain), tuple(labels))
 
 
 def _same_block(q: Preorder, b1: Block, b2: Block) -> bool:
     return q.equiv(b1.min, b2.min)
 
 
-def interval_elements(bottom: Preorder, top: Preorder) -> list[Preorder]:
-    """All elements between bottom and top, found by walking covers."""
-    if not leq(bottom, top):
+def _indexed(bottom: Preorder, top: Preorder, lattice: OmegaLattice | None):
+    """(lattice, bottom index, top index, interval mask); indexes the interval if not given."""
+    lat = interval_lattice(bottom, top) if lattice is None else lattice
+    b, t = lat.index_of(bottom), lat.index_of(top)
+    if not lat.leq_idx(b, t):
         raise IncomparableError("bottom is not below top")
-    seen = {bottom}
-    frontier = [bottom]
-    while frontier:
-        cur = frontier.pop()
-        for c in covers_up(cur):
-            if c not in seen and leq(c, top):
-                seen.add(c)
-                frontier.append(c)
-    return sorted(seen, key=lambda q: q.bits)
+    return lat, b, t, lat.up_mask[b] & lat.down_mask[t]
 
 
-def count_decreasing_chains(bottom: Preorder, top: Preorder) -> int:
-    """Maximal chains of [bottom, top] with strictly decreasing labels."""
-    if not leq(bottom, top):
-        raise IncomparableError("bottom is not below top")
+def _run_masks(word: tuple[int, ...]) -> list[int]:
+    """Value masks of the descending runs of a word, left to right."""
+    masks = [0]
+    for prev, v in zip((0,) + word, word):
+        if prev and v > prev:
+            masks.append(0)
+        masks[-1] |= 1 << (v - 1)
+    return masks
 
-    @lru_cache(maxsize=None)
-    def count(cur: Preorder, last: int) -> int:
-        if cur == top:
-            return 1
-        total = 0
-        for c in covers_up(cur):
-            if not leq(c, top):
+
+def _labeled_edges(lat: OmegaLattice, inside: int) -> dict[int, list[tuple[int, int]]]:
+    """For each element of the interval mask: its covers inside, with labels."""
+    runs = {i: _run_masks(lat.words[i].word) for i in iter_bits(inside)}
+    run_sets = {i: set(masks) for i, masks in runs.items()}
+    out = {}
+    for i, lower in runs.items():
+        edges = []
+        for c in lat.covers[i]:
+            if not inside >> c & 1:
                 continue
-            lab = edge_label(cur, c)
-            if lab < last:
-                total += count(c, lab)
-        return total
-
-    result = count(bottom, bottom.n + 1)
-    count.cache_clear()
-    return result
+            merged = [k for k, mask in enumerate(lower, start=1) if mask not in run_sets[c]]
+            if len(merged) != 2:
+                raise InvariantError(f"cover {lat.words[i]} -> {lat.words[c]} does not merge two blocks")
+            edges.append((c, merged[1]))
+        out[i] = edges
+    return out
 
 
-def mobius(bottom: Preorder, top: Preorder) -> int:
+def _count_chains(edges, bottom: int, top: int, start: int, keep) -> int:
+    """Maximal chains whose consecutive labels satisfy keep(label, last)."""
+    memo = {}
+
+    def count(i: int, last: int) -> int:
+        if i == top:
+            return 1
+        key = (i, last)
+        if key not in memo:
+            memo[key] = sum(count(c, lab) for c, lab in edges[i] if keep(lab, last))
+        return memo[key]
+
+    return count(bottom, start)
+
+
+def count_decreasing_chains(
+    bottom: Preorder, top: Preorder, lattice: OmegaLattice | None = None
+) -> int:
+    """Maximal chains of [bottom, top] with strictly decreasing labels."""
+    lat, b, t, inside = _indexed(bottom, top, lattice)
+    return _count_chains(_labeled_edges(lat, inside), b, t, lat.n + 1, operator.lt)
+
+
+def chain_counts(
+    bottom: Preorder, top: Preorder, lattice: OmegaLattice | None = None
+) -> tuple[int, int]:
+    """(weakly increasing, strictly decreasing) maximal chain counts of [bottom, top].
+
+    Both come from one labeling of the interval's edges; an EL-labeling has
+    exactly one weakly increasing chain.
+    """
+    lat, b, t, inside = _indexed(bottom, top, lattice)
+    edges = _labeled_edges(lat, inside)
+    return (
+        _count_chains(edges, b, t, 0, operator.ge),
+        _count_chains(edges, b, t, lat.n + 1, operator.lt),
+    )
+
+
+def _mobius_recursion(lat: OmegaLattice, b: int, t: int, inside: int) -> int:
+    """mu(b, y) = -sum of mu(b, z) over b <= z < y, one rank layer at a time.
+
+    ``by_value`` maps each value found so far to the mask of its elements,
+    so the sum for y is a few popcounts against y's down-set.
+    """
+    by_value = {1: 1 << b}
+    for r in range(lat.rank[b] + 1, lat.rank[t] + 1):
+        for y in iter_bits(inside & lat.layers[r]):
+            below = lat.down_mask[y]
+            value = -sum(v * (mask & below).bit_count() for v, mask in by_value.items())
+            by_value[value] = by_value.get(value, 0) | 1 << y
+    return next(v for v, mask in by_value.items() if mask >> t & 1)
+
+
+def mobius(bottom: Preorder, top: Preorder, lattice: OmegaLattice | None = None) -> int:
     """Moebius number of the interval, computed two independent ways.
 
     (a) (-1)^(rank difference) times the strictly decreasing chain count;
     (b) the classical recursion over the interval.  They must agree.
     """
-    if not leq(bottom, top):
-        raise IncomparableError("bottom is not below top")
-    diff = len(blocks(bottom)) - len(blocks(top))
-    signed = (-1) ** diff * count_decreasing_chains(bottom, top)
-
-    members = interval_elements(bottom, top)
-    members.sort(key=lambda q: len(blocks(bottom)) - len(blocks(q)))
-    value = {bottom: 1}
-    for y in members:
-        if y == bottom:
-            continue
-        value[y] = -sum(value[z] for z in members if leq(z, y) and z != y)
-    if signed != value[top]:
-        raise RuntimeError(
-            f"Moebius disagreement on [{bottom}, {top}]: "
-            f"chains give {signed}, recursion gives {value[top]}"
+    lat, b, t, inside = _indexed(bottom, top, lattice)
+    signed = (-1) ** (lat.rank[t] - lat.rank[b]) * count_decreasing_chains(bottom, top, lat)
+    recursion = _mobius_recursion(lat, b, t, inside)
+    if signed != recursion:
+        raise InvariantError(
+            f"Moebius disagreement on [{lam(bottom)}, {lam(top)}]: "
+            f"chains give {signed}, recursion gives {recursion}"
         )
     return signed
 
@@ -206,13 +269,16 @@ def max_label_multiplicities(bottom: Preorder, top: Preorder) -> list[int]:
     return out
 
 
-def chain_report(bottom: Preorder, top: Preorder) -> dict:
+def chain_report(
+    bottom: Preorder, top: Preorder, lattice: OmegaLattice | None = None
+) -> dict:
     """JSON-ready summary of an interval's chain data."""
     inc = increasing_chain(bottom, top)
+    value = mobius(bottom, top, lattice)
     return {
         "interval": [str(lam(bottom)), str(lam(top))],
         "increasing": list(inc.labels),
-        "decreasing_count": count_decreasing_chains(bottom, top),
-        "mobius": mobius(bottom, top),
+        "decreasing_count": abs(value),  # mobius is the signed count
+        "mobius": value,
         "max_label_multiplicities": max_label_multiplicities(bottom, top),
     }

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import CrossingPartitionError
+from .errors import CrossingPartitionError, InvariantError
 from .perms import (
     BarredPattern,
     Permutation,
@@ -232,15 +232,15 @@ def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
             continue
         demands = set(_orientation_demands(b1, b2, bar))
         if len(demands) != 1:
-            raise RuntimeError(
+            raise InvariantError(
                 f"witnesses disagree on the orientation of {b1} vs {b2}"
             )
         low, high = (b1, b2) if demands == {1} else (b2, b1)
         pairs.extend((x, y) for x in low.members for y in high.members)
     q = Preorder.from_pairs(c.n, pairs)
     if {b.members for b in blocks(q)} != set(sets):
-        raise RuntimeError("orientation closure collapsed the given blocks")
+        raise InvariantError("orientation closure collapsed the given blocks")
     require_permutation_preorder(q)
     if not is_noncrossing_preorder(q, c):
-        raise RuntimeError("constructed pre-order is not noncrossing")
+        raise InvariantError("constructed pre-order is not noncrossing")
     return q

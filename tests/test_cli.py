@@ -1,8 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from shardorder.cli import main
 from shardorder.perms import Permutation
 from shardorder.preorders import mu, preorder_to_json
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -111,6 +120,14 @@ def test_mobius_command(capsys):
     assert data["mobius"] == 3  # four atoms between: 1 - 4 + ... = 3
 
 
+def test_mobius_sub_interval_above_the_cap(capsys):
+    argv = ("mobius", "--n", "8", "--bottom", "12345678", "--top", "43215678")
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "capped" in err
+    code, out, _ = run(capsys, *argv, "--force")
+    assert code == 0 and json.loads(out)["mobius"] == -13
+
+
 def test_mobius_incomparable_endpoints(capsys):
     code, _, err = run(capsys, "mobius", "--n", "4", "--bottom", "2134", "--top", "1324")
     assert code == 2 and "below" in err
@@ -187,3 +204,32 @@ def test_el_verify_alias(capsys):
 def test_invalid_permutation_string(capsys):
     code, _, err = run(capsys, "map", "1weird")
     assert code == 2 and "error" in err
+
+
+def python(*args, optimize=False):
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, *(["-O"] if optimize else []), *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("argv", [("chains", "--n", "5"), ("verify", "--n", "5", "--suite", "el")])
+def test_invariant_checks_run_under_python_O(argv):
+    plain = python("-m", "shardorder", *argv)
+    optimized = python("-m", "shardorder", *argv, optimize=True)
+    assert plain.returncode == optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout
+
+
+def test_forced_invariant_failure_under_python_O_exits_2():
+    # every pair of blocks scores one placement, so the greedy EL choice is
+    # not unique; the check is an InvariantError, not an assert -O drops
+    forced = (
+        "import sys; from shardorder import cli, shelling; "
+        "shelling.placements = lambda q: {b: 1 for b in shelling.blocks(q)}; "
+        "sys.exit(cli.main(['chains', '--n', '4']))"
+    )
+    result = python("-c", forced, optimize=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: minimal larger placement must be unique"]

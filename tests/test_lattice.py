@@ -3,8 +3,17 @@ import random
 
 import pytest
 
-from shardorder.errors import IncomparableError, ResourceLimitError
-from shardorder.lattice import build_lattice, covers_up, join, leq
+import shardorder.lattice as lattice_module
+from shardorder.errors import IncomparableError, InvariantError, ResourceLimitError
+from shardorder.lattice import (
+    OmegaLattice,
+    build_lattice,
+    covers_up,
+    graded_covers,
+    interval_lattice,
+    join,
+    leq,
+)
 from shardorder.perms import Permutation, all_permutations
 from shardorder.preorders import Preorder, blocks, lam, mu, placements
 from shardorder.shards import Shard, enumerate_shards, intersect, to_preorder
@@ -64,6 +73,65 @@ def test_covers_up_matches_hasse(lattice):
         for i, q in enumerate(lat.elements):
             constructed = {lat.index_of(c) for c in covers_up(q)}
             assert constructed == set(lat.covers[i]), lat.words[i]
+
+
+def _pairwise_oracle(lat):
+    """Up-sets, down-sets and covers by testing every pair, as defined."""
+    size = len(lat)
+    up, down = [0] * size, [0] * size
+    for i, a in enumerate(lat.elements):
+        for j, b in enumerate(lat.elements):
+            if a.bits & ~b.bits == 0:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    covers = tuple(
+        tuple(
+            j
+            for j in range(size)
+            if j != i and up[i] >> j & 1 and (up[i] & down[j]).bit_count() == 2
+        )
+        for i in range(size)
+    )
+    return up, down, covers
+
+
+def test_kernel_matches_pairwise_oracle(lattice):
+    # the covers also equal covers_up on every element: test_covers_up_matches_hasse
+    for n in range(1, 7):
+        lat = lattice(n)
+        assert (lat.up_mask, lat.down_mask, lat.covers) == _pairwise_oracle(lat), n
+
+
+def test_rank_layer_that_is_not_an_antichain_is_rejected(lattice):
+    lat = lattice(4)
+    rank = list(lat.rank)
+    rank[lat.covers[lat.bottom][0]] = 0  # an atom in the bottom's layer
+    # the generated-by-covers check implies that rank layers are antichains
+    with pytest.raises(InvariantError, match="not generated"):
+        graded_covers(lat.up_mask, rank)
+
+
+def test_up_set_its_covers_do_not_generate_is_rejected(lattice):
+    lat = lattice(4)
+    up = list(lat.up_mask)
+    up[lat.bottom] &= ~(1 << lat.top)
+    with pytest.raises(InvariantError, match="not generated"):
+        graded_covers(up, lat.rank)
+    # a corrupted rank that keeps every layer an antichain: the top alone,
+    # one layer too high, is no longer a cover of the coatoms
+    rank = list(lat.rank)
+    rank[lat.top] += 1
+    with pytest.raises(InvariantError, match="not generated"):
+        graded_covers(lat.up_mask, rank)
+
+
+def test_misaligned_words_are_rejected(lattice):
+    lat = lattice(4)
+    words = list(lat.words)
+    atom = lat.covers[lat.bottom][0]
+    words[lat.bottom], words[atom] = words[atom], words[lat.bottom]
+    with pytest.raises(InvariantError):
+        OmegaLattice(4, lat.elements, words)
 
 
 def test_figure4_covers():
@@ -188,6 +256,30 @@ def test_interval_below_3214(lattice):
         str(lam(q)) for q in lat.elements if leq(q, mu(P("3214")))
     )
     assert got == oracle == ["1234", "1324", "2134", "2314", "3124", "3214"]
+
+
+def test_interval_lattice_matches_the_full_lattice(lattice):
+    lat = lattice(4)
+    for i, a in enumerate(lat.elements):
+        for j, b in enumerate(lat.elements):
+            if not lat.leq_idx(i, j):
+                with pytest.raises(IncomparableError):
+                    interval_lattice(a, b)
+                continue
+            iv, sub = lat.interval(a, b), interval_lattice(a, b)
+            assert sub.elements == iv.members
+            assert sub.elements[sub.bottom] == a and sub.elements[sub.top] == b
+            assert [sub.rank[k] for k in range(len(sub))] == [
+                lat.rank[lat.index_of(q)] for q in iv.members
+            ]
+            edges = tuple((k, c) for k in range(len(sub)) for c in sub.covers[k])
+            assert edges == iv.edges
+
+
+def test_interval_lattice_stays_small_at_n8():
+    # build_lattice(8) would index 40,320 elements; this interval has 24
+    sub = interval_lattice(Preorder.discrete(8), mu(P("43215678")))
+    assert len(sub) == 24 and sub.rank[sub.top] == 3
 
 
 def test_interval_edges_consistent(lattice):
@@ -325,6 +417,17 @@ def test_hasse_exports(lattice):
     assert dot == lat.to_dot()
     lat1 = lattice(1)
     assert lat1.to_json() == {"n": 1, "nodes": ["1"], "edges": []}
+
+
+def test_join_membership_failure_raises(lattice, monkeypatch):
+    lat = lattice(3)
+    a, b = lat.elements[1], lat.elements[2]
+    monkeypatch.setattr(lattice_module, "is_permutation_preorder", lambda q: False)
+    with pytest.raises(InvariantError, match="outside the lattice"):
+        join(a, b)
+    monkeypatch.setattr(lattice_module, "join", lambda x, y: Preorder.discrete(4))
+    with pytest.raises(InvariantError, match="not an element"):
+        lat.join(a, b)
 
 
 def test_join_outside_raises():

@@ -1,9 +1,11 @@
 import pytest
 
-from shardorder.errors import IncomparableError
+import shardorder.shelling as shelling
+from shardorder.errors import IncomparableError, InvariantError
 from shardorder.perms import Permutation, all_permutations, is_indecomposable
 from shardorder.preorders import Preorder, blocks, lam, mu
 from shardorder.shelling import (
+    chain_counts,
     chain_report,
     combinable_pairs,
     count_decreasing_chains,
@@ -213,3 +215,64 @@ def test_chain_report():
 def test_mobius_incomparable_raises():
     with pytest.raises(IncomparableError):
         mobius(mu(P("2134")), mu(P("1324")))
+
+
+def test_kernel_labels_match_edge_label(lattice, edge_labels):
+    for n in range(1, 6):
+        lat = lattice(n)
+        whole = lat.up_mask[lat.bottom] & lat.down_mask[lat.top]
+        got = {
+            (i, c): lab
+            for i, edges in shelling._labeled_edges(lat, whole).items()
+            for c, lab in edges
+        }
+        assert got == edge_labels(n), n
+
+
+def test_one_increasing_chain_per_interval_n4(lattice):
+    lat = lattice(4)
+    for i, a in enumerate(lat.elements):
+        for j, b in enumerate(lat.elements):
+            if lat.leq_idx(i, j):
+                increasing, decreasing = chain_counts(a, b, lat)
+                assert increasing == 1, (lat.words[i], lat.words[j])
+                assert decreasing == count_decreasing_chains(a, b, lat)
+
+
+def test_counts_take_a_prebuilt_lattice(lattice):
+    lat = lattice(5)
+    bot, top = Preorder.discrete(5), Preorder.complete(5)
+    assert count_decreasing_chains(bot, top, lat) == count_decreasing_chains(bot, top) == 71
+    assert mobius(bot, top, lat) == 71
+    assert chain_report(bot, top, lat) == chain_report(bot, top)
+    with pytest.raises(ValueError):
+        mobius(Preorder.discrete(4), Preorder.complete(4), lat)
+
+
+def test_sub_interval_above_the_cap(lattice):
+    # without a lattice only the interval is indexed, so n=8 needs no force;
+    # [1, 4321|5678] is a copy of the whole n=4 lattice
+    bot, top = Preorder.discrete(8), mu(P("43215678"))
+    assert mobius(bot, top) == -13
+    assert chain_report(bot, top)["increasing"] == [2, 2, 2]
+    # one interval indexed alone and inside the full lattice agree
+    lat = lattice(5)
+    a, b = mu(P("21354")), Preorder.complete(5)
+    assert chain_report(a, b) == chain_report(a, b, lat)
+
+
+def test_mobius_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(shelling, "_mobius_recursion", lambda *args: 0)
+    with pytest.raises(InvariantError, match="Moebius disagreement"):
+        mobius(Preorder.discrete(3), Preorder.complete(3))
+
+
+def test_el_checks_raise_invariant_error(monkeypatch):
+    bot, top = Preorder.discrete(4), Preorder.complete(4)
+    monkeypatch.setattr(shelling, "placements", lambda q: {b: 9 for b in blocks(q)})
+    with pytest.raises(InvariantError, match="out of range"):
+        edge_label(bot, mu(P("2134")))
+    # every pair scores the same placement: the greedy choice is not unique
+    monkeypatch.setattr(shelling, "placements", lambda q: {b: 1 for b in blocks(q)})
+    with pytest.raises(InvariantError, match="must be unique"):
+        increasing_chain(bot, top)
