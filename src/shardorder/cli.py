@@ -16,7 +16,7 @@ import sys
 from .errors import ResourceLimitError, ShardOrderError
 from .lattice import LATTICE_SIZE_CAP, build_lattice
 from .perms import Permutation, all_permutations, is_indecomposable
-from .preorders import Preorder, lam, mu, preorder_from_json, preorder_to_json
+from .preorders import Preorder, check_json_shape, lam, mu, preorder_from_json, preorder_to_json
 from .shards import enumerate_shards, intersect, lower_shards, to_preorder
 from .shelling import chain_counts, chain_report, increasing_chain, mobius
 from .sortable import (
@@ -53,13 +53,17 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _read_json_arg(arg: str) -> dict:
+def _json_input(arg: str, keys, force: bool, what: str) -> dict:
+    """Read inline JSON, a file or stdin (-); check its shape and size cap before any work."""
     if arg == "-":
-        return json.load(sys.stdin)
-    if arg.lstrip().startswith("{"):
-        return json.loads(arg)
-    with open(arg) as fh:
-        return json.load(fh)
+        data = json.load(sys.stdin)
+    elif arg.lstrip().startswith("{"):
+        data = json.loads(arg)
+    else:
+        with open(arg) as fh:
+            data = json.load(fh)
+    _check_cap(check_json_shape(data, keys), ELEMENT_CAP, force, what)
+    return data
 
 
 def _endpoints(args) -> tuple[Preorder, Preorder]:
@@ -95,10 +99,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_unmap(args) -> int:
-    data = _read_json_arg(args.json)
-    q = preorder_from_json(data)
-    _check_cap(q.n, ELEMENT_CAP, args.force, "unmap")
-    _emit(str(lam(q)) + "\n", args.out)
+    data = _json_input(args.json, ("n", "blocks"), args.force, "unmap")
+    _emit(str(lam(preorder_from_json(data))) + "\n", args.out)
     return 0
 
 
@@ -174,12 +176,11 @@ def cmd_sortable(args) -> int:
 
 def cmd_noncrossing(args) -> int:
     if args.partition:
-        data = _read_json_arg(args.partition)
+        data = _json_input(args.partition, ("n", "coxeter", "blocks"), args.force, "noncrossing")
         n = data["n"]
-        c = CoxeterElement(n, tuple(data["coxeter"]))
         if args.n is not None and args.n != n:
             raise ValueError("--n disagrees with the partition JSON")
-        _check_cap(n, ELEMENT_CAP, args.force, "noncrossing")
+        c = CoxeterElement(n, tuple(data["coxeter"]))
         q = noncrossing_order_of_partition([set(b) for b in data["blocks"]], c)
         _emit(_dump(preorder_to_json(q)), args.out)
         return 0
@@ -204,7 +205,7 @@ def cmd_noncrossing(args) -> int:
     return 0
 
 
-def _suite_roundtrip(n: int) -> dict:
+def _suite_roundtrip(n: int, lattice) -> dict:
     checked = 0
     for p in all_permutations(n):
         if lam(mu(p)) != p:
@@ -213,7 +214,7 @@ def _suite_roundtrip(n: int) -> dict:
     return {"suite": "roundtrip", "n": n, "pass": True, "checked": checked}
 
 
-def _suite_geometry(n: int) -> dict:
+def _suite_geometry(n: int, lattice) -> dict:
     agreements = 0
     for p in all_permutations(n):
         if to_preorder(intersect(lower_shards(p), n=n)) != mu(p):
@@ -222,10 +223,9 @@ def _suite_geometry(n: int) -> dict:
     return {"suite": "geometry", "n": n, "pass": True, "agreements": agreements}
 
 
-def _suite_el(n: int) -> dict:
+def _suite_el(n: int, lattice) -> dict:
     bottom, top = Preorder.discrete(n), Preorder.complete(n)
-    lat = build_lattice(n, force=True)  # cmd_verify has checked the cap
-    inc_count, dec = chain_counts(bottom, top, lat)
+    inc_count, dec = chain_counts(bottom, top, lattice)
     greedy = increasing_chain(bottom, top)
     ok = inc_count == 1 and list(greedy.labels) == sorted(greedy.labels)
     return {
@@ -238,9 +238,8 @@ def _suite_el(n: int) -> dict:
     }
 
 
-def _suite_mobius(n: int) -> dict:
-    lat = build_lattice(n, force=True)  # cmd_verify has checked the cap
-    value = mobius(Preorder.discrete(n), Preorder.complete(n), lat)
+def _suite_mobius(n: int, lattice) -> dict:
+    value = mobius(Preorder.discrete(n), Preorder.complete(n), lattice)
     indecomposable = sum(1 for p in all_permutations(n) if is_indecomposable(p))
     ok = abs(value) == indecomposable
     return {
@@ -252,7 +251,7 @@ def _suite_mobius(n: int) -> dict:
     }
 
 
-def _suite_sortable(n: int) -> dict:
+def _suite_sortable(n: int, lattice) -> dict:
     expected = CATALAN[n] if n < len(CATALAN) else None
     words = 0
     for c in all_coxeter_elements(n):
@@ -287,7 +286,9 @@ SUITES = {
 def cmd_verify(args) -> int:
     _check_cap(args.n, LATTICE_SIZE_CAP, args.force, "verify")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = [SUITES[name](args.n) for name in names]
+    # one lattice for the el and mobius suites; the cap is checked above
+    lattice = build_lattice(args.n, force=True) if {"el", "mobius"} & set(names) else None
+    results = [SUITES[name](args.n, lattice) for name in names]
     ok = all(r["pass"] for r in results)
     _emit(_dump({"n": args.n, "pass": ok, "results": results}), args.out)
     return 0 if ok else 1

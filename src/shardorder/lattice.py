@@ -24,6 +24,7 @@ constructive path for local work, and the kernel's oracle in the tests.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,11 +33,12 @@ from .perms import Permutation, all_permutations
 from .preorders import (
     Block,
     Preorder,
-    block_order,
+    axiom_violations,
     blocks,
-    close_rows,
+    combinable,
     is_permutation_preorder,
     lam,
+    mask_values,
     mu,
     require_permutation_preorder,
 )
@@ -48,7 +50,7 @@ def leq(a: Preorder, b: Preorder) -> bool:
     """Containment of relations: the order on lattice elements."""
     if a.n != b.n:
         raise ValueError("elements live on different ground sets")
-    return a.bits & ~b.bits == 0
+    return a <= b
 
 
 def join(a: Preorder, b: Preorder) -> Preorder:
@@ -70,13 +72,10 @@ def _merge_candidates(w: Preorder, bi: Block, bj: Block) -> list[Preorder]:
     """All covers of w that combine the given pair of blocks."""
     n = w.n
     target_blocks = len(blocks(w)) - 1
-    merged_mask = 0
-    for v in bi.members | bj.members:
-        merged_mask |= 1 << (v - 1)
-    base = list(w.rows())
-    for v in bi.members | bj.members:
-        base[v - 1] |= merged_mask
-    close_rows(base)
+    merged = bi.mask | bj.mask
+    base = w.rows()
+    for v in mask_values(merged):
+        base[v - 1] |= merged
 
     out = []
     seen = set()
@@ -86,50 +85,28 @@ def _merge_candidates(w: Preorder, bi: Block, bj: Block) -> list[Preorder]:
         if cand in seen:
             continue
         seen.add(cand)
-        bs = blocks(cand)
-        if len(bs) != target_blocks:
+        if len(blocks(cand)) != target_blocks:
             continue  # extra blocks collapsed: rank would jump by more than one
-        bo = block_order(cand)
-        pending = None
-        for x in range(len(bs)):
-            for y in range(x + 1, len(bs)):
-                if bs[x].overlaps(bs[y]) and not bo.comparable(x, y):
-                    pending = (bs[x], bs[y])
-                    break
-            if pending:
-                break
-        if pending is None:
-            if is_permutation_preorder(cand):
-                out.append(cand)
-            continue
-        cx, cy = pending
-        for lower, upper in ((cx, cy), (cy, cx)):
-            rows = list(cand.rows())
-            target = 0
-            for v in upper.members:
-                target |= 1 << (v - 1)
-            for v in lower.members:
-                rows[v - 1] |= target
-            close_rows(rows)
-            stack.append(Preorder.from_rows(n, rows))
+        bad = axiom_violations(cand)
+        if not bad:
+            out.append(cand)
+        elif bad[0].axiom == "P1":
+            # orient the first overlapping incomparable pair both ways
+            cx, cy = bad[0].first, bad[0].second
+            for lower, upper in ((cx, cy), (cy, cx)):
+                rows = cand.rows()
+                for v in mask_values(lower.mask):
+                    rows[v - 1] |= upper.mask
+                stack.append(Preorder.from_rows(n, rows))
     return out
 
 
 @lru_cache(maxsize=None)
 def _covers_up_cached(w: Preorder) -> tuple[Preorder, ...]:
-    bo = block_order(w)
-    m = len(bo.blocks)
     found = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            combinable = (
-                not bo.comparable(i, j)
-                or (i, j) in bo.covers
-                or (j, i) in bo.covers
-            )
-            if not combinable:
-                continue
-            for cand in _merge_candidates(w, bo.blocks[i], bo.blocks[j]):
+    for bi, bj in itertools.combinations(blocks(w), 2):
+        if combinable(w, bi, bj):
+            for cand in _merge_candidates(w, bi, bj):
                 found[cand] = None
     return tuple(sorted(found, key=lambda c: lam(c).word))
 

@@ -6,26 +6,38 @@ n*n boolean matrix (one Python int, row-major: bit (a-1)*n + (b-1) set iff
 a is below b), so equality of relations is plain value equality and
 containment is a single mask test.  Closure is Warshall's algorithm on the
 row masks; n never exceeds single digits here, so the dense form wins on
-simplicity.
+simplicity.  ``Preorder(n, bits)`` checks reflexivity and closure; the
+``from_rows`` family closes the relation itself and skips that check.
 
-Blocks are the classes of mutual comparability.  The elements of the
-lattice are the pre-orders satisfying two axioms:
+Blocks are the classes of mutual comparability.  Every set of values is a
+value mask (bit v-1 for value v): a block is ``(min, max, mask)`` with
+mask = row(a) AND column(a) for any member a, and ``members`` is a
+frozenset view of the mask.  The block order is read off the rows: the
+blocks strictly above a block are row(min) minus the block, and its
+covers are those minus everything strictly above them.
+
+The elements of the lattice are the pre-orders satisfying two axioms:
 
   (P1) blocks whose min/max intervals intersect are comparable;
   (P2) covering blocks have intersecting intervals.
 
 ``mu`` sends a permutation to such a pre-order (descending runs become
 blocks, overlapping runs are ordered left-below-right) and ``lam`` is its
-inverse.
+inverse.  ``lam`` writes the blocks as descending runs in the order
+``ordered_blocks`` gives: a block's run is preceded by the blocks below it
+and by the incomparable blocks to its numeric left, a mask per block.
+Sorted by popcount, those masks must be the nested prefixes of the order,
+which one O(m) pass checks (m blocks); a pre-order whose blocks admit no
+such order is rejected.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InvalidPreorderError
-from .perms import Permutation, descending_runs
+from .perms import Permutation
 
 
 def close_rows(rows: list[int]) -> list[int]:
@@ -38,6 +50,31 @@ def close_rows(rows: list[int]) -> list[int]:
             if rows[a] & kbit:
                 rows[a] |= rk
     return rows
+
+
+def mask_values(mask: int) -> list[int]:
+    """The values (1-based) of a value mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
+def span(mask: int) -> int:
+    """Mask of the values from the least to the greatest member of a nonempty mask."""
+    return (1 << mask.bit_length()) - (mask & -mask)
+
+
+def run_masks(word: Sequence[int]) -> list[int]:
+    """Value masks of the descending runs of a word, left to right."""
+    masks = [0]
+    for prev, v in zip((0, *word), word):
+        if prev and v > prev:
+            masks.append(0)
+        masks[-1] |= 1 << (v - 1)
+    return masks
 
 
 @dataclass(frozen=True)
@@ -61,12 +98,21 @@ class Preorder:
     @staticmethod
     def from_rows(n: int, rows: Sequence[int]) -> "Preorder":
         """Build from row masks; reflexivity is added and closure applied."""
+        if n < 1:
+            raise ValueError("ground set must be nonempty")
         work = [rows[a] | (1 << a) for a in range(n)]
-        close_rows(work)
-        bits = 0
-        for a in range(n):
-            bits |= work[a] << (a * n)
-        return Preorder(n, bits)
+        if any(r >> n for r in work):
+            raise ValueError(f"row masks reach beyond [1,{n}]")
+        return Preorder._packed(n, close_rows(work))
+
+    @staticmethod
+    def _packed(n: int, rows: Sequence[int]) -> "Preorder":
+        """Pack rows already reflexive and closed, skipping __post_init__'s check."""
+        bits = sum(rows[a] << (a * n) for a in range(n))
+        q = object.__new__(Preorder)
+        object.__setattr__(q, "n", n)
+        object.__setattr__(q, "bits", bits)
+        return q
 
     @staticmethod
     def from_pairs(n: int, pairs) -> "Preorder":
@@ -74,6 +120,18 @@ class Preorder:
         rows = [0] * n
         for a, b in pairs:
             rows[a - 1] |= 1 << (b - 1)
+        return Preorder.from_rows(n, rows)
+
+    @staticmethod
+    def from_blocks(n: int, masks: Sequence[int], less=()) -> "Preorder":
+        """Closure of the value masks as classes, masks[i] below masks[j] per (i, j) in less."""
+        rows = [0] * n
+        for mask in masks:
+            for v in mask_values(mask):
+                rows[v - 1] |= mask
+        for i, j in less:
+            for v in mask_values(masks[i]):
+                rows[v - 1] |= masks[j]
         return Preorder.from_rows(n, rows)
 
     @staticmethod
@@ -88,8 +146,18 @@ class Preorder:
         return Preorder.from_rows(n, [full] * n)
 
     def rows(self) -> list[int]:
+        """Up-set masks: bit b-1 of rows()[a-1] is set iff a is below b."""
         mask = (1 << self.n) - 1
         return [(self.bits >> (a * self.n)) & mask for a in range(self.n)]
+
+    def cols(self) -> list[int]:
+        """Down-set masks: bit a-1 of cols()[b-1] is set iff a is below b.
+
+        Column b is every n-th digit of the binary form of ``bits``.
+        """
+        n = self.n
+        digits = format(self.bits, f"0{n * n}b")
+        return [int(digits[n - 1 - b :: n], 2) for b in range(n)]
 
     def leq(self, a: int, b: int) -> bool:
         """a below b (1-based values)."""
@@ -97,13 +165,6 @@ class Preorder:
 
     def equiv(self, a: int, b: int) -> bool:
         return self.leq(a, b) and self.leq(b, a)
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """All related pairs (a, b), a != b, 1-based."""
-        for a in range(1, self.n + 1):
-            for b in range(1, self.n + 1):
-                if a != b and self.leq(a, b):
-                    yield (a, b)
 
     # Containment of relations is the lattice order on these objects.
     def __le__(self, other: "Preorder") -> bool:
@@ -123,16 +184,23 @@ class Preorder:
 
 @dataclass(frozen=True)
 class Block:
-    """An equivalence class of mutual comparability, labeled [min, max]."""
+    """An equivalence class of mutual comparability, labeled [min, max].
+
+    ``mask`` has bit v-1 set for each member v.
+    """
 
     min: int
     max: int
-    members: frozenset[int]
+    mask: int
 
     @classmethod
-    def of(cls, members) -> "Block":
-        members = frozenset(members)
-        return cls(min(members), max(members), members)
+    def of(cls, mask: int) -> "Block":
+        """The block with the members of a nonempty value mask."""
+        return cls((mask & -mask).bit_length(), mask.bit_length(), mask)
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(mask_values(self.mask))
 
     @property
     def interval(self) -> tuple[int, int]:
@@ -141,72 +209,72 @@ class Block:
     def overlaps(self, other: "Block") -> bool:
         return self.min <= other.max and other.min <= self.max
 
-    def sort_key(self):
-        return (self.min, self.max, tuple(sorted(self.members)))
-
     def __repr__(self):
-        return f"B[{self.min},{self.max}]{{{','.join(map(str, sorted(self.members)))}}}"
+        return f"B[{self.min},{self.max}]{{{','.join(map(str, mask_values(self.mask)))}}}"
 
 
 @lru_cache(maxsize=None)
 def blocks(q: Preorder) -> tuple[Block, ...]:
     """Blocks of q, sorted by minimal member."""
-    rows = q.rows()
+    rows, cols = q.rows(), q.cols()
     out = []
     seen = 0
     for a in range(q.n):
-        if seen >> a & 1:
-            continue
-        members = [b + 1 for b in range(q.n) if rows[a] >> b & 1 and rows[b] >> a & 1]
-        for m in members:
-            seen |= 1 << (m - 1)
-        out.append(Block.of(members))
-    out.sort(key=Block.sort_key)
+        if not seen >> a & 1:
+            mask = rows[a] & cols[a]
+            seen |= mask
+            out.append(Block(a + 1, mask.bit_length(), mask))
     return tuple(out)
 
 
 def block_of(q: Preorder, value: int) -> Block:
-    for b in blocks(q):
-        if value in b.members:
-            return b
+    if 1 <= value <= q.n:
+        for b in blocks(q):
+            if b.mask >> (value - 1) & 1:
+                return b
     raise ValueError(f"{value} not in [1,{q.n}]")
 
 
 @dataclass(frozen=True)
 class BlockOrder:
-    """The partial order induced on blocks, with its cover relation.
+    """The partial order induced on blocks, as value masks.
 
-    ``less`` and ``covers`` hold index pairs into ``blocks`` (strict order).
+    ``above[i]`` is the union of the blocks strictly above ``blocks[i]``,
+    ``covers[i]`` the union of the blocks covering it.
     """
 
     blocks: tuple[Block, ...]
-    less: frozenset[tuple[int, int]]
-    covers: frozenset[tuple[int, int]]
-
-    def index(self, block: Block) -> int:
-        return self.blocks.index(block)
-
-    def comparable(self, i: int, j: int) -> bool:
-        return (i, j) in self.less or (j, i) in self.less
+    above: tuple[int, ...]
+    covers: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
 def block_order(q: Preorder) -> BlockOrder:
     bs = blocks(q)
-    m = len(bs)
-    reps = [next(iter(b.members)) for b in bs]
-    less = frozenset(
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if i != j and q.leq(reps[i], reps[j])
-    )
-    covers = frozenset(
-        (i, j)
-        for (i, j) in less
-        if not any((i, k) in less and (k, j) in less for k in range(m))
-    )
-    return BlockOrder(bs, less, covers)
+    rows = q.rows()
+    above = tuple(rows[b.min - 1] & ~b.mask for b in bs)
+    covers = []
+    for up in above:
+        higher = 0
+        for b, b_up in zip(bs, above):
+            if up >> (b.min - 1) & 1:
+                higher |= b_up
+        covers.append(up & ~higher)
+    return BlockOrder(bs, above, tuple(covers))
+
+
+def comparable(q: Preorder, bi: Block, bj: Block) -> bool:
+    """Is one of the two blocks of q below the other?"""
+    return q.leq(bi.min, bj.min) or q.leq(bj.min, bi.min)
+
+
+def combinable(q: Preorder, bi: Block, bj: Block) -> bool:
+    """Two blocks of q are incomparable or one covers the other: a cover of q can merge them."""
+    if not comparable(q, bi, bj):
+        return True
+    bo = block_order(q)
+    i, j = bo.blocks.index(bi), bo.blocks.index(bj)
+    return bool(bo.covers[i] & bj.mask or bo.covers[j] & bi.mask)
 
 
 @dataclass(frozen=True)
@@ -225,15 +293,16 @@ class Violation:
 def axiom_violations(q: Preorder) -> list[Violation]:
     """All (P1)/(P2) failures; empty list means q is a lattice element."""
     bo = block_order(q)
+    bs = bo.blocks
     out = []
-    m = len(bo.blocks)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if bo.blocks[i].overlaps(bo.blocks[j]) and not bo.comparable(i, j):
-                out.append(Violation("P1", bo.blocks[i], bo.blocks[j]))
-    for (i, j) in sorted(bo.covers):
-        if not bo.blocks[i].overlaps(bo.blocks[j]):
-            out.append(Violation("P2", bo.blocks[i], bo.blocks[j]))
+    for i, bi in enumerate(bs):
+        for bj in bs[i + 1 :]:
+            if bi.overlaps(bj) and not comparable(q, bi, bj):
+                out.append(Violation("P1", bi, bj))
+    for bi, cover in zip(bs, bo.covers):
+        for bj in bs:
+            if cover & bj.mask and not bi.overlaps(bj):
+                out.append(Violation("P2", bi, bj))
     return out
 
 
@@ -254,27 +323,21 @@ def mu(p: Permutation) -> Preorder:
 
     Of two distinct runs with intersecting value intervals, the one further
     right in the word gives the greater block; the relation is the
-    transitive closure of these generators.
+    transitive closure of these generators.  Every generator points right,
+    so a run's up-set is the run plus the up-sets of the overlapping runs
+    to its right: one pass from the right closes the relation.
     """
-    n = p.n
-    runs = descending_runs(p)
-    rows = [0] * n
-    for run in runs:
-        mask = 0
-        for v in run.values:
-            mask |= 1 << (v - 1)
-        for v in run.values:
-            rows[v - 1] |= mask
-    for left_i in range(len(runs)):
-        for right_i in range(left_i + 1, len(runs)):
-            left, right = runs[left_i], runs[right_i]
-            if left.min <= right.max and right.min <= left.max:
-                target = 0
-                for v in right.values:
-                    target |= 1 << (v - 1)
-                for v in left.values:
-                    rows[v - 1] |= target
-    return Preorder.from_rows(n, rows)
+    rows = [0] * p.n
+    done = []  # (span, up-set) of the runs to the right
+    for mask in reversed(run_masks(p.word)):
+        run_span, up = span(mask), mask
+        for right_span, right_up in done:
+            if run_span & right_span:
+                up |= right_up
+        done.append((run_span, up))
+        for v in mask_values(mask):
+            rows[v - 1] = up
+    return Preorder._packed(p.n, rows)
 
 
 @lru_cache(maxsize=None)
@@ -282,29 +345,24 @@ def ordered_blocks(q: Preorder) -> tuple[Block, ...]:
     """Blocks in the left-to-right order their runs take in lam(q).
 
     Comparable blocks follow the block order; incomparable blocks (whose
-    intervals are disjoint, by (P1)) follow numeric interval position.  The
-    resulting tournament is a total order for every valid element; this is
-    checked and a failure raises rather than returning a bogus word.
+    intervals are disjoint, by (P1)) follow numeric interval position.  So
+    the values before a block are those below it plus those under its min
+    and not above it.  Sorted by size, these masks must be the prefixes of
+    the order; otherwise no such order exists and this raises rather than
+    returning a bogus word.
     """
-    bo = block_order(q)
-    m = len(bo.blocks)
-
-    def before(i: int, j: int) -> bool:
-        if (i, j) in bo.less:
-            return True
-        if (j, i) in bo.less:
-            return False
-        return bo.blocks[i].max < bo.blocks[j].min
-
-    order = sorted(range(m), key=lambda i: sum(before(j, i) for j in range(m)))
-    for x in range(m):
-        for y in range(x + 1, m):
-            if not before(order[x], order[y]):
-                raise InvalidPreorderError(
-                    f"blocks of {q} are not totally orderable: "
-                    f"{bo.blocks[order[x]]} vs {bo.blocks[order[y]]}"
-                )
-    return tuple(bo.blocks[i] for i in order)
+    rows, cols = q.rows(), q.cols()
+    keyed = []
+    for b in blocks(q):
+        a = b.min - 1
+        keyed.append(((cols[a] | ((1 << a) - 1)) & ~rows[a], b))
+    keyed.sort(key=lambda kb: kb[0].bit_count())
+    placed = 0
+    for before, b in keyed:
+        if before != placed:
+            raise InvalidPreorderError(f"blocks of {q} are not totally orderable at {b}")
+        placed |= b.mask
+    return tuple(b for _, b in keyed)
 
 
 def lam(q: Preorder) -> Permutation:
@@ -315,7 +373,7 @@ def lam(q: Preorder) -> Permutation:
     require_permutation_preorder(q)
     word = []
     for block in ordered_blocks(q):
-        word.extend(sorted(block.members, reverse=True))
+        word.extend(reversed(mask_values(block.mask)))
     return Permutation(tuple(word))
 
 
@@ -327,38 +385,66 @@ def placements(q: Preorder) -> dict[Block, int]:
 
 def preorder_to_json(q: Preorder) -> dict:
     """JSON form: blocks plus the cover pairs of the block order."""
-    obs = ordered_blocks(q)
-    index = {b: i for i, b in enumerate(obs)}
-    bo = block_order(q)
-    less = sorted(
-        (index[bo.blocks[i]], index[bo.blocks[j]]) for (i, j) in bo.covers
-    )
-    return {
-        "n": q.n,
-        "blocks": [sorted(b.members) for b in obs],
-        "less": [list(pair) for pair in less],
-    }
+    obs, bo = ordered_blocks(q), block_order(q)
+    cover_of = dict(zip(bo.blocks, bo.covers))
+    less = [[i, j] for i, b in enumerate(obs) for j, c in enumerate(obs) if cover_of[b] & c.mask]
+    return {"n": q.n, "blocks": [mask_values(b.mask) for b in obs], "less": less}
+
+
+def check_json_shape(data, keys=("n", "blocks")) -> int:
+    """Check the shape of pre-order or partition JSON before any work; returns n.
+
+    The ``keys`` must be present, ``n`` a positive integer, ``blocks`` a list
+    of integer lists, ``coxeter`` an integer list, and each ``less`` entry a
+    pair of distinct indices into ``blocks``.  Whether the blocks partition
+    [n] is left to the builders.
+    """
+
+    def ints(x) -> bool:
+        return isinstance(x, list) and all(type(v) is int for v in x)
+
+    if not isinstance(data, dict) or any(k not in data for k in keys):
+        raise ValueError(f"JSON input must be an object with keys {', '.join(keys)}")
+    n, raw_blocks, less = data["n"], data["blocks"], data.get("less", [])
+    if type(n) is not int or n < 1:
+        raise ValueError(f'"n" must be a positive integer, got {n!r}')
+    if not (isinstance(raw_blocks, list) and all(ints(b) for b in raw_blocks)):
+        raise ValueError('"blocks" must be a list of lists of integers')
+    if not ints(data.get("coxeter", [])):
+        raise ValueError('"coxeter" must be a list of integers')
+    if not isinstance(less, list):
+        raise ValueError('"less" must be a list of index pairs')
+    for pair in less:
+        if not (ints(pair) and len(pair) == 2 and all(0 <= i < len(raw_blocks) for i in pair)):
+            raise ValueError(f'"less" entry {pair!r} is not a pair of indices into the blocks')
+        if pair[0] == pair[1]:
+            raise ValueError(f'"less" entry {pair!r} relates a block to itself')
+    return n
+
+
+def partition_masks(block_sets, n: int) -> list[int]:
+    """Value masks of blocks that partition [n]; raises ValueError otherwise."""
+    masks, ground = [], 0
+    for b in map(list, block_sets):
+        if not b:
+            raise ValueError("empty block")
+        if not all(1 <= v <= n for v in b):
+            raise ValueError(f"blocks do not partition [1,{n}]")
+        mask = sum(1 << (v - 1) for v in set(b))
+        if mask & ground or mask.bit_count() != len(b):
+            raise ValueError("blocks are not disjoint")
+        ground |= mask
+        masks.append(mask)
+    if ground != (1 << n) - 1:
+        raise ValueError(f"blocks do not partition [1,{n}]")
+    return masks
 
 
 def preorder_from_json(data: dict) -> Preorder:
     """Rebuild a pre-order from its JSON form and validate (P1)/(P2)."""
-    n = data["n"]
-    raw_blocks = [list(b) for b in data["blocks"]]
-    seen = set()
-    for b in raw_blocks:
-        if not b:
-            raise ValueError("empty block")
-        seen.update(b)
-    if seen != set(range(1, n + 1)) or sum(len(b) for b in raw_blocks) != n:
-        raise ValueError(f"blocks do not partition [1,{n}]")
-    pairs = []
-    for b in raw_blocks:
-        pairs.extend((x, y) for x in b for y in b)
-    for i, j in data.get("less", []):
-        pairs.extend((x, y) for x in raw_blocks[i] for y in raw_blocks[j])
-    q = Preorder.from_pairs(n, pairs)
-    if [sorted(b.members) for b in blocks(q)] != sorted(
-        (sorted(b) for b in raw_blocks)
-    ):
+    n = check_json_shape(data)
+    masks = partition_masks(data["blocks"], n)
+    q = Preorder.from_blocks(n, masks, data.get("less", []))
+    if {b.mask for b in blocks(q)} != set(masks):
         raise ValueError("order relations collapse the given blocks")
     return require_permutation_preorder(q)

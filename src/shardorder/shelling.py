@@ -28,12 +28,13 @@ invariants here raise ``InvariantError``, so they also run under
 """
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
 from .errors import IncomparableError, InvariantError
 from .lattice import OmegaLattice, covers_up, interval_lattice, iter_bits, leq
-from .preorders import Block, Preorder, block_order, blocks, lam, placements
+from .preorders import Block, Preorder, blocks, combinable, lam, placements, run_masks
 
 
 def merged_pair(lower: Preorder, upper: Preorder) -> tuple[Block, Block]:
@@ -44,8 +45,8 @@ def merged_pair(lower: Preorder, upper: Preorder) -> tuple[Block, Block]:
     upper_blocks = blocks(upper)
     if len(lower_blocks) != len(upper_blocks) + 1:
         raise ValueError("not a cover: rank difference is not one")
-    upper_sets = {b.members for b in upper_blocks}
-    merged = [b for b in lower_blocks if b.members not in upper_sets]
+    upper_masks = {b.mask for b in upper_blocks}
+    merged = [b for b in lower_blocks if b.mask not in upper_masks]
     if len(merged) != 2:
         raise ValueError("not a cover: block partitions differ by more than a merge")
     return merged[0], merged[1]
@@ -69,25 +70,11 @@ def combinable_pairs(w: Preorder, top: Preorder) -> list[tuple[Block, Block]]:
     """
     if not leq(w, top):
         raise IncomparableError("w is not below top")
-    bo = block_order(w)
-    top_block_of = {}
-    for tb in blocks(top):
-        for v in tb.members:
-            top_block_of[v] = tb
-    out = []
-    m = len(bo.blocks)
-    for i in range(m):
-        for j in range(i + 1, m):
-            bi, bj = bo.blocks[i], bo.blocks[j]
-            if top_block_of[bi.min] is not top_block_of[bj.min]:
-                continue
-            if (
-                not bo.comparable(i, j)
-                or (i, j) in bo.covers
-                or (j, i) in bo.covers
-            ):
-                out.append((bi, bj))
-    return out
+    return [
+        (bi, bj)
+        for bi, bj in itertools.combinations(blocks(w), 2)
+        if top.equiv(bi.min, bj.min) and combinable(w, bi, bj)
+    ]
 
 
 @dataclass(frozen=True)
@@ -124,7 +111,7 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
         nexts = [
             c
             for c in covers_up(cur)
-            if leq(c, top) and _same_block(c, best[0], best[1])
+            if leq(c, top) and c.equiv(best[0].min, best[1].min)
         ]
         if len(nexts) != 1:
             raise InvariantError("exactly one cover below top merges the chosen pair")
@@ -136,10 +123,6 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
     return LabeledChain(tuple(chain), tuple(labels))
 
 
-def _same_block(q: Preorder, b1: Block, b2: Block) -> bool:
-    return q.equiv(b1.min, b2.min)
-
-
 def _indexed(bottom: Preorder, top: Preorder, lattice: OmegaLattice | None):
     """(lattice, bottom index, top index, interval mask); indexes the interval if not given."""
     lat = interval_lattice(bottom, top) if lattice is None else lattice
@@ -149,19 +132,9 @@ def _indexed(bottom: Preorder, top: Preorder, lattice: OmegaLattice | None):
     return lat, b, t, lat.up_mask[b] & lat.down_mask[t]
 
 
-def _run_masks(word: tuple[int, ...]) -> list[int]:
-    """Value masks of the descending runs of a word, left to right."""
-    masks = [0]
-    for prev, v in zip((0,) + word, word):
-        if prev and v > prev:
-            masks.append(0)
-        masks[-1] |= 1 << (v - 1)
-    return masks
-
-
 def _labeled_edges(lat: OmegaLattice, inside: int) -> dict[int, list[tuple[int, int]]]:
     """For each element of the interval mask: its covers inside, with labels."""
-    runs = {i: _run_masks(lat.words[i].word) for i in iter_bits(inside)}
+    runs = {i: run_masks(lat.words[i].word) for i in iter_bits(inside)}
     run_sets = {i: set(masks) for i, masks in runs.items()}
     out = {}
     for i, lower in runs.items():
@@ -231,54 +204,62 @@ def _mobius_recursion(lat: OmegaLattice, b: int, t: int, inside: int) -> int:
     return next(v for v, mask in by_value.items() if mask >> t & 1)
 
 
-def mobius(bottom: Preorder, top: Preorder, lattice: OmegaLattice | None = None) -> int:
-    """Moebius number of the interval, computed two independent ways.
+def _mobius(lat: OmegaLattice, b: int, t: int, inside: int, edges) -> int:
+    """Moebius number of an indexed interval, computed two independent ways.
 
     (a) (-1)^(rank difference) times the strictly decreasing chain count;
     (b) the classical recursion over the interval.  They must agree.
     """
-    lat, b, t, inside = _indexed(bottom, top, lattice)
-    signed = (-1) ** (lat.rank[t] - lat.rank[b]) * count_decreasing_chains(bottom, top, lat)
+    chains = _count_chains(edges, b, t, lat.n + 1, operator.lt)
+    signed = (-1) ** (lat.rank[t] - lat.rank[b]) * chains
     recursion = _mobius_recursion(lat, b, t, inside)
     if signed != recursion:
         raise InvariantError(
-            f"Moebius disagreement on [{lam(bottom)}, {lam(top)}]: "
+            f"Moebius disagreement on [{lat.words[b]}, {lat.words[t]}]: "
             f"chains give {signed}, recursion gives {recursion}"
         )
     return signed
 
 
-def max_label_multiplicities(bottom: Preorder, top: Preorder) -> list[int]:
+def mobius(bottom: Preorder, top: Preorder, lattice: OmegaLattice | None = None) -> int:
+    """Moebius number of [bottom, top], checked two ways (see ``_mobius``)."""
+    lat, b, t, inside = _indexed(bottom, top, lattice)
+    return _mobius(lat, b, t, inside, _labeled_edges(lat, inside))
+
+
+def max_label_multiplicities(lat: OmegaLattice, edges, b: int, t: int) -> list[int]:
     """Per step, how many covers reach the maximum feasible label.
 
-    Walks one canonical chain taking a maximum-label cover at each step;
+    Walks the labeled ``edges`` of an indexed interval from b to t, taking
+    at each step the maximum-label cover with the smallest relation bits;
     recorded for reporting only, nothing downstream depends on it.
     """
-    if not leq(bottom, top):
-        raise IncomparableError("bottom is not below top")
     out = []
-    cur = bottom
-    while cur != top:
-        scored = sorted(
-            ((edge_label(cur, c), c) for c in covers_up(cur) if leq(c, top)),
-            key=lambda t: (-t[0], t[1].bits),
-        )
-        best = scored[0][0]
-        out.append(sum(1 for lab, _ in scored if lab == best))
-        cur = scored[0][1]
+    cur = b
+    while cur != t:
+        best = max(lab for _, lab in edges[cur])
+        tops = [c for c, lab in edges[cur] if lab == best]
+        out.append(len(tops))
+        cur = min(tops, key=lambda c: lat.elements[c].bits)
     return out
 
 
 def chain_report(
     bottom: Preorder, top: Preorder, lattice: OmegaLattice | None = None
 ) -> dict:
-    """JSON-ready summary of an interval's chain data."""
+    """JSON-ready summary of an interval's chain data.
+
+    The interval is indexed and its edges labeled once, for the Moebius
+    number and the label multiplicities alike.
+    """
     inc = increasing_chain(bottom, top)
-    value = mobius(bottom, top, lattice)
+    lat, b, t, inside = _indexed(bottom, top, lattice)
+    edges = _labeled_edges(lat, inside)
+    value = _mobius(lat, b, t, inside, edges)
     return {
         "interval": [str(lam(bottom)), str(lam(top))],
         "increasing": list(inc.labels),
         "decreasing_count": abs(value),  # mobius is the signed count
         "mobius": value,
-        "max_label_multiplicities": max_label_multiplicities(bottom, top),
+        "max_label_multiplicities": max_label_multiplicities(lat, edges, b, t),
     }

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import CrossingPartitionError, InvariantError
 from .perms import (
@@ -27,10 +27,12 @@ from .perms import (
 from .preorders import (
     Block,
     Preorder,
-    block_order,
     blocks,
+    mask_values,
     mu,
+    partition_masks,
     require_permutation_preorder,
+    span,
 )
 
 
@@ -99,9 +101,6 @@ class CycleOrder:
 
     cycle: tuple[int, ...]
 
-    def position(self, value: int) -> int:
-        return self.cycle.index(value)
-
 
 def cycle_of(c: CoxeterElement) -> CycleOrder:
     bar = barring_of(c)
@@ -127,31 +126,27 @@ def sortable_permutations(c: CoxeterElement) -> list[Permutation]:
     return [p for p in all_permutations(c.n) if is_c_sortable(p, c)]
 
 
-def _cross(cycle: CycleOrder, first: Iterable[int], second: Iterable[int]) -> bool:
-    """Do the two vertex sets interleave on the circle?
+def _crosses(a: int, b: int) -> bool:
+    """Do two disjoint, nonempty position masks interleave on the circle?
 
-    They cross iff some chord of the first set has members of the second
-    strictly on both sides.
+    They do not iff b misses the span of a, or lies in one gap between
+    consecutive members of a.
     """
-    n = len(cycle.cycle)
-    pos1 = sorted(cycle.position(v) for v in first)
-    pos2 = sorted(cycle.position(v) for v in second)
-    for a, b in itertools.combinations(pos1, 2):
-        offsets = [(p - a) % n for p in pos2]
-        span = (b - a) % n
-        if any(0 < r < span for r in offsets) and any(r > span for r in offsets):
-            return True
-    return False
+    inside = b & span(a)
+    if not inside:
+        return False
+    low = inside & -inside
+    after = a & -(low << 1)  # members of a past low
+    before = a & (low - 1)
+    gap = ((after & -after) - 1) & -(1 << before.bit_length())
+    return bool(b & ~gap)
 
 
-def blocks_noncrossing(block_sets, cycle: CycleOrder) -> bool:
-    """No two blocks interleave on the cycle."""
-    sets = [set(b) for b in block_sets]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if _cross(cycle, sets[i], sets[j]):
-                return False
-    return True
+def blocks_noncrossing(masks, cycle: CycleOrder) -> bool:
+    """No two of the disjoint value masks interleave on the cycle."""
+    bit = {v: 1 << k for k, v in enumerate(cycle.cycle)}
+    placed = [sum(bit[v] for v in mask_values(mask)) for mask in masks]
+    return not any(_crosses(a, b) for a, b in itertools.combinations(placed, 2))
 
 
 def _orientation_demands(b1: Block, b2: Block, bar: Barring):
@@ -161,12 +156,10 @@ def _orientation_demands(b1: Block, b2: Block, bar: Barring):
     member of one block strictly inside the other's interval; its bar fixes
     the direction.  Such witnesses are never 1 or n, so they are barred.
     """
-    for v in b2.members:
-        if b1.min < v < b1.max:
-            yield 1 if v in bar.upper else -1
-    for v in b1.members:
-        if b2.min < v < b2.max:
-            yield -1 if v in bar.upper else 1
+    for outer, witnesses, sign in ((b1, b2, 1), (b2, b1, -1)):
+        strictly_inside = ((1 << (outer.max - 1)) - 1) & -(1 << outer.min)
+        for v in mask_values(witnesses.mask & strictly_inside):
+            yield sign if v in bar.upper else -sign
 
 
 def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
@@ -174,21 +167,15 @@ def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
     if w.n != c.n:
         raise ValueError("pre-order and Coxeter element sizes differ")
     require_permutation_preorder(w)
-    cyc = cycle_of(c)
     bs = blocks(w)
-    if not blocks_noncrossing([b.members for b in bs], cyc):
+    if not blocks_noncrossing([b.mask for b in bs], cycle_of(c)):
         return False
     bar = barring_of(c)
-    bo = block_order(w)
-    for i in range(len(bs)):
-        for j in range(i + 1, len(bs)):
-            if not bs[i].overlaps(bs[j]):
-                continue
-            reps = (next(iter(bs[i].members)), next(iter(bs[j].members)))
-            below = w.leq(reps[0], reps[1])
-            for demand in _orientation_demands(bs[i], bs[j], bar):
-                if (demand > 0) != below:
-                    return False
+    for b1, b2 in itertools.combinations(bs, 2):
+        if b1.overlaps(b2):
+            below = 1 if w.leq(b1.min, b2.min) else -1
+            if any(demand != below for demand in _orientation_demands(b1, b2, bar)):
+                return False
     return True
 
 
@@ -208,37 +195,21 @@ def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
     demands would mean the partition admits no such pre-order, which the
     theory rules out for noncrossing input, so that case is fatal.
     """
-    sets = [frozenset(b) for b in block_sets]
-    ground = set()
-    for s in sets:
-        if not s:
-            raise ValueError("empty block")
-        if ground & s:
-            raise ValueError("blocks are not disjoint")
-        ground |= s
-    if ground != set(range(1, c.n + 1)):
-        raise ValueError(f"blocks do not partition [1,{c.n}]")
-    cyc = cycle_of(c)
-    if not blocks_noncrossing(sets, cyc):
+    masks = partition_masks(block_sets, c.n)
+    if not blocks_noncrossing(masks, cycle_of(c)):
         raise CrossingPartitionError("blocks interleave on the cycle of c")
-
     bar = barring_of(c)
-    bs = [Block.of(s) for s in sets]
-    pairs = []
-    for b in bs:
-        pairs.extend((x, y) for x in b.members for y in b.members)
-    for b1, b2 in itertools.combinations(bs, 2):
+    bs = [Block.of(mask) for mask in masks]
+    less = []
+    for (i, b1), (j, b2) in itertools.combinations(enumerate(bs), 2):
         if not b1.overlaps(b2):
             continue
         demands = set(_orientation_demands(b1, b2, bar))
         if len(demands) != 1:
-            raise InvariantError(
-                f"witnesses disagree on the orientation of {b1} vs {b2}"
-            )
-        low, high = (b1, b2) if demands == {1} else (b2, b1)
-        pairs.extend((x, y) for x in low.members for y in high.members)
-    q = Preorder.from_pairs(c.n, pairs)
-    if {b.members for b in blocks(q)} != set(sets):
+            raise InvariantError(f"witnesses disagree on the orientation of {b1} vs {b2}")
+        less.append((i, j) if demands == {1} else (j, i))
+    q = Preorder.from_blocks(c.n, masks, less)
+    if {b.mask for b in blocks(q)} != set(masks):
         raise InvariantError("orientation closure collapsed the given blocks")
     require_permutation_preorder(q)
     if not is_noncrossing_preorder(q, c):

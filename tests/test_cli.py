@@ -66,6 +66,36 @@ def test_unmap_reports_axiom_violation(capsys):
     assert "P1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("unmap", '{"n":3,"blocks":[[1],[2],[3]],"less":[[0,7]]}'),
+        ("unmap", '{"blocks":[[1],[2],[3]],"less":[]}'),
+        ("unmap", '{"n":"3","blocks":[[1],[2],[3]],"less":[]}'),
+        ("unmap", '{"n":3,"blocks":[[1],[2],[3]],"less":[[0,0]]}'),
+        ("unmap", '{"n":3,"blocks":[[1],[2],[3]],"less":[[0]]}'),
+        ("unmap", '{"n":3,"blocks":[[1],[2],["3"]],"less":[]}'),
+        ("unmap", '{"n":3,"blocks":[[1],[2],[3]],"less":{"0":1}}'),
+        ("unmap", '{"n":3,"blocks":[[0],[1,2],[3]],"less":[]}'),
+        ("unmap", '{"n":1000,"blocks":[],"less":[]}'),
+        ("noncrossing", '{"n":4,"blocks":[[1,4],[2,3]]}'),
+        ("noncrossing", '{"n":4,"coxeter":["1",2,3],"blocks":[[1,4],[2,3]]}'),
+        ("noncrossing", '{"n":4,"coxeter":[1,2,3],"blocks":[[1,4],[2,3],[2]]}'),
+    ],
+)
+def test_bad_json_input_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_unmap_checks_the_cap_before_building(capsys):
+    # a malformed partition above the cap reports the cap, not the partition
+    code, _, err = run(capsys, "unmap", '{"n":10,"blocks":[[1]],"less":[]}')
+    assert code == 2 and "capped" in err
+
+
 def test_hasse_json(capsys):
     from shardorder.lattice import covers_up
     from shardorder.perms import all_permutations
@@ -192,6 +222,18 @@ def test_verify_suites(capsys):
         "mobius",
         "sortable",
     ]
+
+
+def test_verify_builds_the_lattice_once(capsys, monkeypatch):
+    from shardorder import cli
+
+    built = []
+    real = cli.build_lattice
+    monkeypatch.setattr(cli, "build_lattice", lambda n, force: built.append(n) or real(n, force))
+    code, _, _ = run(capsys, "verify", "--n", "4", "--suite", "all")
+    assert code == 0 and built == [4]
+    code, _, _ = run(capsys, "verify", "--n", "4", "--suite", "roundtrip")
+    assert code == 0 and built == [4]
 
 
 def test_el_verify_alias(capsys):

@@ -347,26 +347,26 @@ def _check_placement_proposition(lower, upper):
     # combinable with the lower part downstairs
     from shardorder.preorders import block_order
 
+    def combinable(bo, i, j):
+        # incomparable or a cover, read off the masks of the block order
+        x, y = bo.blocks[i], bo.blocks[j]
+        if bo.above[i] & y.mask:
+            return bool(bo.covers[i] & y.mask)
+        if bo.above[j] & x.mask:
+            return bool(bo.covers[j] & x.mask)
+        return True
+
     bo_up = block_order(upper)
     bo_low = block_order(lower)
     mi = bo_up.blocks.index(merged)
     for bi, b in enumerate(bo_up.blocks):
         if b == merged or pl_up[b] >= c:
             continue
-        combinable_up = (
-            not bo_up.comparable(bi, mi)
-            or (bi, mi) in bo_up.covers
-            or (mi, bi) in bo_up.covers
-        )
-        if not combinable_up:
+        if not combinable(bo_up, bi, mi):
             continue
         li = bo_low.blocks.index(b)
         l1 = bo_low.blocks.index(b1)
-        assert (
-            not bo_low.comparable(li, l1)
-            or (li, l1) in bo_low.covers
-            or (l1, li) in bo_low.covers
-        )
+        assert combinable(bo_low, li, l1)
 
 
 def test_placement_proposition_exhaustive_n4(lattice):

@@ -15,6 +15,7 @@ from shardorder.preorders import (
     is_permutation_preorder,
     lam,
     mu,
+    ordered_blocks,
     placements,
     preorder_from_json,
     preorder_to_json,
@@ -25,6 +26,23 @@ P = Permutation.parse
 
 def members(q):
     return [sorted(b.members) for b in blocks(q)]
+
+
+def less_pairs(bo):
+    """Index pairs (i, j), blocks[i] strictly below blocks[j], read off ``above``."""
+    m = len(bo.blocks)
+    return {(i, j) for i in range(m) for j in range(m) if bo.above[i] & bo.blocks[j].mask}
+
+
+def cover_pairs(bo):
+    """Index pairs (i, j), blocks[j] covering blocks[i], read off ``covers``."""
+    m = len(bo.blocks)
+    return {(i, j) for i in range(m) for j in range(m) if bo.covers[i] & bo.blocks[j].mask}
+
+
+def comparable(bo, i, j):
+    less = less_pairs(bo)
+    return (i, j) in less or (j, i) in less
 
 
 def figure2_preorder():
@@ -44,15 +62,16 @@ def test_figure2_blocks_and_order():
     assert members(q) == [[1, 4], [2], [3], [5], [6, 7]]
     bo = block_order(q)
     idx = {b.min: i for i, b in enumerate(bo.blocks)}
-    assert (idx[3], idx[1]) in bo.less
-    assert (idx[1], idx[2]) in bo.less
-    assert (idx[3], idx[2]) in bo.less  # transitively
+    less = less_pairs(bo)
+    assert (idx[3], idx[1]) in less
+    assert (idx[1], idx[2]) in less
+    assert (idx[3], idx[2]) in less  # transitively
     # {5} and {6,7} are isolated
     for lone in (idx[5], idx[6]):
         assert all(
-            not bo.comparable(lone, j) for j in range(len(bo.blocks)) if j != lone
+            not comparable(bo, lone, j) for j in range(len(bo.blocks)) if j != lone
         )
-    assert bo.covers == frozenset({(idx[3], idx[1]), (idx[1], idx[2])})
+    assert cover_pairs(bo) == {(idx[3], idx[1]), (idx[1], idx[2])}
 
 
 def test_mu_26314758_matches_figure3():
@@ -60,12 +79,10 @@ def test_mu_26314758_matches_figure3():
     assert members(q) == [[1, 3, 6], [2], [4], [5, 7], [8]]
     bo = block_order(q)
     idx = {b.min: i for i, b in enumerate(bo.blocks)}
-    assert bo.covers == frozenset(
-        {(idx[2], idx[1]), (idx[1], idx[4]), (idx[1], idx[5])}
-    )
+    assert cover_pairs(bo) == {(idx[2], idx[1]), (idx[1], idx[4]), (idx[1], idx[5])}
     # {4} and {5,7} stay incomparable; {8} is isolated
-    assert not bo.comparable(idx[4], idx[5])
-    assert all(not bo.comparable(idx[8], j) for j in range(len(bo.blocks)) if j != idx[8])
+    assert not comparable(bo, idx[4], idx[5])
+    assert all(not comparable(bo, idx[8], j) for j in range(len(bo.blocks)) if j != idx[8])
 
 
 def test_mu_extremes():
@@ -158,7 +175,7 @@ def test_placements_respect_block_order():
             q = mu(p)
             pl = placements(q)
             bo = block_order(q)
-            for (i, j) in bo.less:
+            for (i, j) in less_pairs(bo):
                 assert pl[bo.blocks[i]] < pl[bo.blocks[j]]
 
 
@@ -168,12 +185,13 @@ def test_consecutive_placements_combinable():
         q = mu(p)
         bo = block_order(q)
         by_pos = sorted(bo.blocks, key=lambda b: placements(q)[b])
+        covers = cover_pairs(bo)
         for left, right in zip(by_pos, by_pos[1:]):
             i, j = bo.blocks.index(left), bo.blocks.index(right)
             assert (
-                not bo.comparable(i, j)
-                or (i, j) in bo.covers
-                or (j, i) in bo.covers
+                not comparable(bo, i, j)
+                or (i, j) in covers
+                or (j, i) in covers
             )
 
 
@@ -184,12 +202,12 @@ def test_inversion_overlap_chain():
         for p in all_permutations(n):
             q = mu(p)
             bs = blocks(q)
-            bo = block_order(q)
+            less = less_pairs(block_order(q))
             edges = {
                 i: [
                     j
                     for j in range(len(bs))
-                    if (i, j) in bo.less and bs[i].overlaps(bs[j])
+                    if (i, j) in less and bs[i].overlaps(bs[j])
                 ]
                 for i in range(len(bs))
             }
@@ -218,6 +236,71 @@ def all_preorders(n):
                 rows[a] |= 1 << b
         if close_rows(list(rows)) == rows:
             yield Preorder.from_rows(n, rows)
+
+
+def pairwise_block_order(q):
+    """(less, covers) index pairs of the block order, by testing every pair."""
+    bs = blocks(q)
+    m = len(bs)
+    less = {(i, j) for i in range(m) for j in range(m) if i != j and q.leq(bs[i].min, bs[j].min)}
+    covers = {
+        (i, j) for (i, j) in less if not any((i, k) in less and (k, j) in less for k in range(m))
+    }
+    return less, covers
+
+
+def tournament_order(q):
+    """Blocks in lam order by the pairwise tournament, or None if it is not total."""
+    bs = blocks(q)
+    less, _ = pairwise_block_order(q)
+
+    def before(i, j):
+        if (i, j) in less or (j, i) in less:
+            return (i, j) in less
+        return bs[i].max < bs[j].min
+
+    order = sorted(range(len(bs)), key=lambda i: sum(before(j, i) for j in range(len(bs))))
+    if all(before(x, y) for x, y in itertools.combinations(order, 2)):
+        return tuple(bs[i] for i in order)
+    return None
+
+
+def random_preorders(n, count, seed):
+    rng = random.Random(seed)
+    universe = list(itertools.permutations(range(1, n + 1), 2))
+    for _ in range(count):
+        yield Preorder.from_pairs(n, rng.sample(universe, rng.randint(0, 2 * n)))
+
+
+def test_block_order_masks_match_pairwise():
+    elements = [mu(p) for n in range(1, 6) for p in all_permutations(n)]
+    for q in elements + list(random_preorders(5, 500, 7)):
+        bo = block_order(q)
+        assert (less_pairs(bo), cover_pairs(bo)) == pairwise_block_order(q), q
+
+
+def test_ordered_blocks_matches_tournament():
+    # the nested-prefix check accepts and rejects exactly as the tournament
+    elements = [mu(p) for n in range(1, 6) for p in all_permutations(n)]
+    for q in elements + list(random_preorders(5, 2000, 11)):
+        try:
+            got = ordered_blocks(q)
+        except InvalidPreorderError:
+            got = None
+        assert got == tournament_order(q), q
+
+
+def test_closure_runs_once(monkeypatch):
+    import shardorder.preorders as preorders
+
+    calls = []
+    real = preorders.close_rows
+    monkeypatch.setattr(preorders, "close_rows", lambda rows: calls.append(1) or real(rows))
+    Preorder.from_rows(3, [0b010, 0b100, 0])
+    assert len(calls) == 1
+    # mu closes its relation in one pass over the runs, without close_rows
+    assert mu.__wrapped__(P("26314758")) == mu(P("26314758"))
+    assert len(calls) == 1
 
 
 def test_image_characterization_exhaustive():
@@ -257,6 +340,8 @@ def test_json_shape():
 def test_json_rejects_bad_input():
     with pytest.raises(ValueError):
         preorder_from_json({"n": 3, "blocks": [[1, 2]], "less": []})
+    with pytest.raises(ValueError):
+        preorder_from_json({"n": 2, "blocks": [[1, 1], [2]], "less": []})
     with pytest.raises(InvalidPreorderError):
         # overlapping incomparable blocks: (P1) fails
         preorder_from_json({"n": 4, "blocks": [[1, 3], [2, 4]], "less": []})

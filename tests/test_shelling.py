@@ -2,6 +2,7 @@ import pytest
 
 import shardorder.shelling as shelling
 from shardorder.errors import IncomparableError, InvariantError
+from shardorder.lattice import covers_up, leq
 from shardorder.perms import Permutation, all_permutations, is_indecomposable
 from shardorder.preorders import Preorder, blocks, lam, mu
 from shardorder.shelling import (
@@ -210,6 +211,32 @@ def test_chain_report():
     assert report["mobius"] == -13
     assert len(report["max_label_multiplicities"]) == 3
     assert all(m >= 1 for m in report["max_label_multiplicities"])
+
+
+def _max_label_walk_brute(bottom, top):
+    """The max-label walk by covers_up and edge_label, ties broken on bits."""
+    out, cur = [], bottom
+    while cur != top:
+        scored = sorted(
+            ((edge_label(cur, c), c) for c in covers_up(cur) if leq(c, top)),
+            key=lambda t: (-t[0], t[1].bits),
+        )
+        out.append(sum(1 for lab, _ in scored if lab == scored[0][0]))
+        cur = scored[0][1]
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_max_label_multiplicities_match_brute_force(lattice, n):
+    # n=5 has intervals where the tie-break on bits changes the counts
+    lat = lattice(n)
+    for i, a in enumerate(lat.elements):
+        for j, b in enumerate(lat.elements):
+            if lat.leq_idx(i, j):
+                want = _max_label_walk_brute(a, b)
+                assert chain_report(a, b, lat)["max_label_multiplicities"] == want
+                if n == 4:
+                    assert chain_report(a, b)["max_label_multiplicities"] == want
 
 
 def test_mobius_incomparable_raises():
