@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import IncomparableError, InvariantError, ResourceLimitError
 from .perms import Permutation, all_permutations
@@ -101,20 +100,15 @@ def _merge_candidates(w: Preorder, bi: Block, bj: Block) -> list[Preorder]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _covers_up_cached(w: Preorder) -> tuple[Preorder, ...]:
+def covers_up(w: Preorder) -> list[Preorder]:
+    """Elements covering w, constructed by combining blocks."""
+    require_permutation_preorder(w)
     found = {}
     for bi, bj in itertools.combinations(blocks(w), 2):
         if combinable(w, bi, bj):
             for cand in _merge_candidates(w, bi, bj):
                 found[cand] = None
-    return tuple(sorted(found, key=lambda c: lam(c).word))
-
-
-def covers_up(w: Preorder) -> list[Preorder]:
-    """Elements covering w, constructed by combining blocks."""
-    require_permutation_preorder(w)
-    return list(_covers_up_cached(w))
+    return sorted(found, key=lambda c: lam(c).word)
 
 
 @dataclass(frozen=True)

@@ -150,32 +150,29 @@ class BarredPattern(Enum):
     LOWER_312 = "31-2bar"
 
 
-def barred_pattern_instances(p, pattern, barring) -> list[tuple[int, int, int]]:
-    """All value triples (left to right) realizing the barred pattern.
+def barred_pattern_instances(p, pattern, barring) -> Iterator[tuple[int, int, int]]:
+    """The value triples (left to right) realizing the barred pattern, lazily.
 
     ``barring`` must expose frozensets ``upper`` and ``lower`` over the
     values 2..n-1 (1 and n carry no bar, so they never fill the barred
-    role).  Search is brute force over index triples; n stays small.
+    role).  Search is brute force over the triples of the word; n stays
+    small.  An unknown pattern raises ``ValueError`` at the call, whatever
+    n is.
     """
-    w = p.word
-    out = []
-    for i, j, k in itertools.combinations(range(p.n), 3):
-        a, b, c = w[i], w[j], w[k]
-        if pattern is BarredPattern.UPPER_231:
-            # c < a < b, the "2" role is the first value a
-            if c < a < b and a in barring.upper:
-                out.append((a, b, c))
-        elif pattern is BarredPattern.LOWER_312:
-            # b < c < a, the "2" role is the last value c
-            if b < c < a and c in barring.lower:
-                out.append((a, b, c))
-        else:
-            raise ValueError(f"unknown pattern {pattern!r}")
-    return out
+    triples = itertools.combinations(p.word, 3)
+    if pattern is BarredPattern.UPPER_231:
+        # c < a < b, the "2" role is the first value a
+        upper = barring.upper
+        return ((a, b, c) for a, b, c in triples if c < a < b and a in upper)
+    if pattern is BarredPattern.LOWER_312:
+        # b < c < a, the "2" role is the last value c
+        lower = barring.lower
+        return ((a, b, c) for a, b, c in triples if b < c < a and c in lower)
+    raise ValueError(f"unknown pattern {pattern!r}")
 
 
 def contains_barred_pattern(p, pattern, barring) -> bool:
-    return bool(barred_pattern_instances(p, pattern, barring))
+    return next(barred_pattern_instances(p, pattern, barring), None) is not None
 
 
 def is_indecomposable(p: Permutation) -> bool:

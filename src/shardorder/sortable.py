@@ -81,49 +81,44 @@ def all_coxeter_elements(n: int) -> Iterator[CoxeterElement]:
 
 @dataclass(frozen=True)
 class Barring:
-    """Upper/lower bars on the values 2..n-1 (1 and n are unbarred)."""
+    """Upper/lower bars on the values 2..n-1 (1 and n are unbarred), and the
+    circular order on [n] they induce, starting at 1."""
 
     n: int
     lower: frozenset[int]
     upper: frozenset[int]
+    cycle: tuple[int, ...]
 
 
 def barring_of(c: CoxeterElement) -> Barring:
     pos = {gen: k for k, gen in enumerate(c.word)}
     lower = frozenset(i for i in range(2, c.n) if pos[i - 1] < pos[i])
-    upper = frozenset(i for i in range(2, c.n) if pos[i - 1] > pos[i])
-    return Barring(c.n, lower, upper)
+    upper = frozenset(range(2, c.n)) - lower
+    top = (c.n,) if c.n > 1 else ()
+    cycle = (1, *sorted(lower), *top, *sorted(upper, reverse=True))
+    return Barring(c.n, lower, upper, cycle)
 
 
-@dataclass(frozen=True)
-class CycleOrder:
-    """The circular order induced by a barring, starting at 1."""
-
-    cycle: tuple[int, ...]
+def cycle_of(c: CoxeterElement) -> tuple[int, ...]:
+    return barring_of(c).cycle
 
 
-def cycle_of(c: CoxeterElement) -> CycleOrder:
-    bar = barring_of(c)
-    cycle = [1]
-    cycle.extend(sorted(bar.lower))
-    if c.n > 1:
-        cycle.append(c.n)
-    cycle.extend(sorted(bar.upper, reverse=True))
-    return CycleOrder(tuple(cycle))
+def _sortable(p: Permutation, bar: Barring) -> bool:
+    return not contains_barred_pattern(
+        p, BarredPattern.UPPER_231, bar
+    ) and not contains_barred_pattern(p, BarredPattern.LOWER_312, bar)
 
 
 def is_c_sortable(p: Permutation, c: CoxeterElement) -> bool:
     """True iff p avoids both barred patterns for the barring of c."""
     if p.n != c.n:
         raise ValueError("permutation and Coxeter element sizes differ")
-    bar = barring_of(c)
-    return not contains_barred_pattern(
-        p, BarredPattern.UPPER_231, bar
-    ) and not contains_barred_pattern(p, BarredPattern.LOWER_312, bar)
+    return _sortable(p, barring_of(c))
 
 
 def sortable_permutations(c: CoxeterElement) -> list[Permutation]:
-    return [p for p in all_permutations(c.n) if is_c_sortable(p, c)]
+    bar = barring_of(c)
+    return [p for p in all_permutations(c.n) if _sortable(p, bar)]
 
 
 def _crosses(a: int, b: int) -> bool:
@@ -142,9 +137,9 @@ def _crosses(a: int, b: int) -> bool:
     return bool(b & ~gap)
 
 
-def blocks_noncrossing(masks, cycle: CycleOrder) -> bool:
+def blocks_noncrossing(masks, cycle: tuple[int, ...]) -> bool:
     """No two of the disjoint value masks interleave on the cycle."""
-    bit = {v: 1 << k for k, v in enumerate(cycle.cycle)}
+    bit = {v: 1 << k for k, v in enumerate(cycle)}
     placed = [sum(bit[v] for v in mask_values(mask)) for mask in masks]
     return not any(_crosses(a, b) for a, b in itertools.combinations(placed, 2))
 
@@ -162,15 +157,10 @@ def _orientation_demands(b1: Block, b2: Block, bar: Barring):
             yield sign if v in bar.upper else -sign
 
 
-def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
-    """Blocks noncrossing on the cycle and every overlap oriented by its bar."""
-    if w.n != c.n:
-        raise ValueError("pre-order and Coxeter element sizes differ")
-    require_permutation_preorder(w)
+def _noncrossing(w: Preorder, bar: Barring) -> bool:
     bs = blocks(w)
-    if not blocks_noncrossing([b.mask for b in bs], cycle_of(c)):
+    if not blocks_noncrossing([b.mask for b in bs], bar.cycle):
         return False
-    bar = barring_of(c)
     for b1, b2 in itertools.combinations(bs, 2):
         if b1.overlaps(b2):
             below = 1 if w.leq(b1.min, b2.min) else -1
@@ -179,13 +169,18 @@ def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
     return True
 
 
+def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
+    """Blocks noncrossing on the cycle and every overlap oriented by its bar."""
+    if w.n != c.n:
+        raise ValueError("pre-order and Coxeter element sizes differ")
+    require_permutation_preorder(w)
+    return _noncrossing(w, barring_of(c))
+
+
 def noncrossing_preorders(c: CoxeterElement) -> list[Preorder]:
     """All noncrossing pre-orders for c, by filtering the lattice elements."""
-    return [
-        q
-        for q in (mu(p) for p in all_permutations(c.n))
-        if is_noncrossing_preorder(q, c)
-    ]
+    bar = barring_of(c)
+    return [q for q in (mu(p) for p in all_permutations(c.n)) if _noncrossing(q, bar)]
 
 
 def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
@@ -196,9 +191,9 @@ def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
     theory rules out for noncrossing input, so that case is fatal.
     """
     masks = partition_masks(block_sets, c.n)
-    if not blocks_noncrossing(masks, cycle_of(c)):
-        raise CrossingPartitionError("blocks interleave on the cycle of c")
     bar = barring_of(c)
+    if not blocks_noncrossing(masks, bar.cycle):
+        raise CrossingPartitionError("blocks interleave on the cycle of c")
     bs = [Block.of(mask) for mask in masks]
     less = []
     for (i, b1), (j, b2) in itertools.combinations(enumerate(bs), 2):
@@ -212,6 +207,6 @@ def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
     if {b.mask for b in blocks(q)} != set(masks):
         raise InvariantError("orientation closure collapsed the given blocks")
     require_permutation_preorder(q)
-    if not is_noncrossing_preorder(q, c):
+    if not _noncrossing(q, bar):
         raise InvariantError("constructed pre-order is not noncrossing")
     return q

@@ -16,7 +16,7 @@ from shardorder.perms import (
     is_indecomposable,
     reversal,
 )
-from shardorder.sortable import CoxeterElement, all_coxeter_elements, barring_of
+from shardorder.sortable import CoxeterElement, all_coxeter_elements, barring_of, linear_coxeter
 
 P = Permutation.parse
 
@@ -147,6 +147,15 @@ def test_barred_role_is_never_extreme():
             for a, b, cc in barred_pattern_instances(p, pat, bar):
                 role = a if pat is BarredPattern.UPPER_231 else cc
                 assert 2 <= role <= 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_unknown_pattern_is_rejected_at_every_size(n):
+    bar = barring_of(linear_coxeter(n))
+    with pytest.raises(ValueError):
+        barred_pattern_instances(identity(n), "bogus", bar)
+    with pytest.raises(ValueError):
+        contains_barred_pattern(identity(n), "bogus", bar)
 
 
 def test_is_indecomposable():

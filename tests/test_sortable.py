@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+import shardorder.sortable
 from shardorder.errors import CrossingPartitionError
-from shardorder.perms import Permutation, identity
+from shardorder.perms import Permutation, all_permutations, identity
 from shardorder.preorders import Preorder, blocks, lam, mu
 from shardorder.sortable import (
     CoxeterElement,
@@ -55,10 +56,10 @@ def test_barring_extremes():
 
 
 def test_cycle_examples():
-    assert cycle_of(example_51()).cycle == (1, 3, 4, 5, 8, 9, 7, 6, 2)
-    assert cycle_of(linear_coxeter(3)).cycle == (1, 2, 3)
-    assert cycle_of(reversed_coxeter(4)).cycle == (1, 4, 3, 2)
-    assert cycle_of(CoxeterElement(1, ())).cycle == (1,)
+    assert cycle_of(example_51()) == (1, 3, 4, 5, 8, 9, 7, 6, 2)
+    assert cycle_of(linear_coxeter(3)) == (1, 2, 3)
+    assert cycle_of(reversed_coxeter(4)) == (1, 4, 3, 2)
+    assert cycle_of(CoxeterElement(1, ())) == (1,)
 
 
 def test_sortable_examples():
@@ -73,6 +74,42 @@ def test_sortable_counts_are_catalan():
     for n in range(1, 7):
         for c in (linear_coxeter(n), reversed_coxeter(n)) if n > 1 else [CoxeterElement(1, ())]:
             assert len(sortable_permutations(c)) == CATALAN[n]
+
+
+def test_filters_match_the_public_predicates():
+    # reference: each permutation and element tested on its own through the
+    # public predicates, which derive the barring again every time
+    for n in range(1, 6):
+        perms = list(all_permutations(n))
+        for c in all_coxeter_elements(n):
+            assert sortable_permutations(c) == [p for p in perms if is_c_sortable(p, c)]
+            assert noncrossing_preorders(c) == [
+                q for q in map(mu, perms) if is_noncrossing_preorder(q, c)
+            ]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        sortable_permutations,
+        noncrossing_preorders,
+        lambda c: is_noncrossing_preorder(Preorder.complete(4), c),
+        lambda c: noncrossing_order_of_partition([{1, 4}, {2, 3}], c),
+    ],
+    ids=["sortable_permutations", "noncrossing_preorders",
+         "is_noncrossing_preorder", "noncrossing_order_of_partition"],
+)
+def test_one_barring_per_call(monkeypatch, call):
+    calls = []
+    derive = shardorder.sortable.barring_of
+
+    def counted(c):
+        calls.append(c)
+        return derive(c)
+
+    monkeypatch.setattr(shardorder.sortable, "barring_of", counted)
+    call(linear_coxeter(4))
+    assert len(calls) == 1
 
 
 def test_noncrossing_trivial_elements():
