@@ -4,8 +4,8 @@ Command-line front end.
 Subcommands: map, unmap, hasse, shards, mobius, chains, el-verify,
 sortable, noncrossing, verify.  All output is deterministic (no
 timestamps) and goes to stdout unless --out is given.  Lattice-wide
-commands are capped at n=7 and element-wise ones at n=9; --force
-overrides either cap.
+commands and sortable are capped at n=7, element-wise ones and
+noncrossing (Catalan(n) elements) at n=9; --force overrides either cap.
 """
 from __future__ import annotations
 
@@ -54,13 +54,16 @@ def _dump(obj) -> str:
 
 def _json_input(arg: str, keys, force: bool, what: str) -> dict:
     """Read inline JSON, a file or stdin (-); check its shape and size cap before any work."""
-    if arg == "-":
-        data = json.load(sys.stdin)
-    elif arg.lstrip().startswith("{"):
-        data = json.loads(arg)
-    else:
-        with open(arg) as fh:
-            data = json.load(fh)
+    try:
+        if arg == "-":
+            data = json.load(sys.stdin)
+        elif arg.lstrip().startswith("{"):
+            data = json.loads(arg)
+        else:
+            with open(arg) as fh:
+                data = json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
     _check_cap(check_json_shape(data, keys), ELEMENT_CAP, force, what)
     return data
 
@@ -187,7 +190,7 @@ def cmd_noncrossing(args) -> int:
         raise ValueError("--n is required without a partition argument")
     if args.coxeter is None:
         raise ValueError("--coxeter is required without a partition argument")
-    _check_cap(args.n, LATTICE_SIZE_CAP, args.force, "noncrossing")
+    _check_cap(args.n, ELEMENT_CAP, args.force, "noncrossing")
     c = CoxeterElement.parse(args.coxeter, args.n)
     found = noncrossing_preorders(c)
     _emit(

@@ -39,6 +39,11 @@ from typing import Sequence
 from .errors import InvalidPreorderError
 from .perms import Permutation
 
+# Entries kept by each block cache.  Every hit falls inside one operation on
+# one element (its covers, its JSON, its word), so memory stays flat however
+# many elements a caller has touched.
+_CACHE_SIZE = 256
+
 
 def close_rows(rows: list[int]) -> list[int]:
     """In-place Warshall transitive closure of row masks."""
@@ -213,7 +218,7 @@ class Block:
         return f"B[{self.min},{self.max}]{{{','.join(map(str, mask_values(self.mask)))}}}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def blocks(q: Preorder) -> tuple[Block, ...]:
     """Blocks of q, sorted by minimal member."""
     rows, cols = q.rows(), q.cols()
@@ -248,7 +253,7 @@ class BlockOrder:
     covers: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def block_order(q: Preorder) -> BlockOrder:
     bs = blocks(q)
     rows = q.rows()
@@ -317,7 +322,6 @@ def require_permutation_preorder(q: Preorder) -> Preorder:
     return q
 
 
-@lru_cache(maxsize=None)
 def mu(p: Permutation) -> Preorder:
     """Pre-order of a permutation: runs are blocks, overlaps order them.
 
@@ -340,7 +344,7 @@ def mu(p: Permutation) -> Preorder:
     return Preorder._packed(p.n, rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def ordered_blocks(q: Preorder) -> tuple[Block, ...]:
     """Blocks in the left-to-right order their runs take in lam(q).
 

@@ -9,7 +9,9 @@ values ascending, n, then the upper-barred values descending.
 A permutation is c-sortable iff it avoids both barred patterns; under mu
 the c-sortable permutations are exactly the pre-orders whose blocks are
 noncrossing on the cycle and whose overlapping blocks are oriented by the
-bar of any strictly inside witness.
+bar of any strictly inside witness.  Each noncrossing partition of the
+cycle is the block partition of exactly one of them, so they are built
+from those partitions, never by a pass over S_n.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from .preorders import (
     Block,
     Preorder,
     blocks,
+    lam,
     mask_values,
-    mu,
     partition_masks,
     require_permutation_preorder,
     span,
@@ -177,21 +179,49 @@ def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
     return _noncrossing(w, barring_of(c))
 
 
+def _noncrossing_partitions(bits: list[int]):
+    """Noncrossing partitions of consecutive cycle positions, as value masks.
+
+    ``bits[k]`` is the value mask of the k-th position.  The block of the
+    first position comes first: either it stands alone, or its next member
+    is some position j and the positions strictly between them are
+    partitioned on their own.
+    """
+    if not bits:
+        yield []
+        return
+    for rest in _noncrossing_partitions(bits[1:]):
+        yield [bits[0], *rest]
+    for j in range(1, len(bits)):
+        for inner in _noncrossing_partitions(bits[1:j]):
+            for rest in _noncrossing_partitions(bits[j:]):
+                yield [bits[0] | rest[0], *inner, *rest[1:]]
+
+
 def noncrossing_preorders(c: CoxeterElement) -> list[Preorder]:
-    """All noncrossing pre-orders for c, by filtering the lattice elements."""
+    """All noncrossing pre-orders for c, in the lexicographic order of their lam words.
+
+    One per noncrossing partition of the cycle of c (Reading,
+    arXiv:0909.3288), so the cost is Catalan(n) constructions, not n!.
+    """
     bar = barring_of(c)
-    return [q for q in (mu(p) for p in all_permutations(c.n)) if _noncrossing(q, bar)]
+    bits = [1 << (v - 1) for v in bar.cycle]
+    found = [_order_of_partition(masks, bar) for masks in _noncrossing_partitions(bits)]
+    return sorted(found, key=lambda q: lam(q).word)
 
 
 def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
-    """The unique noncrossing pre-order with the given noncrossing blocks.
+    """The unique noncrossing pre-order with the given noncrossing blocks."""
+    return _order_of_partition(partition_masks(block_sets, c.n), barring_of(c))
+
+
+def _order_of_partition(masks: list[int], bar: Barring) -> Preorder:
+    """The noncrossing pre-order whose blocks are the value masks.
 
     Overlapping blocks are oriented by their witnesses' bars; conflicting
     demands would mean the partition admits no such pre-order, which the
     theory rules out for noncrossing input, so that case is fatal.
     """
-    masks = partition_masks(block_sets, c.n)
-    bar = barring_of(c)
     if not blocks_noncrossing(masks, bar.cycle):
         raise CrossingPartitionError("blocks interleave on the cycle of c")
     bs = [Block.of(mask) for mask in masks]
@@ -203,7 +233,7 @@ def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
         if len(demands) != 1:
             raise InvariantError(f"witnesses disagree on the orientation of {b1} vs {b2}")
         less.append((i, j) if demands == {1} else (j, i))
-    q = Preorder.from_blocks(c.n, masks, less)
+    q = Preorder.from_blocks(bar.n, masks, less)
     if {b.mask for b in blocks(q)} != set(masks):
         raise InvariantError("orientation closure collapsed the given blocks")
     require_permutation_preorder(q)

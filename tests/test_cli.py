@@ -81,6 +81,7 @@ def test_unmap_reports_axiom_violation(capsys):
         ("noncrossing", '{"n":4,"blocks":[[1,4],[2,3]]}'),
         ("noncrossing", '{"n":4,"coxeter":["1",2,3],"blocks":[[1,4],[2,3]]}'),
         ("noncrossing", '{"n":4,"coxeter":[1,2,3],"blocks":[[1,4],[2,3],[2]]}'),
+        ("unmap", '{"n":' + "[" * 100_000),
     ],
 )
 def test_bad_json_input_is_one_error_line(capsys, argv):
@@ -187,6 +188,13 @@ def test_noncrossing_enumeration(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["count"] == 14 and len(data["noncrossing"]) == 14
+
+
+def test_noncrossing_cap_is_the_element_cap(capsys):
+    code, out, _ = run(capsys, "noncrossing", "--n", "8", "--coxeter", "1,2,3,4,5,6,7")
+    assert code == 0 and json.loads(out)["count"] == 1430
+    code, out, err = run(capsys, "noncrossing", "--n", "10", "--coxeter", "1,2,3,4,5,6,7,8,9")
+    assert code == 2 and out == "" and "capped at n=9" in err
 
 
 def test_noncrossing_partition_mode(capsys):

@@ -299,8 +299,30 @@ def test_closure_runs_once(monkeypatch):
     Preorder.from_rows(3, [0b010, 0b100, 0])
     assert len(calls) == 1
     # mu closes its relation in one pass over the runs, without close_rows
-    assert mu.__wrapped__(P("26314758")) == mu(P("26314758"))
+    q = mu(P("26314758"))
     assert len(calls) == 1
+    assert q == Preorder.from_rows(8, q.rows())
+
+
+def test_block_caches_stay_bounded():
+    import shardorder.preorders as preorders
+    from shardorder.lattice import covers_up
+
+    cached = {name: fn for name, fn in vars(preorders).items() if hasattr(fn, "cache_info")}
+    assert set(cached) == {"blocks", "block_order", "ordered_blocks"}
+    rng = random.Random(20261018)
+    seen = set()
+    while len(seen) <= preorders._CACHE_SIZE:
+        p = Permutation(tuple(rng.sample(range(1, 10), 9)))
+        if p in seen:
+            continue
+        seen.add(p)
+        q = mu(p)
+        assert lam(q) == p
+        preorder_to_json(q)
+        covers_up(q)
+    for name, fn in cached.items():
+        assert fn.cache_info().currsize <= preorders._CACHE_SIZE, name
 
 
 def test_image_characterization_exhaustive():

@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
+import shardorder.preorders
 import shardorder.sortable
 from shardorder.errors import CrossingPartitionError
 from shardorder.perms import Permutation, all_permutations, identity
-from shardorder.preorders import Preorder, blocks, lam, mu
+from shardorder.preorders import Preorder, blocks, lam, mask_values, mu
 from shardorder.sortable import (
     CoxeterElement,
     all_coxeter_elements,
@@ -86,6 +87,39 @@ def test_filters_match_the_public_predicates():
             assert noncrossing_preorders(c) == [
                 q for q in map(mu, perms) if is_noncrossing_preorder(q, c)
             ]
+
+
+def test_generation_does_not_touch_s_n(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("noncrossing_preorders walked S_n")
+
+    monkeypatch.setattr(shardorder.sortable, "all_permutations", forbidden)
+    monkeypatch.setattr(shardorder.preorders, "mu", forbidden)
+    assert len(noncrossing_preorders(CoxeterElement.parse("2,1,4,3,5", 6))) == 132
+
+
+def test_partition_oracle(lattice):
+    # on noncrossing pre-orders, containment is refinement of the block
+    # partitions, and the meet is the noncrossing pre-order of the blockwise
+    # common refinement
+    def refines(a, b):
+        return all(any(x & ~y == 0 for y in b) for x in a)
+
+    for n in range(1, 6):
+        lat = lattice(n)
+        for c in all_coxeter_elements(n):
+            elements = noncrossing_preorders(c)
+            parts = [frozenset(b.mask for b in blocks(q)) for q in elements]
+            of_partition = {}
+            for q1, p1 in zip(elements, parts):
+                for q2, p2 in zip(elements, parts):
+                    assert (q1 <= q2) == refines(p1, p2), (c, q1, q2)
+                    common = frozenset(x & y for x in p1 for y in p2 if x & y)
+                    if common not in of_partition:
+                        of_partition[common] = noncrossing_order_of_partition(
+                            [mask_values(m) for m in common], c
+                        )
+                    assert lat.meet(q1, q2) == of_partition[common], (c, q1, q2)
 
 
 @pytest.mark.parametrize(
