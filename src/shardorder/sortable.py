@@ -6,12 +6,16 @@ exactly once.  It bars each value 2..n-1 (lower if s_{i-1} precedes s_i,
 upper otherwise) and induces a circular order on [n]: 1, the lower-barred
 values ascending, n, then the upper-barred values descending.
 
-A permutation is c-sortable iff it avoids both barred patterns; under mu
-the c-sortable permutations are exactly the pre-orders whose blocks are
-noncrossing on the cycle and whose overlapping blocks are oriented by the
-bar of any strictly inside witness.  Each noncrossing partition of the
-cycle is the block partition of exactly one of them, so they are built
-from those partitions, never by a pass over S_n.
+A permutation is c-sortable iff it avoids both barred patterns; that is
+the defining predicate (``is_c_sortable``).  The elements themselves are
+built from their c-sorting words (Reading, arXiv:math/0507186): reduced
+subwords c_{K1} c_{K2} ... of c^infinity whose letter sets shrink, each
+K containing the next.  Under mu the c-sortable permutations are exactly
+the pre-orders whose blocks are noncrossing on the cycle and whose
+overlapping blocks are oriented by the bar of any strictly inside
+witness.  Each noncrossing partition of the cycle is the block partition
+of exactly one of them, so they are built from those partitions.  Neither
+construction passes over S_n.
 """
 from __future__ import annotations
 
@@ -30,8 +34,8 @@ from .preorders import (
     Block,
     Preorder,
     blocks,
-    lam,
     mask_values,
+    ordered_blocks,
     partition_masks,
     require_permutation_preorder,
     span,
@@ -118,9 +122,42 @@ def is_c_sortable(p: Permutation, c: CoxeterElement) -> bool:
     return _sortable(p, barring_of(c))
 
 
+def pattern_sortable_permutations(bar: Barring) -> list[Permutation]:
+    """The permutations avoiding both barred patterns: a filter over S_n.
+
+    This is the definition read literally, the reference the sorting-word
+    construction is checked against.
+    """
+    return [p for p in all_permutations(bar.n) if _sortable(p, bar)]
+
+
 def sortable_permutations(c: CoxeterElement) -> list[Permutation]:
-    bar = barring_of(c)
-    return [p for p in all_permutations(c.n) if _sortable(p, bar)]
+    """The c-sortable permutations, sorted, built from their c-sorting words.
+
+    A search reads c^infinity letter by letter from the identity.  The
+    first letter s of the current word is either dropped for good (the
+    rest of the word lives in the parabolic subgroup without s), or taken
+    when it raises the length: the prefix is multiplied by s on the right,
+    which swaps positions s and s+1, and s moves to the end of the word.
+    Each branch that has dropped every letter is one element, so the cost
+    is Catalan(n) leaves, not n! filter tests.
+    """
+    found = []
+    u = list(range(1, c.n + 1))
+
+    def search(word: tuple[int, ...]) -> None:
+        if not word:
+            found.append(Permutation(tuple(u)))
+            return
+        s, rest = word[0], word[1:]
+        search(rest)
+        if u[s - 1] < u[s]:
+            u[s - 1], u[s] = u[s], u[s - 1]
+            search((*rest, s))
+            u[s - 1], u[s] = u[s], u[s - 1]
+
+    search(c.word)
+    return sorted(found)
 
 
 def _crosses(a: int, b: int) -> bool:
@@ -139,11 +176,20 @@ def _crosses(a: int, b: int) -> bool:
     return bool(b & ~gap)
 
 
+def _places(masks, cycle: tuple[int, ...]) -> list[int]:
+    """The cycle-position mask of each value mask."""
+    bit = {v: 1 << k for k, v in enumerate(cycle)}
+    return [sum(bit[v] for v in mask_values(mask)) for mask in masks]
+
+
+def _places_noncrossing(places) -> bool:
+    """No two of the disjoint position masks interleave on the circle."""
+    return not any(_crosses(a, b) for a, b in itertools.combinations(places, 2))
+
+
 def blocks_noncrossing(masks, cycle: tuple[int, ...]) -> bool:
     """No two of the disjoint value masks interleave on the cycle."""
-    bit = {v: 1 << k for k, v in enumerate(cycle)}
-    placed = [sum(bit[v] for v in mask_values(mask)) for mask in masks]
-    return not any(_crosses(a, b) for a, b in itertools.combinations(placed, 2))
+    return _places_noncrossing(_places(masks, cycle))
 
 
 def _orientation_demands(b1: Block, b2: Block, bar: Barring):
@@ -179,23 +225,32 @@ def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
     return _noncrossing(w, barring_of(c))
 
 
-def _noncrossing_partitions(bits: list[int]):
-    """Noncrossing partitions of consecutive cycle positions, as value masks.
+def _noncrossing_partitions(cells: list[tuple[int, int]]):
+    """Noncrossing partitions of consecutive cycle positions.
 
-    ``bits[k]`` is the value mask of the k-th position.  The block of the
-    first position comes first: either it stands alone, or its next member
-    is some position j and the positions strictly between them are
+    ``cells[k]`` is the (value mask, position mask) pair of the k-th
+    position, and each block is the union of its cells, so the partitions
+    come with the position masks the crossing check reads.  The block of
+    the first position comes first: either it stands alone, or its next
+    member is some position j and the positions strictly between them are
     partitioned on their own.
     """
-    if not bits:
+    if not cells:
         yield []
         return
-    for rest in _noncrossing_partitions(bits[1:]):
-        yield [bits[0], *rest]
-    for j in range(1, len(bits)):
-        for inner in _noncrossing_partitions(bits[1:j]):
-            for rest in _noncrossing_partitions(bits[j:]):
-                yield [bits[0] | rest[0], *inner, *rest[1:]]
+    for rest in _noncrossing_partitions(cells[1:]):
+        yield [cells[0], *rest]
+    value, place = cells[0]
+    for j in range(1, len(cells)):
+        for inner in _noncrossing_partitions(cells[1:j]):
+            for rest in _noncrossing_partitions(cells[j:]):
+                next_value, next_place = rest[0]
+                yield [(value | next_value, place | next_place), *inner, *rest[1:]]
+
+
+def _lam_word(q: Preorder) -> tuple[int, ...]:
+    """The word of lam(q) for a q already checked against (P1)/(P2)."""
+    return tuple(v for b in ordered_blocks(q) for v in reversed(mask_values(b.mask)))
 
 
 def noncrossing_preorders(c: CoxeterElement) -> list[Preorder]:
@@ -203,26 +258,35 @@ def noncrossing_preorders(c: CoxeterElement) -> list[Preorder]:
 
     One per noncrossing partition of the cycle of c (Reading,
     arXiv:0909.3288), so the cost is Catalan(n) constructions, not n!.
+    Each element's sort key is read while its blocks are still cached.
     """
     bar = barring_of(c)
-    bits = [1 << (v - 1) for v in bar.cycle]
-    found = [_order_of_partition(masks, bar) for masks in _noncrossing_partitions(bits)]
-    return sorted(found, key=lambda q: lam(q).word)
+    cells = [(1 << (v - 1), 1 << k) for k, v in enumerate(bar.cycle)]
+    keyed = []
+    for part in _noncrossing_partitions(cells):
+        q = _order_of_partition([v for v, _ in part], [p for _, p in part], bar)
+        keyed.append((_lam_word(q), q))
+    keyed.sort(key=lambda kq: kq[0])
+    return [q for _, q in keyed]
 
 
 def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
     """The unique noncrossing pre-order with the given noncrossing blocks."""
-    return _order_of_partition(partition_masks(block_sets, c.n), barring_of(c))
+    bar = barring_of(c)
+    masks = partition_masks(block_sets, c.n)
+    return _order_of_partition(masks, _places(masks, bar.cycle), bar)
 
 
-def _order_of_partition(masks: list[int], bar: Barring) -> Preorder:
+def _order_of_partition(masks: list[int], places: list[int], bar: Barring) -> Preorder:
     """The noncrossing pre-order whose blocks are the value masks.
 
-    Overlapping blocks are oriented by their witnesses' bars; conflicting
-    demands would mean the partition admits no such pre-order, which the
-    theory rules out for noncrossing input, so that case is fatal.
+    ``places`` holds the cycle-position mask of each block.  Overlapping
+    blocks are oriented by their witnesses' bars; conflicting demands would
+    mean the partition admits no such pre-order, which the theory rules out
+    for noncrossing input, so that case is fatal.  The closing check reads
+    the blocks of the result afresh, not ``places``.
     """
-    if not blocks_noncrossing(masks, bar.cycle):
+    if not _places_noncrossing(places):
         raise CrossingPartitionError("blocks interleave on the cycle of c")
     bs = [Block.of(mask) for mask in masks]
     less = []

@@ -183,6 +183,13 @@ def test_sortable_command(capsys):
     assert data["count"] == 14 and len(data["sortable"]) == 14
 
 
+def test_sortable_cap_is_the_element_cap(capsys):
+    code, out, _ = run(capsys, "sortable", "--n", "9", "--coxeter", "1,2,3,4,5,6,7,8")
+    assert code == 0 and len(out.splitlines()) == 4862
+    code, out, err = run(capsys, "sortable", "--n", "10", "--coxeter", "1,2,3,4,5,6,7,8,9")
+    assert code == 2 and out == "" and "capped at n=9" in err
+
+
 def test_noncrossing_enumeration(capsys):
     code, out, _ = run(capsys, "noncrossing", "--n", "4", "--coxeter", "2,1,3")
     assert code == 0

@@ -1,6 +1,9 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shardorder.preorders
 import shardorder.sortable
@@ -17,6 +20,7 @@ from shardorder.sortable import (
     linear_coxeter,
     noncrossing_order_of_partition,
     noncrossing_preorders,
+    pattern_sortable_permutations,
     reversed_coxeter,
     sortable_permutations,
 )
@@ -77,6 +81,41 @@ def test_sortable_counts_are_catalan():
             assert len(sortable_permutations(c)) == CATALAN[n]
 
 
+def test_construction_matches_the_pattern_filter():
+    # every word through n=7, the filter run once per barring (32 at n=7)
+    for n in range(1, 8):
+        reference = {}
+        for c in all_coxeter_elements(n):
+            bar = barring_of(c)
+            if bar not in reference:
+                reference[bar] = pattern_sortable_permutations(bar)
+            assert sortable_permutations(c) == reference[bar], c
+        assert len(reference) == 2 ** max(n - 2, 0)
+
+
+def test_sortable_does_not_touch_s_n(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("sortable_permutations filtered S_n")
+
+    monkeypatch.setattr(shardorder.sortable, "all_permutations", forbidden)
+    monkeypatch.setattr(shardorder.sortable, "contains_barred_pattern", forbidden)
+    assert len(sortable_permutations(CoxeterElement.parse("2,1,4,3,5", 6))) == 132
+
+
+def coxeter_words(low: int, high: int):
+    return st.integers(low, high).flatmap(
+        lambda n: st.permutations(range(1, n)).map(lambda word: CoxeterElement(n, tuple(word)))
+    )
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(coxeter_words(8, 9))
+def test_sortable_maps_onto_noncrossing_beyond_the_exhaustive_range(c):
+    sortable = sortable_permutations(c)
+    assert len(sortable) == math.comb(2 * c.n, c.n) // (c.n + 1)
+    assert {mu(p) for p in sortable} == set(noncrossing_preorders(c))
+
+
 def test_filters_match_the_public_predicates():
     # reference: each permutation and element tested on its own through the
     # public predicates, which derive the barring again every time
@@ -123,17 +162,17 @@ def test_partition_oracle(lattice):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, barrings",
     [
-        sortable_permutations,
-        noncrossing_preorders,
-        lambda c: is_noncrossing_preorder(Preorder.complete(4), c),
-        lambda c: noncrossing_order_of_partition([{1, 4}, {2, 3}], c),
+        (sortable_permutations, 0),  # built from sorting words, no barring read
+        (noncrossing_preorders, 1),
+        (lambda c: is_noncrossing_preorder(Preorder.complete(4), c), 1),
+        (lambda c: noncrossing_order_of_partition([{1, 4}, {2, 3}], c), 1),
     ],
     ids=["sortable_permutations", "noncrossing_preorders",
          "is_noncrossing_preorder", "noncrossing_order_of_partition"],
 )
-def test_one_barring_per_call(monkeypatch, call):
+def test_one_barring_per_call(monkeypatch, call, barrings):
     calls = []
     derive = shardorder.sortable.barring_of
 
@@ -143,7 +182,32 @@ def test_one_barring_per_call(monkeypatch, call):
 
     monkeypatch.setattr(shardorder.sortable, "barring_of", counted)
     call(linear_coxeter(4))
-    assert len(calls) == 1
+    assert len(calls) == barrings
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (shardorder.sortable, "_places"),  # value masks to cycle positions
+        (shardorder.preorders, "axiom_violations"),  # the (P1)/(P2) check
+    ],
+    ids=["_places", "axiom_violations"],
+)
+def test_one_pass_per_noncrossing_element(monkeypatch, module, name):
+    # the generator hands over the cycle positions and the sort key reuses
+    # the checked blocks, so each element converts and checks once
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    for n in range(1, 7):
+        calls.clear()
+        noncrossing_preorders(linear_coxeter(n) if n > 1 else CoxeterElement(1, ()))
+        assert len(calls) == CATALAN[n]
 
 
 def test_noncrossing_trivial_elements():
