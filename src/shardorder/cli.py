@@ -55,11 +55,14 @@ def _dump(obj) -> str:
 
 
 def _json_input(arg: str, keys, force: bool, what: str) -> dict:
-    """Read inline JSON, a file or stdin (-); check its shape and size cap before any work."""
+    """Read inline JSON (starting with { or [), a file or stdin (-).
+
+    Its shape and size cap are checked before any work.
+    """
     try:
         if arg == "-":
             data = json.load(sys.stdin)
-        elif arg.lstrip().startswith("{"):
+        elif arg.lstrip().startswith(("{", "[")):
             data = json.loads(arg)
         else:
             with open(arg) as fh:
@@ -114,7 +117,7 @@ def cmd_hasse(args) -> int:
     if args.format == "dot":
         _emit(lat.to_dot(), args.out)
     else:
-        _emit(_dump(lat.to_json()), args.out)
+        _emit(lat.to_json_text(), args.out)
     return 0
 
 

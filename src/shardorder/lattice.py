@@ -3,14 +3,16 @@ The lattice of permutation pre-orders under containment of relations.
 
 Elements are the n! pre-orders mu(S_n); a <= b iff every related pair of a
 is related in b.  ``build_lattice`` enumerates everything and indexes it
-with one bitset kernel over the element indices: for each relation bit,
-the mask of elements holding it.  An element's up-set is the AND of those
-masks over its own bits, its down-set the AND of their complements over
-the bits it lacks, and its covers are its up-set restricted to the next
-rank layer.  One mask check makes those covers the definitional ones (no
-element strictly between): each up-set must be the element itself plus
-the up-sets of its covers.  Read from the top rank down, that check also
-makes every rank layer an antichain.  A failure raises ``InvariantError``.
+with one bitset kernel over the element indices.  a <= b iff each row of a
+lies inside the same row of b, so the kernel groups the elements by the
+value of each row, one mask per distinct value, and an element's up-set
+(down-set) is the AND over its n rows of the groups whose value contains
+(lies inside) its own.  The work follows the distinct row values, not 2^n.
+An element's covers are its up-set restricted to the next rank layer.  One
+mask check makes those covers the definitional ones (no element strictly
+between): each up-set must be the element itself plus the up-sets of its
+covers.  Read from the top rank down, that check also makes every rank
+layer an antichain.  A failure raises ``InvariantError``.
 ``interval_lattice`` indexes one closed interval the same way, from the
 elements a ``covers_up`` walk finds, so its cost follows the interval
 rather than n!.
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .errors import IncomparableError, InvariantError, ResourceLimitError
 from .perms import Permutation, all_permutations
@@ -189,12 +193,28 @@ class OmegaLattice:
         return Interval(bottom, top, tuple(self.elements[k] for k in ids), edges)
 
     def to_json(self) -> dict:
-        edges = sorted((i, j) for i in range(len(self)) for j in self.covers[i])
+        """Nodes are the words in index order, edges the covers (i, j) in order of i then j."""
         return {
             "n": self.n,
             "nodes": [str(w) for w in self.words],
-            "edges": [list(e) for e in edges],
+            "edges": [[i, j] for i in range(len(self)) for j in self.covers[i]],
         }
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=2) + "\\n"``, written directly.
+
+        The encoder's indented mode runs in pure Python, so the text is
+        assembled here instead; words are digits and commas, so quoting
+        needs no escapes.
+        """
+        nodes = ",\n".join(f'    "{w}"' for w in self.words)
+        edges = ",\n".join(
+            f"    [\n      {i},\n      {j}\n    ]"
+            for i in range(len(self))
+            for j in self.covers[i]
+        )
+        edges = f"[\n{edges}\n  ]" if edges else "[]"
+        return f'{{\n  "n": {self.n},\n  "nodes": [\n{nodes}\n  ],\n  "edges": {edges}\n}}\n'
 
     def to_dot(self) -> str:
         lines = ["digraph hasse {", "  rankdir=BT;"]
@@ -218,30 +238,46 @@ def iter_bits(mask: int):
 def _relation_masks(n: int, elements) -> tuple[list[int], list[int]]:
     """Up-set and down-set masks of every element under containment.
 
-    For each off-diagonal relation bit, ``has`` is the mask of the element
-    indices holding it; j is above i iff j holds every bit of i, and below
-    i iff j lacks every bit i lacks.
+    j is above i iff each row of j contains the same row of i, and below i
+    iff each row of j lies inside it.  So for each row index the elements
+    are grouped by their row value, one mask per distinct value
+    (``_row_groups``); the superset mask of a value is the OR of the groups
+    whose value contains it, the subset mask that of the groups whose value
+    lies inside it.  An element's up-set is the AND of the superset masks of
+    its n rows, its down-set the AND of the subset masks.  The work follows
+    the number of distinct row values, never 2^n.
     """
-    full = (1 << len(elements)) - 1
-    offdiag = [a * n + b for a in range(n) for b in range(n) if a != b]
-    has = {k: 0 for k in offdiag}
-    for i, q in enumerate(elements):
-        bit = 1 << i
-        for k in offdiag:
-            if q.bits >> k & 1:
-                has[k] |= bit
-    lacks = {k: full ^ mask for k, mask in has.items()}
-    up_mask, down_mask = [], []
-    for q in elements:
-        up = down = full
-        for k in offdiag:
-            if q.bits >> k & 1:
-                up &= has[k]
-            else:
-                down &= lacks[k]
-        up_mask.append(up)
-        down_mask.append(down)
+    rows, supersets, subsets = [], [], []
+    for a in range(n):
+        values, groups = _row_groups(n, a, elements)
+        above_of, below_of = {}, {}
+        for v in groups:
+            above = below = 0
+            for w, mask in groups.items():
+                common = w & v
+                if common == v:
+                    above |= mask
+                if common == w:
+                    below |= mask
+            above_of[v], below_of[v] = above, below
+        rows.append(values)
+        supersets.append(above_of)
+        subsets.append(below_of)
+    # one element at a time, so no second list of full-width masks is alive
+    per_element = list(zip(*rows))
+    up_mask = [reduce(and_, map(dict.__getitem__, supersets, r)) for r in per_element]
+    down_mask = [reduce(and_, map(dict.__getitem__, subsets, r)) for r in per_element]
     return up_mask, down_mask
+
+
+def _row_groups(n: int, a: int, elements) -> tuple[list[int], dict[int, int]]:
+    """Row a of every element, and for each distinct row value the mask of its elements."""
+    shift, row = a * n, (1 << n) - 1
+    values = [q.bits >> shift & row for q in elements]
+    groups = dict.fromkeys(values, 0)
+    for i, v in enumerate(values):
+        groups[v] |= 1 << i
+    return values, groups
 
 
 def graded_covers(up_mask, rank) -> tuple[list[int], tuple[tuple[int, ...], ...]]:

@@ -137,15 +137,19 @@ def _labeled_edges(lat: OmegaLattice, inside: int) -> dict[int, list[tuple[int, 
     runs = {i: run_masks(lat.words[i].word) for i in iter_bits(inside)}
     run_sets = {i: set(masks) for i, masks in runs.items()}
     out = {}
-    for i, lower in runs.items():
+    for i, masks in runs.items():
+        lower = run_sets[i]
+        place = {mask: k for k, mask in enumerate(masks, start=1)}
         edges = []
         for c in lat.covers[i]:
-            if not inside >> c & 1:
+            upper = run_sets.get(c)  # None outside the interval
+            if upper is None:
                 continue
-            merged = [k for k, mask in enumerate(lower, start=1) if mask not in run_sets[c]]
+            merged = lower - upper
             if len(merged) != 2:
                 raise InvariantError(f"cover {lat.words[i]} -> {lat.words[c]} does not merge two blocks")
-            edges.append((c, merged[1]))
+            first, second = merged
+            edges.append((c, max(place[first], place[second])))
         out[i] = edges
     return out
 

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shardorder.cli import main
+from shardorder.cli import SUITES, main
 from shardorder.perms import Permutation
 from shardorder.preorders import mu, preorder_to_json
 
@@ -82,6 +87,8 @@ def test_unmap_reports_axiom_violation(capsys):
         ("noncrossing", '{"n":4,"coxeter":["1",2,3],"blocks":[[1,4],[2,3]]}'),
         ("noncrossing", '{"n":4,"coxeter":[1,2,3],"blocks":[[1,4],[2,3],[2]]}'),
         ("unmap", '{"n":' + "[" * 100_000),
+        ("unmap", "[]"),
+        ("noncrossing", '  [{"n":4}]'),
     ],
 )
 def test_bad_json_input_is_one_error_line(capsys, argv):
@@ -89,6 +96,7 @@ def test_bad_json_input_is_one_error_line(capsys, argv):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    assert "No such file" not in err  # inline JSON is never read as a path
 
 
 def test_unmap_checks_the_cap_before_building(capsys):
@@ -290,3 +298,100 @@ def test_forced_invariant_failure_under_python_O_exits_2():
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == ["error: minimal larger placement must be unique"]
+
+
+# Sizes are at most 5 or above every cap, so no generated command does more
+# than a moment's work; there is no --force and no --out.
+SIZES = st.one_of(
+    st.integers(-2, 5).map(str),
+    st.integers(10, 10**6).map(str),
+    st.sampled_from(["", "x", "5.0", "1e3", "0x5", "\u0663"]),  # the last is an Arabic-Indic 3
+)
+WORDS = st.one_of(
+    st.integers(1, 5).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+        lambda w: "".join(map(str, w))
+    ),
+    st.integers(10, 12).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+        lambda w: ",".join(map(str, w))
+    ),
+    st.text(alphabet="0123456789,- x", max_size=8),
+)
+COXETER = st.one_of(
+    st.integers(1, 5).flatmap(lambda n: st.permutations(range(1, n))).map(
+        lambda w: ",".join(map(str, w))
+    ),
+    st.text(alphabet="0123456789,- ", max_size=8),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "blocks", "less", "coxeter", "x"]), inner, max_size=5),
+    max_leaves=12,
+)
+SHAPED = st.fixed_dictionaries(
+    {
+        "n": st.one_of(st.integers(-1, 5), st.integers(10, 10**9)),
+        "blocks": st.lists(st.lists(st.integers(-1, 6), max_size=4), max_size=5),
+    },
+    optional={
+        "less": st.lists(st.lists(st.integers(-1, 5), max_size=3), max_size=4),
+        "coxeter": st.lists(st.integers(-1, 5), max_size=5),
+    },
+)
+JSON_TEXT = st.one_of(JSON_VALUES.map(json.dumps), SHAPED.map(json.dumps)).flatmap(
+    lambda text: st.sampled_from([text, " " + text, text[: len(text) // 2]])
+)
+FORMATS = st.sampled_from(["json", "dot", "text", "csv"])
+JSON_ARG = st.one_of(JSON_TEXT, st.just("-"))  # "-" reads the drawn stdin text
+
+
+def seq(*parts):
+    """An argv fragment: a str is a fixed token, a strategy draws one token."""
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts)).map(list)
+
+
+def maybe(*parts):
+    return st.one_of(st.just([]), seq(*parts))
+
+
+def joined(*fragments):
+    return st.tuples(*fragments).map(lambda fs: [tok for f in fs for tok in f])
+
+
+# Each subcommand in its own shape, so most draws get past argparse, plus a
+# stray token now and then
+ARGV = joined(
+    st.one_of(
+        seq("map", WORDS),
+        seq("unmap", JSON_ARG),
+        joined(seq(st.sampled_from(["hasse", "shards"]), "--n", SIZES), maybe("--format", FORMATS)),
+        joined(
+            seq(st.sampled_from(["mobius", "chains"]), "--n", SIZES),
+            maybe("--bottom", WORDS),
+            maybe("--top", WORDS),
+        ),
+        joined(seq("verify", "--n", SIZES), maybe("--suite", st.sampled_from([*SUITES, "all", "none"]))),
+        seq("el-verify", "--n", SIZES),
+        joined(seq("sortable", "--n", SIZES, "--coxeter", COXETER), maybe("--format", FORMATS)),
+        joined(seq("noncrossing", JSON_ARG), maybe("--n", SIZES)),
+        seq("noncrossing", "--n", SIZES, "--coxeter", COXETER),
+    ),
+    st.sampled_from([[]] * 4 + [["-h"], ["--bogus"], ["--n"]]),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ARGV, JSON_TEXT)
+def test_fuzzed_argv_exits_0_1_or_2(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch("sys.stdin", io.StringIO(stdin_text)):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: a usage error (2) or --help (0)
+                assert exc.code in (0, 2), argv
+                return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: "), argv

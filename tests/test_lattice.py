@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -100,6 +101,27 @@ def test_kernel_matches_pairwise_oracle(lattice):
     for n in range(1, 7):
         lat = lattice(n)
         assert (lat.up_mask, lat.down_mask, lat.covers) == _pairwise_oracle(lat), n
+    for bottom, top in (("12345678", "43215678"), ("13245678", "53214876")):
+        sub = interval_lattice(mu(P(bottom)), mu(P(top)))
+        assert (sub.up_mask, sub.down_mask, sub.covers) == _pairwise_oracle(sub), top
+
+
+def test_interval_index_work_follows_the_distinct_rows(monkeypatch):
+    # row values of n=9 are subsets of 9 values: a table over all of them
+    # would group 9 * 2**8 values for an interval of 24 elements
+    grouped = []
+    real = lattice_module._row_groups
+
+    def counted(n, a, elements):
+        values, groups = real(n, a, elements)
+        grouped.append(len(groups))
+        return values, groups
+
+    monkeypatch.setattr(lattice_module, "_row_groups", counted)
+    sub = interval_lattice(Preorder.discrete(9), mu(P("432156789")))
+    assert len(sub) == 24 and len(grouped) == 9
+    assert all(1 <= g <= 24 for g in grouped)
+    assert (sub.up_mask, sub.down_mask, sub.covers) == _pairwise_oracle(sub)
 
 
 def test_rank_layer_that_is_not_an_antichain_is_rejected(lattice):
@@ -417,6 +439,19 @@ def test_hasse_exports(lattice):
     assert dot == lat.to_dot()
     lat1 = lattice(1)
     assert lat1.to_json() == {"n": 1, "nodes": ["1"], "edges": []}
+
+
+def test_hasse_edges_come_in_index_order(lattice):
+    for n in range(1, 6):
+        edges = lattice(n).to_json()["edges"]
+        assert edges == sorted(edges) and len(set(map(tuple, edges))) == len(edges)
+
+
+def test_hasse_text_is_the_indented_json_dump(lattice):
+    # n=1 has no edges: the encoder writes "edges": [] on one line
+    subs = [interval_lattice(Preorder.discrete(8), mu(P("43215678")))]
+    for lat in [lattice(n) for n in range(1, 7)] + subs:
+        assert lat.to_json_text() == json.dumps(lat.to_json(), indent=2) + "\n", lat.n
 
 
 def test_join_membership_failure_raises(lattice, monkeypatch):

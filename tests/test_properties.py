@@ -2,6 +2,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shardorder.lattice import covers_up, join, leq
 from shardorder.perms import Permutation
 from shardorder.preorders import block_order, blocks, lam, mu, preorder_from_json, preorder_to_json
 
@@ -44,3 +45,36 @@ def test_block_order_masks_match_pairwise(p):
     bo = block_order(q)
     assert bo.blocks == blocks(q)
     assert (less_pairs(bo), cover_pairs(bo)) == pairwise_block_order(q)
+
+
+def _swapped(n: int, swaps) -> tuple[int, ...]:
+    """The identity word of S_n after swapping positions i and i+1 for each i in turn."""
+    word = list(range(1, n + 1))
+    for i in swaps:
+        word[i], word[i + 1] = word[i + 1], word[i]
+    return tuple(word)
+
+
+def element_triples(n: int):
+    """Three elements mu(p) of one size n: random words, or words a few swaps
+    from the identity, whose joins stay below the top."""
+    anywhere = st.permutations(range(1, n + 1)).map(tuple)
+    low = st.lists(st.integers(0, n - 2), max_size=n).map(lambda swaps: _swapped(n, swaps))
+    element = st.one_of(anywhere, low).map(lambda w: mu(Permutation(w)))
+    return st.tuples(element, element, element)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(8, 9).flatmap(element_triples))
+def test_join_laws_beyond_the_exhaustive_range(triple):
+    # no lattice is built at n=8..9: join is the closure of the union, and
+    # covers_up constructs the covers of one element
+    a, b, c = triple
+    ab = join(a, b)
+    assert join(b, a) == ab and join(a, a) == a
+    assert join(ab, c) == join(a, join(b, c))
+    assert leq(a, ab) and leq(b, ab)
+    for up in covers_up(a):
+        assert join(a, up) == up
+    for up in covers_up(ab):
+        assert leq(a, up) and leq(b, up)
