@@ -14,15 +14,19 @@ between): each up-set must be the element itself plus the up-sets of its
 covers.  Read from the top rank down, that check also makes every rank
 layer an antichain.  A failure raises ``InvariantError``.
 ``interval_lattice`` indexes one closed interval the same way, from the
-elements a ``covers_up`` walk finds, so its cost follows the interval
+elements a ``covers_below`` walk finds, so its cost follows the interval
 rather than n!.
 
 Going up by a cover combines two blocks that are incomparable or related
 by a cover.  If the merged interval newly overlaps blocks that were
 unrelated to both parts, each such block may sit above or below the merged
-block; ``covers_up`` branches over those orientations and keeps the
-candidates that are valid elements with exactly one block fewer.  It is the
-constructive path for local work, and the kernel's oracle in the tests.
+block; ``_merge_candidates`` branches over those orientations and keeps the
+candidates that are valid elements with exactly one block fewer; it is the
+one constructive path to covers.  A cover below top merges two blocks inside
+one block of top, so ``covers_below`` merges only those pairs.
+``covers_up`` (the kernel's oracle in the tests) is its case top = complete,
+``interval_lattice`` walks it, and the greedy chain of ``shelling`` merges
+the one pair it chose.
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ from .preorders import (
     combinable,
     is_permutation_preorder,
     lam,
+    lam_word,
     mask_values,
     mu,
     require_permutation_preorder,
@@ -104,15 +109,34 @@ def _merge_candidates(w: Preorder, bi: Block, bj: Block) -> list[Preorder]:
     return out
 
 
+def combinable_pairs(w: Preorder, top: Preorder) -> list[tuple[Block, Block]]:
+    """Pairs of blocks of w, inside one block of top, combinable in w.
+
+    Combinable means incomparable or related by a cover; these are exactly
+    the merges that can start a maximal chain from w staying below top.
+    """
+    if not leq(w, top):
+        raise IncomparableError("w is not below top")
+    return [
+        (bi, bj)
+        for bi, bj in itertools.combinations(blocks(w), 2)
+        if top.equiv(bi.min, bj.min) and combinable(w, bi, bj)
+    ]
+
+
+def covers_below(w: Preorder, top: Preorder):
+    """The covers of w below top, each once: a cover's blocks name the one
+    pair of ``combinable_pairs`` it merged."""
+    for bi, bj in combinable_pairs(w, top):
+        for cand in _merge_candidates(w, bi, bj):
+            if cand <= top:
+                yield cand
+
+
 def covers_up(w: Preorder) -> list[Preorder]:
     """Elements covering w, constructed by combining blocks."""
     require_permutation_preorder(w)
-    found = {}
-    for bi, bj in itertools.combinations(blocks(w), 2):
-        if combinable(w, bi, bj):
-            for cand in _merge_candidates(w, bi, bj):
-                found[cand] = None
-    return sorted(found, key=lambda c: lam(c).word)
+    return sorted(covers_below(w, Preorder.complete(w.n)), key=lam_word)
 
 
 @dataclass(frozen=True)
@@ -319,17 +343,20 @@ def build_lattice(n: int, force: bool = False) -> OmegaLattice:
 def interval_lattice(bottom: Preorder, top: Preorder) -> OmegaLattice:
     """The closed interval [bottom, top] alone, indexed like the full lattice.
 
-    Its elements are those a ``covers_up`` walk from bottom reaches while
-    staying below top, so no n! enumeration and no size cap is involved.
+    Its elements are those reached from bottom by covers below top, each
+    built by merging two blocks that share a block of top, so the walk
+    follows the interval: no n! enumeration and no size cap is involved.
     """
+    require_permutation_preorder(bottom)
+    require_permutation_preorder(top)
     if not leq(bottom, top):
         raise IncomparableError("bottom is not below top")
     seen = {bottom}
     stack = [bottom]
     while stack:
-        for c in covers_up(stack.pop()):
-            if c not in seen and leq(c, top):
+        for c in covers_below(stack.pop(), top):
+            if c not in seen:
                 seen.add(c)
                 stack.append(c)
-    words = sorted((lam(q) for q in seen), key=lambda w: w.word)
-    return OmegaLattice(bottom.n, [mu(w) for w in words], words)
+    keyed = sorted(((lam_word(q), q) for q in seen), key=lambda wq: wq[0])
+    return OmegaLattice(bottom.n, [q for _, q in keyed], [Permutation(w) for w, _ in keyed])

@@ -369,16 +369,18 @@ def ordered_blocks(q: Preorder) -> tuple[Block, ...]:
     return tuple(b for _, b in keyed)
 
 
+def lam_word(q: Preorder) -> tuple[int, ...]:
+    """The word of lam(q) for a q already checked against (P1)/(P2)."""
+    return tuple(v for b in ordered_blocks(q) for v in reversed(mask_values(b.mask)))
+
+
 def lam(q: Preorder) -> Permutation:
     """Inverse of mu: each block becomes a descending run.
 
     Raises InvalidPreorderError if q fails (P1)/(P2).
     """
     require_permutation_preorder(q)
-    word = []
-    for block in ordered_blocks(q):
-        word.extend(reversed(mask_values(block.mask)))
-    return Permutation(tuple(word))
+    return Permutation(lam_word(q))
 
 
 def placements(q: Preorder) -> dict[Block, int]:

@@ -4,10 +4,12 @@ Edge labels, increasing chains, and Moebius numbers.
 Each cover merges exactly two blocks of the lower element; the edge label
 is the larger of their placements there.  Every interval has exactly one
 maximal chain with a weakly increasing label word, found greedily: among
-the pairs that can be combined on the way to the top, merge the one whose
-larger placement is smallest.  The number of strictly decreasing maximal
-chains gives the Moebius number up to sign; the classical recursion is run
-alongside as an independent check and disagreement is fatal.
+the pairs that can be combined on the way to the top
+(``lattice.combinable_pairs``), merge the one whose larger placement is
+smallest; exactly one of the covers ``lattice`` builds for that merge lies
+below top.  The number of strictly decreasing maximal chains gives the
+Moebius number up to sign; the classical recursion is run alongside as an
+independent check and disagreement is fatal.
 
 Whole-interval counts run on an indexed lattice (``OmegaLattice``): the
 interval [b, t] is the mask ``up_mask[b] & down_mask[t]`` and its edges are
@@ -28,13 +30,12 @@ invariants here raise ``InvariantError``, so they also run under
 """
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 
 from .errors import IncomparableError, InvariantError
-from .lattice import OmegaLattice, covers_up, interval_lattice, iter_bits, leq
-from .preorders import Block, Preorder, blocks, combinable, lam, placements, run_masks
+from .lattice import OmegaLattice, _merge_candidates, combinable_pairs, interval_lattice, iter_bits, leq
+from .preorders import Block, Preorder, blocks, lam, placements, run_masks
 
 
 def merged_pair(lower: Preorder, upper: Preorder) -> tuple[Block, Block]:
@@ -62,21 +63,6 @@ def edge_label(lower: Preorder, upper: Preorder) -> int:
     return label
 
 
-def combinable_pairs(w: Preorder, top: Preorder) -> list[tuple[Block, Block]]:
-    """Pairs of blocks of w, inside one block of top, combinable in w.
-
-    Combinable means incomparable or related by a cover; these are exactly
-    the merges that can start a maximal chain from w staying below top.
-    """
-    if not leq(w, top):
-        raise IncomparableError("w is not below top")
-    return [
-        (bi, bj)
-        for bi, bj in itertools.combinations(blocks(w), 2)
-        if top.equiv(bi.min, bj.min) and combinable(w, bi, bj)
-    ]
-
-
 @dataclass(frozen=True)
 class LabeledChain:
     """A maximal chain of an interval together with its edge labels."""
@@ -93,31 +79,22 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
     """
     if not leq(bottom, top):
         raise IncomparableError("bottom is not below top")
-    chain = [bottom]
-    labels = []
-    cur = bottom
-    while cur != top:
+    chain, labels = [bottom], []
+    while chain[-1] != top:
+        cur = chain[-1]
         pl = placements(cur)
-        pairs = combinable_pairs(cur, top)
-        if not pairs:
+        label = {pair: max(pl[pair[0]], pl[pair[1]]) for pair in combinable_pairs(cur, top)}
+        ranked = sorted(label, key=label.get)
+        if not ranked:
             raise InvariantError("strictly ordered interval must have a combinable pair")
-        scored = sorted(pairs, key=lambda p: max(pl[p[0]], pl[p[1]]))
-        best = scored[0]
-        best_label = max(pl[best[0]], pl[best[1]])
-        if len(scored) > 1:
-            runner_up = max(pl[scored[1][0]], pl[scored[1][1]])
-            if best_label >= runner_up:
-                raise InvariantError("minimal larger placement must be unique")
-        nexts = [
-            c
-            for c in covers_up(cur)
-            if leq(c, top) and c.equiv(best[0].min, best[1].min)
-        ]
+        best = ranked[0]
+        if len(ranked) > 1 and label[best] >= label[ranked[1]]:
+            raise InvariantError("minimal larger placement must be unique")
+        nexts = [c for c in _merge_candidates(cur, *best) if c <= top]
         if len(nexts) != 1:
             raise InvariantError("exactly one cover below top merges the chosen pair")
-        labels.append(best_label)
-        cur = nexts[0]
-        chain.append(cur)
+        labels.append(label[best])
+        chain.append(nexts[0])
     if any(x > y for x, y in zip(labels, labels[1:])):
         raise InvariantError("greedy chain must carry a weakly increasing label word")
     return LabeledChain(tuple(chain), tuple(labels))

@@ -34,8 +34,8 @@ from .preorders import (
     Block,
     Preorder,
     blocks,
+    lam_word,
     mask_values,
-    ordered_blocks,
     partition_masks,
     require_permutation_preorder,
     span,
@@ -248,11 +248,6 @@ def _noncrossing_partitions(cells: list[tuple[int, int]]):
                 yield [(value | next_value, place | next_place), *inner, *rest[1:]]
 
 
-def _lam_word(q: Preorder) -> tuple[int, ...]:
-    """The word of lam(q) for a q already checked against (P1)/(P2)."""
-    return tuple(v for b in ordered_blocks(q) for v in reversed(mask_values(b.mask)))
-
-
 def noncrossing_preorders(c: CoxeterElement) -> list[Preorder]:
     """All noncrossing pre-orders for c, in the lexicographic order of their lam words.
 
@@ -265,7 +260,7 @@ def noncrossing_preorders(c: CoxeterElement) -> list[Preorder]:
     keyed = []
     for part in _noncrossing_partitions(cells):
         q = _order_of_partition([v for v, _ in part], [p for _, p in part], bar)
-        keyed.append((_lam_word(q), q))
+        keyed.append((lam_word(q), q))
     keyed.sort(key=lambda kq: kq[0])
     return [q for _, q in keyed]
 

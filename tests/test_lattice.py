@@ -5,13 +5,20 @@ import random
 import pytest
 
 import shardorder.lattice as lattice_module
-from shardorder.errors import IncomparableError, InvariantError, ResourceLimitError
+from shardorder.errors import (
+    IncomparableError,
+    InvalidPreorderError,
+    InvariantError,
+    ResourceLimitError,
+)
 from shardorder.lattice import (
     OmegaLattice,
     build_lattice,
+    covers_below,
     covers_up,
     graded_covers,
     interval_lattice,
+    iter_bits,
     join,
     leq,
 )
@@ -72,8 +79,39 @@ def test_covers_up_matches_hasse(lattice):
     for n in range(1, 7):
         lat = lattice(n)
         for i, q in enumerate(lat.elements):
-            constructed = {lat.index_of(c) for c in covers_up(q)}
-            assert constructed == set(lat.covers[i]), lat.words[i]
+            # in index order, once each
+            constructed = [lat.index_of(c) for c in covers_up(q)]
+            assert constructed == list(lat.covers[i]), lat.words[i]
+
+
+def test_covers_below_are_the_covers_up_below_top(lattice):
+    # every comparable pair at n <= 4, a sample at n=5
+    rng = random.Random(20261018)
+    for n in range(1, 6):
+        lat = lattice(n)
+        pairs = [(i, j) for i in range(len(lat)) for j in iter_bits(lat.up_mask[i])]
+        if n == 5:
+            pairs = rng.sample(pairs, 400)
+        for i, j in pairs:
+            w, top = lat.elements[i], lat.elements[j]
+            got = list(covers_below(w, top))
+            assert len(set(got)) == len(got), (lat.words[i], lat.words[j])
+            assert set(got) == {c for c in covers_up(w) if leq(c, top)}, (lat.words[i], lat.words[j])
+
+
+def test_interval_walk_merges_only_inside_blocks_of_top(monkeypatch):
+    # a merge across two blocks of top can only build covers above top
+    top = mu(P("432156789"))
+    merged = []
+    real = lattice_module._merge_candidates
+
+    def spied(w, bi, bj):
+        merged.append((bi, bj))
+        return real(w, bi, bj)
+
+    monkeypatch.setattr(lattice_module, "_merge_candidates", spied)
+    assert len(interval_lattice(Preorder.discrete(9), top)) == 24
+    assert merged and all(top.equiv(bi.min, bj.min) for bi, bj in merged)
 
 
 def _pairwise_oracle(lat):
@@ -296,6 +334,15 @@ def test_interval_lattice_matches_the_full_lattice(lattice):
             ]
             edges = tuple((k, c) for k in range(len(sub)) for c in sub.covers[k])
             assert edges == iv.edges
+
+
+def test_interval_lattice_checks_both_endpoints():
+    # blocks {1} < {3} form a cover but their intervals do not meet: (P2) fails
+    bad = Preorder.from_pairs(3, [(1, 3)])
+    with pytest.raises(InvalidPreorderError):
+        interval_lattice(Preorder.discrete(3), bad)
+    with pytest.raises(InvalidPreorderError):
+        interval_lattice(bad, Preorder.complete(3))
 
 
 def test_interval_lattice_stays_small_at_n8():

@@ -2,9 +2,17 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardorder.lattice import covers_up, join, leq
+from shardorder.lattice import covers_up, interval_lattice, join, leq
 from shardorder.perms import Permutation
-from shardorder.preorders import block_order, blocks, lam, mu, preorder_from_json, preorder_to_json
+from shardorder.preorders import (
+    Preorder,
+    block_order,
+    blocks,
+    lam,
+    mu,
+    preorder_from_json,
+    preorder_to_json,
+)
 
 from test_preorders import cover_pairs, less_pairs, pairwise_block_order
 
@@ -78,3 +86,27 @@ def test_join_laws_beyond_the_exhaustive_range(triple):
         assert join(a, up) == up
     for up in covers_up(ab):
         assert leq(a, up) and leq(b, up)
+
+
+def lower_intervals(n: int):
+    """[discrete, y] indexed alone, y a few adjacent swaps from the identity,
+    so that every join of two of its elements stays inside it."""
+    swaps = st.lists(st.integers(0, n - 2), min_size=1, max_size=4)
+    return swaps.map(lambda s: interval_lattice(Preorder.discrete(n), mu(Permutation(_swapped(n, s)))))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(8, 9).flatmap(lower_intervals), st.data())
+def test_meet_laws_beyond_the_exhaustive_range(lat, data):
+    # meet reads the index; the laws are checked against leq and join
+    element = st.sampled_from(lat.elements)
+    a, b, c = data.draw(element), data.draw(element), data.draw(element)
+    meet = lat.meet
+    ab = meet(a, b)
+    assert meet(b, a) == ab and meet(a, a) == a
+    assert meet(ab, c) == meet(a, meet(b, c))
+    assert leq(ab, a) and leq(ab, b)
+    for z in lat.elements:
+        if leq(z, a) and leq(z, b):
+            assert leq(z, ab)
+    assert meet(a, lat.join(a, b)) == a and lat.join(a, ab) == a

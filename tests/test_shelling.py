@@ -1,7 +1,7 @@
 import pytest
 
 import shardorder.shelling as shelling
-from shardorder.errors import IncomparableError, InvariantError
+from shardorder.errors import IncomparableError, InvalidPreorderError, InvariantError
 from shardorder.lattice import covers_up, leq
 from shardorder.perms import Permutation, all_permutations, is_indecomposable
 from shardorder.preorders import Preorder, blocks, lam, mu
@@ -242,6 +242,16 @@ def test_max_label_multiplicities_match_brute_force(lattice, n):
 def test_mobius_incomparable_raises():
     with pytest.raises(IncomparableError):
         mobius(mu(P("2134")), mu(P("1324")))
+
+
+@pytest.mark.parametrize("count", [mobius, chain_counts])
+def test_counts_without_a_lattice_check_both_endpoints(count):
+    # blocks {1} < {3} form a cover but their intervals do not meet: (P2) fails
+    bad = Preorder.from_pairs(3, [(1, 3)])
+    with pytest.raises(InvalidPreorderError):
+        count(Preorder.discrete(3), bad)
+    with pytest.raises(InvalidPreorderError):
+        count(bad, Preorder.complete(3))
 
 
 def test_kernel_labels_match_edge_label(lattice, edge_labels):
