@@ -15,7 +15,7 @@ import math
 import sys
 
 from .errors import ResourceLimitError, ShardOrderError
-from .lattice import LATTICE_SIZE_CAP, build_lattice
+from .lattice import LATTICE_SIZE_CAP, build_lattice, covers_up
 from .perms import Permutation, all_permutations, is_indecomposable
 from .preorders import Preorder, check_json_shape, lam, mu, preorder_from_json, preorder_to_json
 from .shards import enumerate_shards, intersect, lower_shards, to_preorder
@@ -287,20 +287,35 @@ def _suite_sortable(n: int, lattice) -> dict:
     }
 
 
+def _suite_covers(n: int, lattice) -> dict:
+    """``covers_up`` of every element against the kernel's covers, in index order."""
+    for i, q in enumerate(lattice.elements):
+        if [lattice.index.get(c) for c in covers_up(q)] != list(lattice.covers[i]):
+            return {"suite": "covers", "n": n, "pass": False, "failed_at": str(lattice.words[i])}
+    return {
+        "suite": "covers",
+        "n": n,
+        "pass": True,
+        "elements": len(lattice),
+        "edges": sum(map(len, lattice.covers)),
+    }
+
+
 SUITES = {
     "roundtrip": _suite_roundtrip,
     "geometry": _suite_geometry,
     "el": _suite_el,
     "mobius": _suite_mobius,
     "sortable": _suite_sortable,
+    "covers": _suite_covers,
 }
 
 
 def cmd_verify(args) -> int:
     _check_cap(args.n, LATTICE_SIZE_CAP, args.force, "verify")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    # one lattice for the el and mobius suites; the cap is checked above
-    lattice = build_lattice(args.n, force=True) if {"el", "mobius"} & set(names) else None
+    # one lattice for the el, mobius and covers suites; the cap is checked above
+    lattice = build_lattice(args.n, force=True) if {"el", "mobius", "covers"} & set(names) else None
     results = [SUITES[name](args.n, lattice) for name in names]
     ok = all(r["pass"] for r in results)
     _emit(_dump({"n": args.n, "pass": ok, "results": results}), args.out)

@@ -22,33 +22,47 @@ by a cover.  If the merged interval newly overlaps blocks that were
 unrelated to both parts, each such block may sit above or below the merged
 block; ``_merge_candidates`` branches over those orientations and keeps the
 candidates that are valid elements with exactly one block fewer; it is the
-one constructive path to covers.  A cover below top merges two blocks inside
-one block of top, so ``covers_below`` merges only those pairs.
-``covers_up`` (the kernel's oracle in the tests) is its case top = complete,
-``interval_lattice`` walks it, and the greedy chain of ``shelling`` merges
-the one pair it chose.
+one constructive path to covers, and it yields each with its lam word.  Its
+search runs on the m blocks, not on the n rows: a state is the block value
+masks with each block's up-set and down-set.  Merging two blocks, or
+putting one below another, adds D x U to a closed relation, with D the
+values below the lower side and U those above the upper side.  D is
+down-closed and U up-closed, so the union is closed already: the blocks in
+D gain U above them and those in U gain D below, O(m) mask ORs in place
+of Warshall's closure, and only the values in both D and U become one
+class.  That step, the (P1)/(P2) check and the word are the block-level
+``relate_blocks``, ``block_violations`` and ``lam_order`` of ``preorders``.
+
+A cover below top merges two blocks inside one block of top, so
+``covers_below`` merges only those pairs.  ``covers_up`` (the kernel's
+oracle in the tests and in ``verify --suite covers``) is its case top =
+complete, ``interval_lattice`` walks it, and the greedy chain of
+``shelling`` merges the one pair it chose.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, itemgetter
 
 from .errors import IncomparableError, InvariantError, ResourceLimitError
 from .perms import Permutation, all_permutations
 from .preorders import (
     Block,
     Preorder,
-    axiom_violations,
+    block_masks,
+    block_violations,
     blocks,
     combinable,
     is_permutation_preorder,
     lam,
+    lam_order,
     lam_word,
-    mask_values,
     mu,
+    relate_blocks,
     require_permutation_preorder,
+    runs_word,
 )
 
 LATTICE_SIZE_CAP = 7
@@ -64,11 +78,14 @@ def leq(a: Preorder, b: Preorder) -> bool:
 def join(a: Preorder, b: Preorder) -> Preorder:
     """Transitive closure of the union of relations.
 
-    Geometrically this is the intersection of the two cones, so the result
-    is always an element; that is asserted, not assumed.
+    Both arguments must be elements (``InvalidPreorderError`` otherwise).
+    Geometrically the join is the intersection of the two cones, so the
+    result is always an element; that is asserted, not assumed.
     """
     if a.n != b.n:
         raise ValueError("elements live on different ground sets")
+    require_permutation_preorder(a)
+    require_permutation_preorder(b)
     rows = [ra | rb for ra, rb in zip(a.rows(), b.rows())]
     out = Preorder.from_rows(a.n, rows)
     if not is_permutation_preorder(out):
@@ -76,37 +93,41 @@ def join(a: Preorder, b: Preorder) -> Preorder:
     return out
 
 
-def _merge_candidates(w: Preorder, bi: Block, bj: Block) -> list[Preorder]:
-    """All covers of w that combine the given pair of blocks."""
-    n = w.n
-    target_blocks = len(blocks(w)) - 1
-    merged = bi.mask | bj.mask
-    base = w.rows()
-    for v in mask_values(merged):
-        base[v - 1] |= merged
+def _merge_candidates(w: Preorder, bi: Block, bj: Block):
+    """Yield (lam word, cover) for every cover of w that merges blocks bi and bj.
 
-    out = []
-    seen = set()
-    stack = [Preorder.from_rows(n, base)]
+    The search runs on w's block masks, up-sets and down-sets
+    (``block_masks``); only the up-sets and down-sets change.  The merge
+    adds D x U for the merged block (``relate_blocks``); a step that would
+    collapse further blocks is skipped, since the rank would jump by more
+    than one.  A state that passes ``block_violations`` is a cover.  On a
+    first failure of (P1), the overlapping incomparable pair is oriented
+    both ways, each a new state; on a first failure of (P2) the state is
+    dropped.  No state is reached twice: the two branches order their pair
+    oppositely, and a state that related it both ways would have collapsed.
+    """
+    masks, ups, downs = block_masks(w)
+    i, j = sorted((masks.index(bi.mask), masks.index(bj.mask)))
+    merged = bi.mask | bj.mask
+    state = relate_blocks(masks, ups, downs, merged, merged)
+    if state is None:
+        return
+    # the merged block keeps slot i: its min is the smaller one
+    masks = masks[:i] + [merged] + masks[i + 1 : j] + masks[j + 1 :]
+    stack = [tuple(sets[:j] + sets[j + 1 :] for sets in state)]
     while stack:
-        cand = stack.pop()
-        if cand in seen:
-            continue
-        seen.add(cand)
-        if len(blocks(cand)) != target_blocks:
-            continue  # extra blocks collapsed: rank would jump by more than one
-        bad = axiom_violations(cand)
+        ups, downs = stack.pop()
+        bad = block_violations(masks, ups, downs)
         if not bad:
-            out.append(cand)
+            cover = Preorder._of_blocks(w.n, masks, ups)
+            yield runs_word(lam_order(masks, ups, downs, cover)), cover
         elif bad[0].axiom == "P1":
             # orient the first overlapping incomparable pair both ways
-            cx, cy = bad[0].first, bad[0].second
+            cx, cy = bad[0].first.mask, bad[0].second.mask
             for lower, upper in ((cx, cy), (cy, cx)):
-                rows = cand.rows()
-                for v in mask_values(lower.mask):
-                    rows[v - 1] |= upper.mask
-                stack.append(Preorder.from_rows(n, rows))
-    return out
+                oriented = relate_blocks(masks, ups, downs, lower, upper)
+                if oriented is not None:
+                    stack.append(oriented)
 
 
 def combinable_pairs(w: Preorder, top: Preorder) -> list[tuple[Block, Block]]:
@@ -125,18 +146,18 @@ def combinable_pairs(w: Preorder, top: Preorder) -> list[tuple[Block, Block]]:
 
 
 def covers_below(w: Preorder, top: Preorder):
-    """The covers of w below top, each once: a cover's blocks name the one
-    pair of ``combinable_pairs`` it merged."""
+    """Yield (lam word, cover) for the covers of w below top, each once: a
+    cover's blocks name the one pair of ``combinable_pairs`` it merged."""
     for bi, bj in combinable_pairs(w, top):
-        for cand in _merge_candidates(w, bi, bj):
+        for word, cand in _merge_candidates(w, bi, bj):
             if cand <= top:
-                yield cand
+                yield word, cand
 
 
 def covers_up(w: Preorder) -> list[Preorder]:
-    """Elements covering w, constructed by combining blocks."""
+    """Elements covering w, constructed by combining blocks, in lam-word order."""
     require_permutation_preorder(w)
-    return sorted(covers_below(w, Preorder.complete(w.n)), key=lam_word)
+    return [c for _, c in sorted(covers_below(w, Preorder.complete(w.n)), key=itemgetter(0))]
 
 
 @dataclass(frozen=True)
@@ -351,12 +372,12 @@ def interval_lattice(bottom: Preorder, top: Preorder) -> OmegaLattice:
     require_permutation_preorder(top)
     if not leq(bottom, top):
         raise IncomparableError("bottom is not below top")
-    seen = {bottom}
+    seen = {bottom: lam_word(bottom)}
     stack = [bottom]
     while stack:
-        for c in covers_below(stack.pop(), top):
+        for word, c in covers_below(stack.pop(), top):
             if c not in seen:
-                seen.add(c)
+                seen[c] = word
                 stack.append(c)
-    keyed = sorted(((lam_word(q), q) for q in seen), key=lambda wq: wq[0])
-    return OmegaLattice(bottom.n, [q for _, q in keyed], [Permutation(w) for w, _ in keyed])
+    keyed = sorted(seen.items(), key=itemgetter(1))
+    return OmegaLattice(bottom.n, [q for q, _ in keyed], [Permutation(w) for _, w in keyed])

@@ -24,11 +24,19 @@ The elements of the lattice are the pre-orders satisfying two axioms:
 ``mu`` sends a permutation to such a pre-order (descending runs become
 blocks, overlapping runs are ordered left-below-right) and ``lam`` is its
 inverse.  ``lam`` writes the blocks as descending runs in the order
-``ordered_blocks`` gives: a block's run is preceded by the blocks below it
+``lam_order`` gives: a block's run is preceded by the blocks below it
 and by the incomparable blocks to its numeric left, a mask per block.
 Sorted by popcount, those masks must be the nested prefixes of the order,
 which one O(m) pass checks (m blocks); a pre-order whose blocks admit no
 such order is rejected.
+
+Both the axiom check (``block_violations``) and that word rule
+(``lam_order``) read only the block masks and the up-set and down-set of
+each block, the state ``block_masks`` returns.  ``relate_blocks`` adds
+relations to such a state and keeps it closed in O(m) mask ORs, with no
+Warshall pass.  ``axiom_violations`` and ``ordered_blocks`` call the check
+and the rule on a ``Preorder``; ``lattice`` calls all three on the block
+states of its cover search and packs only the covers it keeps.
 """
 from __future__ import annotations
 
@@ -118,6 +126,15 @@ class Preorder:
         object.__setattr__(q, "n", n)
         object.__setattr__(q, "bits", bits)
         return q
+
+    @staticmethod
+    def _of_blocks(n: int, masks: Sequence[int], ups: Sequence[int]) -> "Preorder":
+        """Pack block value masks and their up-sets, already closed (see ``block_masks``)."""
+        rows = [0] * n
+        for mask, up in zip(masks, ups):
+            for v in mask_values(mask):
+                rows[v - 1] = up
+        return Preorder._packed(n, rows)
 
     @staticmethod
     def from_pairs(n: int, pairs) -> "Preorder":
@@ -295,20 +312,88 @@ class Violation:
         return f"{self.axiom}: blocks {self.first} and {self.second} {reason}"
 
 
+def block_masks(q: Preorder) -> tuple[list[int], list[int], list[int]]:
+    """Value masks of the blocks of q sorted by min, with the up-set and down-set of each.
+
+    A block's up-set is the row of its min, and its down-set the union of
+    the blocks whose up-set meets it; both include the block itself.
+    """
+    rows = q.rows()
+    bs = blocks(q)
+    masks = [b.mask for b in bs]
+    ups = [rows[b.min - 1] for b in bs]
+    downs = [0] * len(bs)
+    for c, up in zip(masks, ups):
+        for k, b in enumerate(masks):
+            if up & b:
+                downs[k] |= c
+    return masks, ups, downs
+
+
+def relate_blocks(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], low: int, high: int):
+    """(up-sets, down-sets) of a ``block_masks`` state once every value of
+    ``low`` is below every value of ``high``, both unions of its blocks.
+
+    The relation gains D x U, with D the union of the down-sets of low's
+    blocks and U the union of the up-sets of high's blocks.  D is
+    down-closed and U up-closed, so nothing more is needed to close it:
+    the blocks inside D gain U above them and those inside U gain D below.
+    Only the values in both D and U become one class; None means that is
+    more than low & high, i.e. the step would collapse blocks it was not
+    asked to merge.
+    """
+    down = up = 0
+    for b, u, d in zip(masks, ups, downs):
+        if b & low:
+            down |= d
+        if b & high:
+            up |= u
+    if down & up != low & high:
+        return None
+    return (
+        [u | up if b & down else u for b, u in zip(masks, ups)],
+        [d | down if b & up else d for b, d in zip(masks, downs)],
+    )
+
+
+def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> list[Violation]:
+    """All (P1)/(P2) failures of a pre-order given by its blocks, P1 first.
+
+    The arguments are a ``block_masks`` state: block value masks sorted by
+    min, and the up-set and down-set of each block.  Pairs come in block
+    order.  The blocks strictly above block i are ``ups[i]`` minus the
+    block, and its covers are those minus everything strictly above them.
+    """
+    out = []
+    spans = [span(b) for b in masks]
+    unrelated = [~(u | d) for u, d in zip(ups, downs)]
+    # of two overlapping blocks, one has a value inside the other's interval,
+    # so (P1) fails only if some block's interval holds a value unrelated to it
+    if any(s & free for s, free in zip(spans, unrelated)):
+        for i, (si, free) in enumerate(zip(spans, unrelated)):
+            for j in range(i + 1, len(masks)):
+                if masks[j] & free and si & spans[j]:
+                    out.append(Violation("P1", Block.of(masks[i]), Block.of(masks[j])))
+    above = [u & ~b for b, u in zip(masks, ups)]
+    for bi, si, up in zip(masks, spans, above):
+        if not up:
+            continue
+        higher = 0
+        for b, b_up in zip(masks, above):
+            if up & b:
+                higher |= b_up
+        cover = up & ~higher
+        # a covering block with all its values inside bi's interval overlaps it
+        if cover & ~si:
+            for bj, sj in zip(masks, spans):
+                if cover & bj and not si & sj:
+                    out.append(Violation("P2", Block.of(bi), Block.of(bj)))
+    return out
+
+
 def axiom_violations(q: Preorder) -> list[Violation]:
     """All (P1)/(P2) failures; empty list means q is a lattice element."""
-    bo = block_order(q)
-    bs = bo.blocks
-    out = []
-    for i, bi in enumerate(bs):
-        for bj in bs[i + 1 :]:
-            if bi.overlaps(bj) and not comparable(q, bi, bj):
-                out.append(Violation("P1", bi, bj))
-    for bi, cover in zip(bs, bo.covers):
-        for bj in bs:
-            if cover & bj.mask and not bi.overlaps(bj):
-                out.append(Violation("P2", bi, bj))
-    return out
+    return block_violations(*block_masks(q))
 
 
 def is_permutation_preorder(q: Preorder) -> bool:
@@ -344,10 +429,10 @@ def mu(p: Permutation) -> Preorder:
     return Preorder._packed(p.n, rows)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def ordered_blocks(q: Preorder) -> tuple[Block, ...]:
-    """Blocks in the left-to-right order their runs take in lam(q).
+def lam_order(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], q: Preorder) -> list[int]:
+    """Block masks of q in the left-to-right order their runs take in lam(q).
 
+    ``masks``, ``ups`` and ``downs`` are q's blocks as ``block_masks`` gives them.
     Comparable blocks follow the block order; incomparable blocks (whose
     intervals are disjoint, by (P1)) follow numeric interval position.  So
     the values before a block are those below it plus those under its min
@@ -355,23 +440,31 @@ def ordered_blocks(q: Preorder) -> tuple[Block, ...]:
     the order; otherwise no such order exists and this raises rather than
     returning a bogus word.
     """
-    rows, cols = q.rows(), q.cols()
-    keyed = []
-    for b in blocks(q):
-        a = b.min - 1
-        keyed.append(((cols[a] | ((1 << a) - 1)) & ~rows[a], b))
+    keyed = [((down | ((b & -b) - 1)) & ~up, b) for b, up, down in zip(masks, ups, downs)]
     keyed.sort(key=lambda kb: kb[0].bit_count())
     placed = 0
     for before, b in keyed:
         if before != placed:
-            raise InvalidPreorderError(f"blocks of {q} are not totally orderable at {b}")
-        placed |= b.mask
-    return tuple(b for _, b in keyed)
+            raise InvalidPreorderError(f"blocks of {q} are not totally orderable at {Block.of(b)}")
+        placed |= b
+    return [b for _, b in keyed]
+
+
+def runs_word(masks) -> tuple[int, ...]:
+    """The word whose descending runs have the given value masks, left to right."""
+    return tuple(v for b in masks for v in reversed(mask_values(b)))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def ordered_blocks(q: Preorder) -> tuple[Block, ...]:
+    """Blocks in the left-to-right order their runs take in lam(q) (``lam_order``)."""
+    by_mask = {b.mask: b for b in blocks(q)}
+    return tuple(by_mask[b] for b in lam_order(*block_masks(q), q))
 
 
 def lam_word(q: Preorder) -> tuple[int, ...]:
     """The word of lam(q) for a q already checked against (P1)/(P2)."""
-    return tuple(v for b in ordered_blocks(q) for v in reversed(mask_values(b.mask)))
+    return runs_word(b.mask for b in ordered_blocks(q))
 
 
 def lam(q: Preorder) -> Permutation:

@@ -90,7 +90,7 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
         best = ranked[0]
         if len(ranked) > 1 and label[best] >= label[ranked[1]]:
             raise InvariantError("minimal larger placement must be unique")
-        nexts = [c for c in _merge_candidates(cur, *best) if c <= top]
+        nexts = [c for _, c in _merge_candidates(cur, *best) if c <= top]
         if len(nexts) != 1:
             raise InvariantError("exactly one cover below top merges the chosen pair")
         labels.append(label[best])

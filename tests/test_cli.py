@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from shardorder.cli import SUITES, main
 from shardorder.perms import Permutation
-from shardorder.preorders import mu, preorder_to_json
+from shardorder.preorders import Preorder, mu, preorder_to_json
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -244,7 +244,34 @@ def test_verify_suites(capsys):
         "el",
         "mobius",
         "sortable",
+        "covers",
     ]
+
+
+def test_verify_covers_suite(capsys, monkeypatch):
+    from shardorder import cli
+
+    code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "covers")
+    assert code == 0
+    assert json.loads(out)["results"] == [
+        {"suite": "covers", "n": 4, "pass": True, "elements": 24, "edges": 56}
+    ]
+    # a missing cover, one outside the lattice and covers out of index order
+    real = cli.covers_up
+    for broken in (
+        lambda q: real(q)[1:],
+        lambda q: real(q) + [Preorder.from_pairs(4, [(1, 4)])],
+        lambda q: real(q)[::-1],
+    ):
+        monkeypatch.setattr(cli, "covers_up", broken)
+        code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "covers")
+        assert code == 1
+        assert json.loads(out)["results"][0] == {
+            "suite": "covers",
+            "n": 4,
+            "pass": False,
+            "failed_at": "1234",
+        }
 
 
 def test_verify_builds_the_lattice_once(capsys, monkeypatch):

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shardorder.lattice as lattice_module
 from shardorder.errors import (
@@ -13,7 +15,9 @@ from shardorder.errors import (
 )
 from shardorder.lattice import (
     OmegaLattice,
+    _merge_candidates,
     build_lattice,
+    combinable_pairs,
     covers_below,
     covers_up,
     graded_covers,
@@ -23,7 +27,16 @@ from shardorder.lattice import (
     leq,
 )
 from shardorder.perms import Permutation, all_permutations
-from shardorder.preorders import Preorder, blocks, lam, mu, placements
+from shardorder.preorders import (
+    Preorder,
+    axiom_violations,
+    blocks,
+    lam,
+    lam_word,
+    mask_values,
+    mu,
+    placements,
+)
 from shardorder.shards import Shard, enumerate_shards, intersect, to_preorder
 
 P = Permutation.parse
@@ -94,9 +107,11 @@ def test_covers_below_are_the_covers_up_below_top(lattice):
             pairs = rng.sample(pairs, 400)
         for i, j in pairs:
             w, top = lat.elements[i], lat.elements[j]
-            got = list(covers_below(w, top))
+            found = list(covers_below(w, top))
+            got = [c for _, c in found]
             assert len(set(got)) == len(got), (lat.words[i], lat.words[j])
             assert set(got) == {c for c in covers_up(w) if leq(c, top)}, (lat.words[i], lat.words[j])
+            assert all(word == lam_word(c) for word, c in found), (lat.words[i], lat.words[j])
 
 
 def test_interval_walk_merges_only_inside_blocks_of_top(monkeypatch):
@@ -112,6 +127,70 @@ def test_interval_walk_merges_only_inside_blocks_of_top(monkeypatch):
     monkeypatch.setattr(lattice_module, "_merge_candidates", spied)
     assert len(interval_lattice(Preorder.discrete(9), top)) == 24
     assert merged and all(top.equiv(bi.min, bj.min) for bi, bj in merged)
+
+
+def _relation_merge_candidates(w, bi, bj):
+    """Covers of w merging bi and bj, searched on the n packed rows.
+
+    Each candidate is closed with Warshall's algorithm and checked with
+    ``axiom_violations`` on the packed relation; the reference for the
+    block-level search of ``lattice._merge_candidates``.
+    """
+    n = w.n
+    target_blocks = len(blocks(w)) - 1
+    merged = bi.mask | bj.mask
+    base = w.rows()
+    for v in mask_values(merged):
+        base[v - 1] |= merged
+    out = []
+    seen = set()
+    stack = [Preorder.from_rows(n, base)]
+    while stack:
+        cand = stack.pop()
+        if cand in seen:
+            continue
+        seen.add(cand)
+        if len(blocks(cand)) != target_blocks:
+            continue  # extra blocks collapsed: rank would jump by more than one
+        bad = axiom_violations(cand)
+        if not bad:
+            out.append(cand)
+        elif bad[0].axiom == "P1":
+            cx, cy = bad[0].first, bad[0].second
+            for lower, upper in ((cx, cy), (cy, cx)):
+                rows = cand.rows()
+                for v in mask_values(lower.mask):
+                    rows[v - 1] |= upper.mask
+                stack.append(Preorder.from_rows(n, rows))
+    return out
+
+
+def _check_block_search(w):
+    for bi, bj in combinable_pairs(w, Preorder.complete(w.n)):
+        found = list(_merge_candidates(w, bi, bj))
+        covers = [c for _, c in found]
+        assert covers == _relation_merge_candidates(w, bi, bj), (lam(w), bi, bj)
+        for word, c in found:
+            # reflexive and transitively closed, checked from the packed bits
+            assert Preorder(c.n, c.bits) == c
+            assert word == lam_word(c)
+
+
+def test_block_search_matches_relation_search(lattice):
+    # every combinable pair of every element at n <= 5
+    for n in range(1, 6):
+        for w in lattice(n).elements:
+            _check_block_search(w)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.integers(8, 10).flatmap(
+        lambda n: st.permutations(range(1, n + 1)).map(lambda w: Permutation(tuple(w)))
+    )
+)
+def test_block_search_matches_relation_search_n8_to_n10(p):
+    _check_block_search(mu(p))
 
 
 def _pairwise_oracle(lat):
@@ -510,6 +589,19 @@ def test_join_membership_failure_raises(lattice, monkeypatch):
     monkeypatch.setattr(lattice_module, "join", lambda x, y: Preorder.discrete(4))
     with pytest.raises(InvariantError, match="not an element"):
         lat.join(a, b)
+
+
+def test_join_checks_its_arguments():
+    # blocks {1} < {3} form a cover but their intervals do not meet: (P2) fails
+    with pytest.raises(InvalidPreorderError):
+        join(Preorder.from_pairs(3, [(1, 3)]), Preorder.discrete(3))
+    with pytest.raises(InvalidPreorderError):
+        join(Preorder.discrete(3), Preorder.from_pairs(3, [(1, 3)]))
+    # two closed relations outside the lattice whose join is an element
+    a, b = Preorder(3, 275), Preorder(3, 281)
+    assert axiom_violations(a) and axiom_violations(b)
+    with pytest.raises(InvalidPreorderError):
+        join(a, b)
 
 
 def test_join_outside_raises():

@@ -8,6 +8,7 @@ from shardorder.perms import Permutation, all_permutations, descending_runs, ide
 from shardorder.preorders import (
     Preorder,
     axiom_violations,
+    block_masks,
     block_of,
     block_order,
     blocks,
@@ -19,6 +20,7 @@ from shardorder.preorders import (
     placements,
     preorder_from_json,
     preorder_to_json,
+    relate_blocks,
 )
 
 P = Permutation.parse
@@ -288,6 +290,56 @@ def test_ordered_blocks_matches_tournament():
         except InvalidPreorderError:
             got = None
         assert got == tournament_order(q), q
+
+
+def pairwise_violations(q):
+    """(axiom, i, j) failures in the order axiom_violations gives, by testing every pair."""
+    bs = blocks(q)
+    less, covers = pairwise_block_order(q)
+    p1 = [
+        ("P1", i, j)
+        for i, j in itertools.combinations(range(len(bs)), 2)
+        if bs[i].overlaps(bs[j]) and (i, j) not in less and (j, i) not in less
+    ]
+    p2 = [("P2", i, j) for i, j in sorted(covers) if not bs[i].overlaps(bs[j])]
+    return p1 + p2
+
+
+def test_axiom_violations_match_pairwise():
+    # the block-level check gives every failure, in block order, P1 first
+    elements = [mu(p) for n in range(1, 6) for p in all_permutations(n)]
+    samples = list(random_preorders(5, 2000, 13)) + list(random_preorders(7, 300, 17))
+    for q in elements + samples:
+        bs = blocks(q)
+        got = [(v.axiom, bs.index(v.first), bs.index(v.second)) for v in axiom_violations(q)]
+        assert got == pairwise_violations(q), q
+    assert sum(bool(axiom_violations(q)) for q in samples) > 1000
+
+
+def test_relate_blocks_matches_warshall():
+    # low below high for every pair of unions of one or two blocks, against
+    # Warshall's closure of the packed relation: only the blocks of low &
+    # high may become one, and None means more than that merged
+    elements = [mu(p) for n in range(1, 5) for p in all_permutations(n)]
+    for q in elements + list(random_preorders(5, 150, 19)):
+        masks, ups, downs = block_masks(q)
+        unions = [sum(sub) for k in (1, 2) for sub in itertools.combinations(masks, k)]
+        for low, high in itertools.product(unions, repeat=2):
+            rows = q.rows()
+            for a in range(q.n):
+                if low >> a & 1:
+                    rows[a] |= high
+            closed = Preorder.from_rows(q.n, rows)
+            both = low & high
+            # the merged block keeps the slot of its part with the least min
+            kept = [k for k, b in enumerate(masks) if not b & both or b & -b == both & -both]
+            wanted = [both if masks[k] & both else masks[k] for k in kept]
+            got = relate_blocks(masks, ups, downs, low, high)
+            if block_masks(closed)[0] != wanted:
+                assert got is None, (q, low, high)
+                continue
+            assert got is not None, (q, low, high)
+            assert block_masks(closed)[1:] == tuple([s[k] for k in kept] for s in got), (q, low, high)
 
 
 def test_closure_runs_once(monkeypatch):
