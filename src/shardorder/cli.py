@@ -188,7 +188,14 @@ def cmd_noncrossing(args) -> int:
         if args.n is not None and args.n != n:
             raise ValueError("--n disagrees with the partition JSON")
         c = CoxeterElement(n, tuple(data["coxeter"]))
-        q = noncrossing_order_of_partition([set(b) for b in data["blocks"]], c)
+        given = data["blocks"]
+        q = noncrossing_order_of_partition([set(b) for b in given], c)
+        for i, j in data.get("less", []):
+            if not q.leq(given[i][0], given[j][0]):
+                raise ValueError(
+                    f'"less" pair [{i}, {j}] does not hold: block {given[i]} is not below '
+                    f"block {given[j]} in the noncrossing pre-order of these blocks"
+                )
         _emit(_dump(preorder_to_json(q)), args.out)
         return 0
     if args.n is None:

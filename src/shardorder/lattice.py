@@ -34,7 +34,7 @@ class.  That step, the (P1)/(P2) check and the word are the block-level
 ``relate_blocks``, ``block_violations`` and ``lam_order`` of ``preorders``.
 
 A cover below top merges two blocks inside one block of top, so
-``covers_below`` merges only those pairs.  ``covers_up`` (the kernel's
+``covers_below`` merges only those pairs, all from one block state of w.  ``covers_up`` (the kernel's
 oracle in the tests and in ``verify --suite covers``) is its case top =
 complete, ``interval_lattice`` walks it, and the greedy chain of
 ``shelling`` merges the one pair it chose.
@@ -93,11 +93,13 @@ def join(a: Preorder, b: Preorder) -> Preorder:
     return out
 
 
-def _merge_candidates(w: Preorder, bi: Block, bj: Block):
+def _merge_candidates(w: Preorder, state, bi: Block, bj: Block):
     """Yield (lam word, cover) for every cover of w that merges blocks bi and bj.
 
-    The search runs on w's block masks, up-sets and down-sets
-    (``block_masks``); only the up-sets and down-sets change.  The merge
+    The search runs on w's block masks, up-sets and down-sets, the
+    ``state`` that ``block_masks(w)`` returns (read once by the caller for
+    all of w's pairs, and left unchanged); only the up-sets and down-sets
+    change.  The merge
     adds D x U for the merged block (``relate_blocks``); a step that would
     collapse further blocks is skipped, since the rank would jump by more
     than one.  A state that passes ``block_violations`` is a cover.  On a
@@ -106,7 +108,7 @@ def _merge_candidates(w: Preorder, bi: Block, bj: Block):
     dropped.  No state is reached twice: the two branches order their pair
     oppositely, and a state that related it both ways would have collapsed.
     """
-    masks, ups, downs = block_masks(w)
+    masks, ups, downs = state
     i, j = sorted((masks.index(bi.mask), masks.index(bj.mask)))
     merged = bi.mask | bj.mask
     state = relate_blocks(masks, ups, downs, merged, merged)
@@ -148,8 +150,9 @@ def combinable_pairs(w: Preorder, top: Preorder) -> list[tuple[Block, Block]]:
 def covers_below(w: Preorder, top: Preorder):
     """Yield (lam word, cover) for the covers of w below top, each once: a
     cover's blocks name the one pair of ``combinable_pairs`` it merged."""
+    state = block_masks(w)
     for bi, bj in combinable_pairs(w, top):
-        for word, cand in _merge_candidates(w, bi, bj):
+        for word, cand in _merge_candidates(w, state, bi, bj):
             if cand <= top:
                 yield word, cand
 

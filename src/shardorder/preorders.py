@@ -32,11 +32,14 @@ such order is rejected.
 
 Both the axiom check (``block_violations``) and that word rule
 (``lam_order``) read only the block masks and the up-set and down-set of
-each block, the state ``block_masks`` returns.  ``relate_blocks`` adds
+each block, the state ``block_masks`` returns: the rows and columns of the
+block mins, read in one pass.  ``relate_blocks`` adds
 relations to such a state and keeps it closed in O(m) mask ORs, with no
 Warshall pass.  ``axiom_violations`` and ``ordered_blocks`` call the check
-and the rule on a ``Preorder``; ``lattice`` calls all three on the block
-states of its cover search and packs only the covers it keeps.
+and the rule on a ``Preorder``, and ``require_block_axioms`` raises on a
+state's failures; ``lattice`` calls the check, the step and the rule on
+the block states of its cover search and packs only the covers it keeps,
+and ``sortable`` runs every check of a constructed element on one state.
 """
 from __future__ import annotations
 
@@ -238,15 +241,7 @@ class Block:
 @lru_cache(maxsize=_CACHE_SIZE)
 def blocks(q: Preorder) -> tuple[Block, ...]:
     """Blocks of q, sorted by minimal member."""
-    rows, cols = q.rows(), q.cols()
-    out = []
-    seen = 0
-    for a in range(q.n):
-        if not seen >> a & 1:
-            mask = rows[a] & cols[a]
-            seen |= mask
-            out.append(Block(a + 1, mask.bit_length(), mask))
-    return tuple(out)
+    return tuple(Block.of(mask) for mask in block_masks(q)[0])
 
 
 def block_of(q: Preorder, value: int) -> Block:
@@ -315,18 +310,19 @@ class Violation:
 def block_masks(q: Preorder) -> tuple[list[int], list[int], list[int]]:
     """Value masks of the blocks of q sorted by min, with the up-set and down-set of each.
 
-    A block's up-set is the row of its min, and its down-set the union of
-    the blocks whose up-set meets it; both include the block itself.
+    A block's up-set is the row of its min and its down-set the column;
+    the block is their intersection.  One pass over the rows and columns
+    reads the whole state, with no ``Block`` objects and no cache.
     """
-    rows = q.rows()
-    bs = blocks(q)
-    masks = [b.mask for b in bs]
-    ups = [rows[b.min - 1] for b in bs]
-    downs = [0] * len(bs)
-    for c, up in zip(masks, ups):
-        for k, b in enumerate(masks):
-            if up & b:
-                downs[k] |= c
+    masks, ups, downs = [], [], []
+    seen = 0
+    for a, (up, down) in enumerate(zip(q.rows(), q.cols())):
+        if not seen >> a & 1:
+            mask = up & down
+            seen |= mask
+            masks.append(mask)
+            ups.append(up)
+            downs.append(down)
     return masks, ups, downs
 
 
@@ -400,10 +396,15 @@ def is_permutation_preorder(q: Preorder) -> bool:
     return not axiom_violations(q)
 
 
-def require_permutation_preorder(q: Preorder) -> Preorder:
-    bad = axiom_violations(q)
+def require_block_axioms(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> None:
+    """Raise InvalidPreorderError naming every (P1)/(P2) failure of a ``block_masks`` state."""
+    bad = block_violations(masks, ups, downs)
     if bad:
         raise InvalidPreorderError("; ".join(str(v) for v in bad))
+
+
+def require_permutation_preorder(q: Preorder) -> Preorder:
+    require_block_axioms(*block_masks(q))
     return q
 
 

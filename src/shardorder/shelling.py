@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .errors import IncomparableError, InvariantError
 from .lattice import OmegaLattice, _merge_candidates, combinable_pairs, interval_lattice, iter_bits, leq
-from .preorders import Block, Preorder, blocks, lam, placements, run_masks
+from .preorders import Block, Preorder, block_masks, blocks, lam, placements, run_masks
 
 
 def merged_pair(lower: Preorder, upper: Preorder) -> tuple[Block, Block]:
@@ -90,7 +90,7 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
         best = ranked[0]
         if len(ranked) > 1 and label[best] >= label[ranked[1]]:
             raise InvariantError("minimal larger placement must be unique")
-        nexts = [c for _, c in _merge_candidates(cur, *best) if c <= top]
+        nexts = [c for _, c in _merge_candidates(cur, block_masks(cur), *best) if c <= top]
         if len(nexts) != 1:
             raise InvariantError("exactly one cover below top merges the chosen pair")
         labels.append(label[best])

@@ -16,11 +16,20 @@ overlapping blocks are oriented by the bar of any strictly inside
 witness.  Each noncrossing partition of the cycle is the block partition
 of exactly one of them, so they are built from those partitions.  Neither
 construction passes over S_n.
+
+The orientation rule is one mask function (``_orientation``): the members
+of each block strictly inside the other's interval, split by the mask of
+upper-barred values, say which directions a pair demands.  Each element
+is closed once and its block state (``block_masks``) read once; every
+check runs on that state: the closure kept the blocks, (P1)/(P2), the
+closing noncrossing check, and the run order whose lam word is the sort
+key.  ``is_noncrossing_preorder`` is the same closing check.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import CrossingPartitionError, InvariantError
@@ -33,11 +42,12 @@ from .perms import (
 from .preorders import (
     Block,
     Preorder,
-    blocks,
-    lam_word,
+    block_masks,
+    lam_order,
     mask_values,
     partition_masks,
-    require_permutation_preorder,
+    require_block_axioms,
+    runs_word,
     span,
 )
 
@@ -88,12 +98,19 @@ def all_coxeter_elements(n: int) -> Iterator[CoxeterElement]:
 @dataclass(frozen=True)
 class Barring:
     """Upper/lower bars on the values 2..n-1 (1 and n are unbarred), and the
-    circular order on [n] they induce, starting at 1."""
+    circular order on [n] they induce, starting at 1.
+
+    ``upper_mask`` is the value mask of ``upper``, and ``positions[v - 1]``
+    the bit of value v's position on the cycle: the forms the mask-level
+    checks read.
+    """
 
     n: int
     lower: frozenset[int]
     upper: frozenset[int]
     cycle: tuple[int, ...]
+    upper_mask: int
+    positions: tuple[int, ...]
 
 
 def barring_of(c: CoxeterElement) -> Barring:
@@ -102,7 +119,11 @@ def barring_of(c: CoxeterElement) -> Barring:
     upper = frozenset(range(2, c.n)) - lower
     top = (c.n,) if c.n > 1 else ()
     cycle = (1, *sorted(lower), *top, *sorted(upper, reverse=True))
-    return Barring(c.n, lower, upper, cycle)
+    positions = [0] * c.n
+    for k, v in enumerate(cycle):
+        positions[v - 1] = 1 << k
+    upper_mask = sum(1 << (v - 1) for v in upper)
+    return Barring(c.n, lower, upper, cycle, upper_mask, tuple(positions))
 
 
 def cycle_of(c: CoxeterElement) -> tuple[int, ...]:
@@ -176,10 +197,10 @@ def _crosses(a: int, b: int) -> bool:
     return bool(b & ~gap)
 
 
-def _places(masks, cycle: tuple[int, ...]) -> list[int]:
+def _places(masks, bar: Barring) -> list[int]:
     """The cycle-position mask of each value mask."""
-    bit = {v: 1 << k for k, v in enumerate(cycle)}
-    return [sum(bit[v] for v in mask_values(mask)) for mask in masks]
+    positions = bar.positions
+    return [sum(positions[v - 1] for v in mask_values(mask)) for mask in masks]
 
 
 def _places_noncrossing(places) -> bool:
@@ -187,42 +208,53 @@ def _places_noncrossing(places) -> bool:
     return not any(_crosses(a, b) for a, b in itertools.combinations(places, 2))
 
 
-def blocks_noncrossing(masks, cycle: tuple[int, ...]) -> bool:
-    """No two of the disjoint value masks interleave on the cycle."""
-    return _places_noncrossing(_places(masks, cycle))
+def _strictly_inside(mask: int) -> int:
+    """Mask of the values strictly between the least and greatest member of a nonempty mask."""
+    return ((1 << (mask.bit_length() - 1)) - 1) & -((mask & -mask) << 1)
 
 
-def _orientation_demands(b1: Block, b2: Block, bar: Barring):
-    """Directions forced on an overlapping block pair by inside witnesses.
+def _orientation(b1: int, b2: int, upper: int) -> tuple[bool, bool]:
+    """(b1 below b2 demanded, b1 above b2 demanded) for two disjoint value masks.
 
-    Yields +1 for b1 below b2 and -1 for b1 above b2.  A witness is a
-    member of one block strictly inside the other's interval; its bar fixes
-    the direction.  Such witnesses are never 1 or n, so they are barred.
+    ``upper`` is the value mask of the upper-barred values.  A witness is a
+    member of one block strictly inside the other's interval, and its bar
+    fixes the direction: an upper-barred member of b2 inside b1 puts b1
+    below b2, a lower-barred one puts it above, and a member of b1 inside b2
+    demands the opposite.  Witnesses are never 1 or n, so each is barred and
+    ``~upper`` reads as the lower bars.  Overlapping blocks always have a
+    witness; a pair is oriented consistently iff exactly one is demanded.
     """
-    for outer, witnesses, sign in ((b1, b2, 1), (b2, b1, -1)):
-        strictly_inside = ((1 << (outer.max - 1)) - 1) & -(1 << outer.min)
-        for v in mask_values(witnesses.mask & strictly_inside):
-            yield sign if v in bar.upper else -sign
+    w2 = b2 & _strictly_inside(b1)
+    w1 = b1 & _strictly_inside(b2)
+    return bool(w2 & upper or w1 & ~upper), bool(w2 & ~upper or w1 & upper)
 
 
-def _noncrossing(w: Preorder, bar: Barring) -> bool:
-    bs = blocks(w)
-    if not blocks_noncrossing([b.mask for b in bs], bar.cycle):
-        return False
-    for b1, b2 in itertools.combinations(bs, 2):
-        if b1.overlaps(b2):
-            below = 1 if w.leq(b1.min, b2.min) else -1
-            if any(demand != below for demand in _orientation_demands(b1, b2, bar)):
-                return False
-    return True
+def _demands(masks, bar: Barring):
+    """(i, j, below demanded, above demanded) for each overlapping pair i < j of the masks."""
+    spans = [span(b) for b in masks]
+    for i, j in itertools.combinations(range(len(masks)), 2):
+        if spans[i] & spans[j]:
+            yield i, j, *_orientation(masks[i], masks[j], bar.upper_mask)
+
+
+def _noncrossing(masks, ups, bar: Barring) -> bool:
+    """The closing check on a pre-order's ``block_masks`` (value masks, up-sets).
+
+    The blocks must be noncrossing on the cycle, and no overlapping pair
+    may have a demand against the direction its up-sets give.
+    """
+    return _places_noncrossing(_places(masks, bar)) and not any(
+        above if ups[i] & masks[j] else below for i, j, below, above in _demands(masks, bar)
+    )
 
 
 def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
     """Blocks noncrossing on the cycle and every overlap oriented by its bar."""
     if w.n != c.n:
         raise ValueError("pre-order and Coxeter element sizes differ")
-    require_permutation_preorder(w)
-    return _noncrossing(w, barring_of(c))
+    masks, ups, downs = block_masks(w)
+    require_block_axioms(masks, ups, downs)
+    return _noncrossing(masks, ups, barring_of(c))
 
 
 def _noncrossing_partitions(cells: list[tuple[int, int]]):
@@ -253,15 +285,14 @@ def noncrossing_preorders(c: CoxeterElement) -> list[Preorder]:
 
     One per noncrossing partition of the cycle of c (Reading,
     arXiv:0909.3288), so the cost is Catalan(n) constructions, not n!.
-    Each element's sort key is read while its blocks are still cached.
     """
     bar = barring_of(c)
     cells = [(1 << (v - 1), 1 << k) for k, v in enumerate(bar.cycle)]
-    keyed = []
-    for part in _noncrossing_partitions(cells):
-        q = _order_of_partition([v for v, _ in part], [p for _, p in part], bar)
-        keyed.append((lam_word(q), q))
-    keyed.sort(key=lambda kq: kq[0])
+    keyed = [
+        _order_of_partition([v for v, _ in part], [p for _, p in part], bar)
+        for part in _noncrossing_partitions(cells)
+    ]
+    keyed.sort(key=itemgetter(0))
     return [q for _, q in keyed]
 
 
@@ -269,33 +300,36 @@ def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
     """The unique noncrossing pre-order with the given noncrossing blocks."""
     bar = barring_of(c)
     masks = partition_masks(block_sets, c.n)
-    return _order_of_partition(masks, _places(masks, bar.cycle), bar)
+    return _order_of_partition(masks, _places(masks, bar), bar)[1]
 
 
-def _order_of_partition(masks: list[int], places: list[int], bar: Barring) -> Preorder:
-    """The noncrossing pre-order whose blocks are the value masks.
+def _order_of_partition(masks: list[int], places: list[int], bar: Barring) -> tuple[tuple[int, ...], Preorder]:
+    """(lam word, pre-order) of the noncrossing pre-order whose blocks are the value masks.
 
-    ``places`` holds the cycle-position mask of each block.  Overlapping
-    blocks are oriented by their witnesses' bars; conflicting demands would
-    mean the partition admits no such pre-order, which the theory rules out
-    for noncrossing input, so that case is fatal.  The closing check reads
-    the blocks of the result afresh, not ``places``.
+    ``places`` holds the cycle-position mask of each block.  Each
+    overlapping pair is oriented by the mask rule ``_orientation``;
+    conflicting demands would mean the partition admits no such pre-order,
+    which the theory rules out for noncrossing input, so that case is
+    fatal.  The closure's block state is then read once (``block_masks``)
+    and every later check runs on it, once: the closure kept the given
+    blocks, (P1)/(P2) hold, the closing ``_noncrossing`` check passes (it
+    reads the blocks' cycle positions afresh, not ``places``), and the
+    blocks have a run order (``lam_order``, whose word is the sort key).
     """
     if not _places_noncrossing(places):
         raise CrossingPartitionError("blocks interleave on the cycle of c")
-    bs = [Block.of(mask) for mask in masks]
     less = []
-    for (i, b1), (j, b2) in itertools.combinations(enumerate(bs), 2):
-        if not b1.overlaps(b2):
-            continue
-        demands = set(_orientation_demands(b1, b2, bar))
-        if len(demands) != 1:
-            raise InvariantError(f"witnesses disagree on the orientation of {b1} vs {b2}")
-        less.append((i, j) if demands == {1} else (j, i))
+    for i, j, below, above in _demands(masks, bar):
+        if below == above:
+            raise InvariantError(
+                f"witnesses disagree on the orientation of {Block.of(masks[i])} vs {Block.of(masks[j])}"
+            )
+        less.append((i, j) if below else (j, i))
     q = Preorder.from_blocks(bar.n, masks, less)
-    if {b.mask for b in blocks(q)} != set(masks):
+    state = block_masks(q)
+    if set(state[0]) != set(masks):
         raise InvariantError("orientation closure collapsed the given blocks")
-    require_permutation_preorder(q)
-    if not _noncrossing(q, bar):
+    require_block_axioms(*state)
+    if not _noncrossing(state[0], state[1], bar):
         raise InvariantError("constructed pre-order is not noncrossing")
-    return q
+    return runs_word(lam_order(*state, q)), q

@@ -223,6 +223,22 @@ def test_noncrossing_partition_mode(capsys):
     assert code == 2 and "interleave" in err
 
 
+def test_noncrossing_partition_mode_checks_less(capsys):
+    # its own output, with the word added, is accepted and reproduced
+    code, out, _ = run(capsys, "noncrossing", json.dumps({"n": 4, "coxeter": [1, 2, 3], "blocks": [[1, 4], [2, 3]]}))
+    assert code == 0
+    again = run(capsys, "noncrossing", json.dumps({**json.loads(out), "coxeter": [1, 2, 3]}))
+    assert again == (0, out, "")
+    # a pair the constructed order does not hold is an input error
+    for data, pair in [
+        ({"n": 3, "coxeter": [1, 2], "blocks": [[1], [2], [3]], "less": [[0, 1]]}, "[0, 1]"),
+        ({"n": 4, "coxeter": [1, 2, 3], "blocks": [[2, 3], [1, 4]], "less": [[1, 0]]}, "[1, 0]"),
+    ]:
+        code, out, err = run(capsys, "noncrossing", json.dumps(data))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error:") and f"pair {pair}" in err
+
+
 def test_verify_suites(capsys):
     code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "el")
     assert code == 0

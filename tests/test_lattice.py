@@ -30,6 +30,7 @@ from shardorder.perms import Permutation, all_permutations
 from shardorder.preorders import (
     Preorder,
     axiom_violations,
+    block_masks,
     blocks,
     lam,
     lam_word,
@@ -120,9 +121,9 @@ def test_interval_walk_merges_only_inside_blocks_of_top(monkeypatch):
     merged = []
     real = lattice_module._merge_candidates
 
-    def spied(w, bi, bj):
+    def spied(w, state, bi, bj):
         merged.append((bi, bj))
-        return real(w, bi, bj)
+        return real(w, state, bi, bj)
 
     monkeypatch.setattr(lattice_module, "_merge_candidates", spied)
     assert len(interval_lattice(Preorder.discrete(9), top)) == 24
@@ -167,7 +168,7 @@ def _relation_merge_candidates(w, bi, bj):
 
 def _check_block_search(w):
     for bi, bj in combinable_pairs(w, Preorder.complete(w.n)):
-        found = list(_merge_candidates(w, bi, bj))
+        found = list(_merge_candidates(w, block_masks(w), bi, bj))
         covers = [c for _, c in found]
         assert covers == _relation_merge_candidates(w, bi, bj), (lam(w), bi, bj)
         for word, c in found:

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import shardorder.preorders
 import shardorder.sortable
-from shardorder.errors import CrossingPartitionError
+from shardorder.errors import CrossingPartitionError, InvalidPreorderError, InvariantError
 from shardorder.perms import Permutation, all_permutations, identity
-from shardorder.preorders import Preorder, blocks, lam, mask_values, mu
+from shardorder.preorders import Block, Preorder, blocks, lam, mask_values, mu
 from shardorder.sortable import (
     CoxeterElement,
+    _orientation,
     all_coxeter_elements,
     barring_of,
     cycle_of,
@@ -185,25 +186,23 @@ def test_one_barring_per_call(monkeypatch, call, barrings):
     assert len(calls) == barrings
 
 
-@pytest.mark.parametrize(
-    "module, name",
-    [
-        (shardorder.sortable, "_places"),  # value masks to cycle positions
-        (shardorder.preorders, "axiom_violations"),  # the (P1)/(P2) check
-    ],
-    ids=["_places", "axiom_violations"],
-)
-def test_one_pass_per_noncrossing_element(monkeypatch, module, name):
-    # the generator hands over the cycle positions and the sort key reuses
-    # the checked blocks, so each element converts and checks once
+@pytest.mark.parametrize("name", ["_places", "block_masks", "block_violations"])
+def test_one_pass_per_noncrossing_element(monkeypatch, name):
+    # the generator hands over the cycle positions for the crossing check,
+    # and every later check and the sort key read one block state, so each
+    # element converts its blocks to cycle positions, reads its block state
+    # and checks (P1)/(P2) exactly once; every namespace binding the
+    # function is counted, so a call through another module shows too
+    real = getattr(shardorder.sortable, name, None) or getattr(shardorder.preorders, name)
     calls = []
-    real = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(module, name, counted)
+    for module in (shardorder.preorders, shardorder.sortable):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
     for n in range(1, 7):
         calls.clear()
         noncrossing_preorders(linear_coxeter(n) if n > 1 else CoxeterElement(1, ()))
@@ -225,11 +224,22 @@ def test_sortable_noncrossing_equivalence_small():
             assert len(found) == CATALAN[n]
 
 
+def _orientation_demands(b1: Block, b2: Block, bar):
+    """Directions forced on an overlapping block pair, witness by witness.
+
+    Yields +1 for b1 below b2 and -1 for b1 above b2: a member of one
+    block strictly inside the other's interval demands a direction by its
+    bar.  The reference for the mask rule ``sortable._orientation``.
+    """
+    for outer, witnesses, sign in ((b1, b2, 1), (b2, b1, -1)):
+        for v in sorted(witnesses.members):
+            if outer.min < v < outer.max:
+                yield sign if v in bar.upper else -sign
+
+
 def test_orientation_witnesses_agree():
     # every overlapping pair in every noncrossing element gets a single
     # consistent demand from all of its strictly inside witnesses
-    from shardorder.sortable import _orientation_demands
-
     for n in range(2, 6):
         for c in all_coxeter_elements(n):
             bar = barring_of(c)
@@ -239,6 +249,31 @@ def test_orientation_witnesses_agree():
                         continue
                     demands = set(_orientation_demands(b1, b2, bar))
                     assert len(demands) == 1, (c, q, b1, b2)
+
+
+def test_mask_orientation_rule_matches_witnesses():
+    # every ordered pair of disjoint, overlapping value masks, every barring
+    for n in range(1, 7):
+        full = (1 << n) - 1
+        for bar in {barring_of(c) for c in all_coxeter_elements(n)}:
+            for m1 in range(1, full + 1):
+                rest = full & ~m1
+                m2 = rest
+                while m2:
+                    b1, b2 = Block.of(m1), Block.of(m2)
+                    if b1.overlaps(b2):
+                        demands = set(_orientation_demands(b1, b2, bar))
+                        assert _orientation(m1, m2, bar.upper_mask) == (1 in demands, -1 in demands)
+                    m2 = (m2 - 1) & rest
+
+
+def test_noncrossing_order_is_the_sortable_order():
+    # lam(mu(p)) == p, so listing by lam word lists mu of the sorted
+    # c-sortable permutations; one word per barring of S_7
+    words = {barring_of(c): c for c in all_coxeter_elements(7)}
+    assert len(words) == 32
+    for c in words.values():
+        assert noncrossing_preorders(c) == [mu(p) for p in sortable_permutations(c)], c
 
 
 def test_partition_construction_singletons():
@@ -266,6 +301,40 @@ def test_partition_on_example_cycle():
     assert {b.members for b in blocks(q)} == {frozenset(b) for b in block_sets}
     assert is_noncrossing_preorder(q, c)
     assert is_c_sortable(lam(q), c)
+
+
+def _build_with(transform):
+    """A stand-in for ``Preorder.from_blocks`` that rewrites the given relations."""
+    real = Preorder.from_blocks
+    return staticmethod(lambda n, masks, less=(): real(n, masks, transform(less)))
+
+
+@pytest.mark.parametrize(
+    "transform, skip_axioms, error, match",
+    [
+        (lambda less: [(0, 1), (1, 0)], False, InvariantError, "collapsed"),
+        (lambda less: [], False, InvalidPreorderError, "P1"),
+        (lambda less: [(j, i) for i, j in less], False, InvariantError, "not noncrossing"),
+        (lambda less: [], True, InvalidPreorderError, "not totally orderable"),
+    ],
+    ids=["closure_collapse", "axioms", "closing_check", "word_prefix_rule"],
+)
+def test_construction_checks_fire(monkeypatch, transform, skip_axioms, error, match):
+    # each check after the closure reads the one block state and raises (no
+    # assert), so a construction gone wrong stops there under python -O too
+    monkeypatch.setattr(Preorder, "from_blocks", _build_with(transform))
+    if skip_axioms:
+        monkeypatch.setattr(shardorder.preorders, "block_violations", lambda *state: [])
+    with pytest.raises(error, match=match):
+        noncrossing_order_of_partition([{1, 4}, {2, 3}], linear_coxeter(4))
+
+
+def test_conflicting_witnesses_are_fatal():
+    # crossing blocks whose witnesses disagree, past the crossing check
+    bar = barring_of(linear_coxeter(4))
+    masks = [0b0101, 0b1010]
+    with pytest.raises(InvariantError, match="disagree"):
+        shardorder.sortable._order_of_partition(masks, [0, 0], bar)
 
 
 def test_partition_rejects_crossing_and_bad_input():
