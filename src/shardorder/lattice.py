@@ -23,25 +23,20 @@ unrelated to both parts, each such block may sit above or below the merged
 block; ``_merge_candidates`` branches over those orientations and keeps the
 candidates that are valid elements with exactly one block fewer; it is the
 one constructive path to covers, and it yields each with its lam word.  Its
-search runs on the m blocks, not on the n rows: a state is the block value
-masks with each block's up-set and down-set.  Merging two blocks, or
-putting one below another, adds D x U to a closed relation, with D the
-values below the lower side and U those above the upper side.  D is
-down-closed and U up-closed, so the union is closed already: the blocks in
-D gain U above them and those in U gain D below, O(m) mask ORs in place
-of Warshall's closure, and only the values in both D and U become one
-class.  That step, the (P1)/(P2) check and the word are the block-level
-``relate_blocks``, ``block_violations`` and ``lam_order`` of ``preorders``.
+search runs on the m blocks of a ``block_masks`` state, not on the n rows:
+each merge or orientation is one ``relate_blocks`` step (O(m) mask ORs in
+place of Warshall's closure), checked by ``block_violations`` and written
+out by ``lam_order``.
 
-A cover below top merges two blocks inside one block of top, so
-``covers_below`` merges only those pairs, all from one block state of w.  ``covers_up`` (the kernel's
-oracle in the tests and in ``verify --suite covers``) is its case top =
-complete, ``interval_lattice`` walks it, and the greedy chain of
-``shelling`` merges the one pair it chose.
+A cover below top merges two combinable blocks inside one block of top;
+``combinable_slots`` is the one test of that, on a block state.
+``covers_below`` reads w's state once and merges only those pairs.
+``covers_up`` (the kernel's oracle in the tests and in ``verify --suite
+covers``) is its case top = complete, ``interval_lattice`` walks it, and
+the greedy chain of ``shelling`` merges the one pair it chose.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, itemgetter
@@ -53,14 +48,14 @@ from .preorders import (
     Preorder,
     block_masks,
     block_violations,
-    blocks,
-    combinable,
+    cover_masks,
     is_permutation_preorder,
     lam,
     lam_order,
     lam_word,
     mu,
     relate_blocks,
+    require_block_axioms,
     require_permutation_preorder,
     runs_word,
 )
@@ -93,24 +88,21 @@ def join(a: Preorder, b: Preorder) -> Preorder:
     return out
 
 
-def _merge_candidates(w: Preorder, state, bi: Block, bj: Block):
-    """Yield (lam word, cover) for every cover of w that merges blocks bi and bj.
+def _merge_candidates(n: int, state, i: int, j: int):
+    """Yield (lam word, cover) for every cover that merges blocks i < j of a
+    ``block_masks`` state on [n], which is left unchanged.
 
-    The search runs on w's block masks, up-sets and down-sets, the
-    ``state`` that ``block_masks(w)`` returns (read once by the caller for
-    all of w's pairs, and left unchanged); only the up-sets and down-sets
-    change.  The merge
-    adds D x U for the merged block (``relate_blocks``); a step that would
-    collapse further blocks is skipped, since the rank would jump by more
-    than one.  A state that passes ``block_violations`` is a cover.  On a
-    first failure of (P1), the overlapping incomparable pair is oriented
-    both ways, each a new state; on a first failure of (P2) the state is
-    dropped.  No state is reached twice: the two branches order their pair
-    oppositely, and a state that related it both ways would have collapsed.
+    The merge adds D x U for the merged block (``relate_blocks``); a step
+    that would collapse further blocks is skipped, since the rank would
+    jump by more than one.  A state that passes ``block_violations`` is a
+    cover.  On a first failure of (P1), the overlapping incomparable pair
+    is oriented both ways, each a new state; on a first failure of (P2) the
+    state is dropped.  No state is reached twice: the two branches order
+    their pair oppositely, and a state that related it both ways would have
+    collapsed.
     """
     masks, ups, downs = state
-    i, j = sorted((masks.index(bi.mask), masks.index(bj.mask)))
-    merged = bi.mask | bj.mask
+    merged = masks[i] | masks[j]
     state = relate_blocks(masks, ups, downs, merged, merged)
     if state is None:
         return
@@ -121,7 +113,7 @@ def _merge_candidates(w: Preorder, state, bi: Block, bj: Block):
         ups, downs = stack.pop()
         bad = block_violations(masks, ups, downs)
         if not bad:
-            cover = Preorder._of_blocks(w.n, masks, ups)
+            cover = Preorder._of_blocks(n, masks, ups)
             yield runs_word(lam_order(masks, ups, downs, cover)), cover
         elif bad[0].axiom == "P1":
             # orient the first overlapping incomparable pair both ways
@@ -132,34 +124,50 @@ def _merge_candidates(w: Preorder, state, bi: Block, bj: Block):
                     stack.append(oriented)
 
 
-def combinable_pairs(w: Preorder, top: Preorder) -> list[tuple[Block, Block]]:
-    """Pairs of blocks of w, inside one block of top, combinable in w.
+def combinable_slots(state, top: Preorder):
+    """Yield the slot pairs i < j of a ``block_masks`` state whose blocks lie
+    inside one block of top and are incomparable or a cover: the merges
+    that can start a maximal chain from the state's pre-order below top."""
+    masks, ups, _ = state
+    covers = cover_masks(masks, ups)
+    top_rows, top_cols = top.rows(), top.cols()
+    for i, bi in enumerate(masks):
+        a = (bi & -bi).bit_length() - 1
+        together = top_rows[a] & top_cols[a]
+        for j in range(i + 1, len(masks)):
+            bj = masks[j]
+            if bj & together and (
+                not (ups[i] & bj or ups[j] & bi) or covers[i] & bj or covers[j] & bi
+            ):
+                yield i, j
 
-    Combinable means incomparable or related by a cover; these are exactly
-    the merges that can start a maximal chain from w staying below top.
-    """
+
+def combinable_pairs(w: Preorder, top: Preorder) -> list[tuple[Block, Block]]:
+    """The pairs of blocks of w that ``combinable_slots`` gives for top."""
     if not leq(w, top):
         raise IncomparableError("w is not below top")
-    return [
-        (bi, bj)
-        for bi, bj in itertools.combinations(blocks(w), 2)
-        if top.equiv(bi.min, bj.min) and combinable(w, bi, bj)
-    ]
+    state = block_masks(w)
+    return [(Block.of(state[0][i]), Block.of(state[0][j])) for i, j in combinable_slots(state, top)]
 
 
 def covers_below(w: Preorder, top: Preorder):
     """Yield (lam word, cover) for the covers of w below top, each once: a
-    cover's blocks name the one pair of ``combinable_pairs`` it merged."""
+    cover's blocks name the one pair of ``combinable_slots`` it merged.
+
+    w's block state is read once, checked against (P1)/(P2), and searched.
+    """
+    if not leq(w, top):
+        raise IncomparableError("w is not below top")
     state = block_masks(w)
-    for bi, bj in combinable_pairs(w, top):
-        for word, cand in _merge_candidates(w, state, bi, bj):
+    require_block_axioms(*state)
+    for i, j in combinable_slots(state, top):
+        for word, cand in _merge_candidates(w.n, state, i, j):
             if cand <= top:
                 yield word, cand
 
 
 def covers_up(w: Preorder) -> list[Preorder]:
     """Elements covering w, constructed by combining blocks, in lam-word order."""
-    require_permutation_preorder(w)
     return [c for _, c in sorted(covers_below(w, Preorder.complete(w.n)), key=itemgetter(0))]
 
 

@@ -10,11 +10,9 @@ simplicity.  ``Preorder(n, bits)`` checks reflexivity and closure; the
 ``from_rows`` family closes the relation itself and skips that check.
 
 Blocks are the classes of mutual comparability.  Every set of values is a
-value mask (bit v-1 for value v): a block is ``(min, max, mask)`` with
-mask = row(a) AND column(a) for any member a, and ``members`` is a
-frozenset view of the mask.  The block order is read off the rows: the
-blocks strictly above a block are row(min) minus the block, and its
-covers are those minus everything strictly above them.
+value mask (bit v-1 for value v), and a block is row(a) AND column(a) for
+any member a.  ``Block`` (min, max, mask) is only the public view of one,
+for results and error text.
 
 The elements of the lattice are the pre-orders satisfying two axioms:
 
@@ -30,31 +28,21 @@ Sorted by popcount, those masks must be the nested prefixes of the order,
 which one O(m) pass checks (m blocks); a pre-order whose blocks admit no
 such order is rejected.
 
-Both the axiom check (``block_violations``) and that word rule
-(``lam_order``) read only the block masks and the up-set and down-set of
-each block, the state ``block_masks`` returns: the rows and columns of the
-block mins, read in one pass.  ``relate_blocks`` adds
-relations to such a state and keeps it closed in O(m) mask ORs, with no
-Warshall pass.  ``axiom_violations`` and ``ordered_blocks`` call the check
-and the rule on a ``Preorder``, and ``require_block_axioms`` raises on a
-state's failures; ``lattice`` calls the check, the step and the rule on
-the block states of its cover search and packs only the covers it keeps,
-and ``sortable`` runs every check of a constructed element on one state.
+The one working form of the blocks is the state ``block_masks`` reads in
+one pass: the block masks sorted by min, with the up-set and down-set of
+each.  The axiom check (``block_violations``), the word rule
+(``lam_order``) and the covers of each block (``cover_masks``) read only
+that state, and ``relate_blocks`` adds relations to it, keeping it closed
+in O(m) mask ORs with no Warshall pass.  Each function here that takes a
+``Preorder`` reads its state once and runs all its checks on it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvalidPreorderError
 from .perms import Permutation
-
-# Entries kept by each block cache.  Every hit falls inside one operation on
-# one element (its covers, its JSON, its word), so memory stays flat however
-# many elements a caller has touched.
-_CACHE_SIZE = 256
-
 
 def close_rows(rows: list[int]) -> list[int]:
     """In-place Warshall transitive closure of row masks."""
@@ -238,60 +226,9 @@ class Block:
         return f"B[{self.min},{self.max}]{{{','.join(map(str, mask_values(self.mask)))}}}"
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def blocks(q: Preorder) -> tuple[Block, ...]:
     """Blocks of q, sorted by minimal member."""
     return tuple(Block.of(mask) for mask in block_masks(q)[0])
-
-
-def block_of(q: Preorder, value: int) -> Block:
-    if 1 <= value <= q.n:
-        for b in blocks(q):
-            if b.mask >> (value - 1) & 1:
-                return b
-    raise ValueError(f"{value} not in [1,{q.n}]")
-
-
-@dataclass(frozen=True)
-class BlockOrder:
-    """The partial order induced on blocks, as value masks.
-
-    ``above[i]`` is the union of the blocks strictly above ``blocks[i]``,
-    ``covers[i]`` the union of the blocks covering it.
-    """
-
-    blocks: tuple[Block, ...]
-    above: tuple[int, ...]
-    covers: tuple[int, ...]
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def block_order(q: Preorder) -> BlockOrder:
-    bs = blocks(q)
-    rows = q.rows()
-    above = tuple(rows[b.min - 1] & ~b.mask for b in bs)
-    covers = []
-    for up in above:
-        higher = 0
-        for b, b_up in zip(bs, above):
-            if up >> (b.min - 1) & 1:
-                higher |= b_up
-        covers.append(up & ~higher)
-    return BlockOrder(bs, above, tuple(covers))
-
-
-def comparable(q: Preorder, bi: Block, bj: Block) -> bool:
-    """Is one of the two blocks of q below the other?"""
-    return q.leq(bi.min, bj.min) or q.leq(bj.min, bi.min)
-
-
-def combinable(q: Preorder, bi: Block, bj: Block) -> bool:
-    """Two blocks of q are incomparable or one covers the other: a cover of q can merge them."""
-    if not comparable(q, bi, bj):
-        return True
-    bo = block_order(q)
-    i, j = bo.blocks.index(bi), bo.blocks.index(bj)
-    return bool(bo.covers[i] & bj.mask or bo.covers[j] & bi.mask)
 
 
 @dataclass(frozen=True)
@@ -352,13 +289,27 @@ def relate_blocks(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]
     )
 
 
+def cover_masks(masks: Sequence[int], ups: Sequence[int]) -> list[int]:
+    """For each block of a ``block_masks`` state, the union of the blocks covering it:
+    those strictly above it (its up-set minus itself) and above no other of those."""
+    above = [u & ~b for b, u in zip(masks, ups)]
+    covers = []
+    for up in above:
+        higher = 0
+        if up:
+            for b, b_up in zip(masks, above):
+                if up & b:
+                    higher |= b_up
+        covers.append(up & ~higher)
+    return covers
+
+
 def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> list[Violation]:
     """All (P1)/(P2) failures of a pre-order given by its blocks, P1 first.
 
     The arguments are a ``block_masks`` state: block value masks sorted by
     min, and the up-set and down-set of each block.  Pairs come in block
-    order.  The blocks strictly above block i are ``ups[i]`` minus the
-    block, and its covers are those minus everything strictly above them.
+    order.
     """
     out = []
     spans = [span(b) for b in masks]
@@ -370,15 +321,7 @@ def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[i
             for j in range(i + 1, len(masks)):
                 if masks[j] & free and si & spans[j]:
                     out.append(Violation("P1", Block.of(masks[i]), Block.of(masks[j])))
-    above = [u & ~b for b, u in zip(masks, ups)]
-    for bi, si, up in zip(masks, spans, above):
-        if not up:
-            continue
-        higher = 0
-        for b, b_up in zip(masks, above):
-            if up & b:
-                higher |= b_up
-        cover = up & ~higher
+    for bi, si, cover in zip(masks, spans, cover_masks(masks, ups)):
         # a covering block with all its values inside bi's interval overlaps it
         if cover & ~si:
             for bj, sj in zip(masks, spans):
@@ -456,16 +399,9 @@ def runs_word(masks) -> tuple[int, ...]:
     return tuple(v for b in masks for v in reversed(mask_values(b)))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def ordered_blocks(q: Preorder) -> tuple[Block, ...]:
-    """Blocks in the left-to-right order their runs take in lam(q) (``lam_order``)."""
-    by_mask = {b.mask: b for b in blocks(q)}
-    return tuple(by_mask[b] for b in lam_order(*block_masks(q), q))
-
-
 def lam_word(q: Preorder) -> tuple[int, ...]:
     """The word of lam(q) for a q already checked against (P1)/(P2)."""
-    return runs_word(b.mask for b in ordered_blocks(q))
+    return runs_word(lam_order(*block_masks(q), q))
 
 
 def lam(q: Preorder) -> Permutation:
@@ -473,22 +409,32 @@ def lam(q: Preorder) -> Permutation:
 
     Raises InvalidPreorderError if q fails (P1)/(P2).
     """
-    require_permutation_preorder(q)
-    return Permutation(lam_word(q))
+    state = block_masks(q)
+    require_block_axioms(*state)
+    return Permutation(runs_word(lam_order(*state, q)))
+
+
+def mask_placements(state, q: Preorder) -> dict[int, int]:
+    """1-based position of each block mask of q's ``block_masks`` state in lam(q).
+
+    Raises InvalidPreorderError if the state fails (P1)/(P2).
+    """
+    require_block_axioms(*state)
+    return {b: k for k, b in enumerate(lam_order(*state, q), start=1)}
 
 
 def placements(q: Preorder) -> dict[Block, int]:
     """1-based position of each block's run in lam(q), left to right."""
-    require_permutation_preorder(q)
-    return {block: i for i, block in enumerate(ordered_blocks(q), start=1)}
+    return {Block.of(b): k for b, k in mask_placements(block_masks(q), q).items()}
 
 
 def preorder_to_json(q: Preorder) -> dict:
-    """JSON form: blocks plus the cover pairs of the block order."""
-    obs, bo = ordered_blocks(q), block_order(q)
-    cover_of = dict(zip(bo.blocks, bo.covers))
-    less = [[i, j] for i, b in enumerate(obs) for j, c in enumerate(obs) if cover_of[b] & c.mask]
-    return {"n": q.n, "blocks": [mask_values(b.mask) for b in obs], "less": less}
+    """JSON form: blocks in lam order plus the cover pairs of the block order."""
+    masks, ups, downs = block_masks(q)
+    order = lam_order(masks, ups, downs, q)
+    cover_of = dict(zip(masks, cover_masks(masks, ups)))
+    less = [[i, j] for i, b in enumerate(order) for j, c in enumerate(order) if cover_of[b] & c]
+    return {"n": q.n, "blocks": [mask_values(b) for b in order], "less": less}
 
 
 def check_json_shape(data, keys=("n", "blocks")) -> int:
@@ -545,6 +491,8 @@ def preorder_from_json(data: dict) -> Preorder:
     n = check_json_shape(data)
     masks = partition_masks(data["blocks"], n)
     q = Preorder.from_blocks(n, masks, data.get("less", []))
-    if {b.mask for b in blocks(q)} != set(masks):
+    state = block_masks(q)
+    if set(state[0]) != set(masks):
         raise ValueError("order relations collapse the given blocks")
-    return require_permutation_preorder(q)
+    require_block_axioms(*state)
+    return q

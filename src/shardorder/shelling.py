@@ -5,11 +5,12 @@ Each cover merges exactly two blocks of the lower element; the edge label
 is the larger of their placements there.  Every interval has exactly one
 maximal chain with a weakly increasing label word, found greedily: among
 the pairs that can be combined on the way to the top
-(``lattice.combinable_pairs``), merge the one whose larger placement is
+(``lattice.combinable_slots``), merge the one whose larger placement is
 smallest; exactly one of the covers ``lattice`` builds for that merge lies
-below top.  The number of strictly decreasing maximal chains gives the
-Moebius number up to sign; the classical recursion is run alongside as an
-independent check and disagreement is fatal.
+below top.  Each step reads the block state of its element once.  The
+number of strictly decreasing maximal chains gives the Moebius number up
+to sign; the classical recursion is run alongside as an independent check
+and disagreement is fatal.
 
 Whole-interval counts run on an indexed lattice (``OmegaLattice``): the
 interval [b, t] is the mask ``up_mask[b] & down_mask[t]`` and its edges are
@@ -34,31 +35,36 @@ import operator
 from dataclasses import dataclass
 
 from .errors import IncomparableError, InvariantError
-from .lattice import OmegaLattice, _merge_candidates, combinable_pairs, interval_lattice, iter_bits, leq
-from .preorders import Block, Preorder, block_masks, blocks, lam, placements, run_masks
+from .lattice import OmegaLattice, _merge_candidates, combinable_slots, interval_lattice, iter_bits, leq
+from .preorders import Block, Preorder, block_masks, lam, mask_placements, run_masks
+
+
+def _merged_masks(lower: Preorder, upper: Preorder, lower_masks) -> list[int]:
+    """The two of ``lower_masks`` (lower's block masks, in min order) that upper merges."""
+    if not (leq(lower, upper) and lower != upper):
+        raise ValueError("not a cover: elements are not strictly ordered")
+    upper_masks = block_masks(upper)[0]
+    if len(lower_masks) != len(upper_masks) + 1:
+        raise ValueError("not a cover: rank difference is not one")
+    merged = [b for b in lower_masks if b not in upper_masks]
+    if len(merged) != 2:
+        raise ValueError("not a cover: block partitions differ by more than a merge")
+    return merged
 
 
 def merged_pair(lower: Preorder, upper: Preorder) -> tuple[Block, Block]:
     """The two blocks of ``lower`` that were combined to form ``upper``."""
-    if not (leq(lower, upper) and lower != upper):
-        raise ValueError("not a cover: elements are not strictly ordered")
-    lower_blocks = blocks(lower)
-    upper_blocks = blocks(upper)
-    if len(lower_blocks) != len(upper_blocks) + 1:
-        raise ValueError("not a cover: rank difference is not one")
-    upper_masks = {b.mask for b in upper_blocks}
-    merged = [b for b in lower_blocks if b.mask not in upper_masks]
-    if len(merged) != 2:
-        raise ValueError("not a cover: block partitions differ by more than a merge")
-    return merged[0], merged[1]
+    b1, b2 = _merged_masks(lower, upper, block_masks(lower)[0])
+    return Block.of(b1), Block.of(b2)
 
 
 def edge_label(lower: Preorder, upper: Preorder) -> int:
     """Larger placement (in ``lower``) of the two blocks the cover merges."""
-    b1, b2 = merged_pair(lower, upper)
-    pl = placements(lower)
-    label = max(pl[b1], pl[b2])
-    if not 2 <= label <= len(blocks(lower)):
+    state = block_masks(lower)
+    place = mask_placements(state, lower)
+    b1, b2 = _merged_masks(lower, upper, state[0])
+    label = max(place[b1], place[b2])
+    if not 2 <= label <= len(state[0]):
         raise InvariantError(f"edge label {label} out of range on {lam(lower)} -> {lam(upper)}")
     return label
 
@@ -82,15 +88,18 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
     chain, labels = [bottom], []
     while chain[-1] != top:
         cur = chain[-1]
-        pl = placements(cur)
-        label = {pair: max(pl[pair[0]], pl[pair[1]]) for pair in combinable_pairs(cur, top)}
+        state = block_masks(cur)
+        masks, place = state[0], mask_placements(state, cur)
+        label = {
+            (i, j): max(place[masks[i]], place[masks[j]]) for i, j in combinable_slots(state, top)
+        }
         ranked = sorted(label, key=label.get)
         if not ranked:
             raise InvariantError("strictly ordered interval must have a combinable pair")
         best = ranked[0]
         if len(ranked) > 1 and label[best] >= label[ranked[1]]:
             raise InvariantError("minimal larger placement must be unique")
-        nexts = [c for _, c in _merge_candidates(cur, block_masks(cur), *best) if c <= top]
+        nexts = [c for _, c in _merge_candidates(cur.n, state, *best) if c <= top]
         if len(nexts) != 1:
             raise InvariantError("exactly one cover below top merges the chosen pair")
         labels.append(label[best])

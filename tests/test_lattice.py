@@ -18,6 +18,7 @@ from shardorder.lattice import (
     _merge_candidates,
     build_lattice,
     combinable_pairs,
+    combinable_slots,
     covers_below,
     covers_up,
     graded_covers,
@@ -28,6 +29,7 @@ from shardorder.lattice import (
 )
 from shardorder.perms import Permutation, all_permutations
 from shardorder.preorders import (
+    Block,
     Preorder,
     axiom_violations,
     block_masks,
@@ -115,15 +117,74 @@ def test_covers_below_are_the_covers_up_below_top(lattice):
             assert all(word == lam_word(c) for word, c in found), (lat.words[i], lat.words[j])
 
 
+def _pairwise_combinable(w, top):
+    """Index pairs i < j of the blocks of w inside one block of top that are
+    incomparable or a cover, by testing every pair and triple with ``leq``."""
+    mins = [b.min for b in blocks(w)]
+
+    def covers(x, y):
+        return w.leq(x, y) and not any(w.leq(x, z) and w.leq(z, y) for z in mins if z not in (x, y))
+
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(len(mins)), 2)
+        if top.equiv(mins[i], mins[j])
+        and (
+            not (w.leq(mins[i], mins[j]) or w.leq(mins[j], mins[i]))
+            or covers(mins[i], mins[j])
+            or covers(mins[j], mins[i])
+        )
+    ]
+
+
+def test_combinable_slots_match_pairwise(lattice):
+    # every pair w <= top at n <= 4, and top = complete at n <= 6
+    for n in range(1, 7):
+        lat = lattice(n)
+        complete = Preorder.complete(n)
+        for i, w in enumerate(lat.elements):
+            tops = [lat.elements[j] for j in iter_bits(lat.up_mask[i])] if n <= 4 else [complete]
+            for top in tops:
+                got = list(combinable_slots(block_masks(w), top))
+                assert got == _pairwise_combinable(w, top), (lat.words[i], lam(top))
+                bs = blocks(w)
+                assert combinable_pairs(w, top) == [(bs[a], bs[b]) for a, b in got]
+
+
+def test_each_call_reads_the_block_state_once(monkeypatch):
+    import shardorder.preorders as preorders
+
+    calls = []
+    real = preorders.block_masks
+
+    def spied(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(preorders, "block_masks", spied)
+    monkeypatch.setattr(lattice_module, "block_masks", spied)
+    for p in (P("1"), P("26314758"), P("231978456"), P("987654321")):
+        q = mu(p)
+        for fn, arg in (
+            (preorders.lam, q),
+            (preorders.preorder_to_json, q),
+            (preorders.preorder_from_json, preorders.preorder_to_json(q)),
+            (covers_up, q),
+        ):
+            calls.clear()
+            fn(arg)
+            assert calls == [q], (fn.__name__, p)
+
+
 def test_interval_walk_merges_only_inside_blocks_of_top(monkeypatch):
     # a merge across two blocks of top can only build covers above top
     top = mu(P("432156789"))
     merged = []
     real = lattice_module._merge_candidates
 
-    def spied(w, state, bi, bj):
-        merged.append((bi, bj))
-        return real(w, state, bi, bj)
+    def spied(n, state, i, j):
+        merged.append((Block.of(state[0][i]), Block.of(state[0][j])))
+        return real(n, state, i, j)
 
     monkeypatch.setattr(lattice_module, "_merge_candidates", spied)
     assert len(interval_lattice(Preorder.discrete(9), top)) == 24
@@ -167,8 +228,10 @@ def _relation_merge_candidates(w, bi, bj):
 
 
 def _check_block_search(w):
-    for bi, bj in combinable_pairs(w, Preorder.complete(w.n)):
-        found = list(_merge_candidates(w, block_masks(w), bi, bj))
+    state = block_masks(w)
+    for i, j in combinable_slots(state, Preorder.complete(w.n)):
+        bi, bj = Block.of(state[0][i]), Block.of(state[0][j])
+        found = list(_merge_candidates(w.n, state, i, j))
         covers = [c for _, c in found]
         assert covers == _relation_merge_candidates(w, bi, bj), (lam(w), bi, bj)
         for word, c in found:
@@ -493,29 +556,20 @@ def _check_placement_proposition(lower, upper):
             assert pl_up[target] < c
 
     # (4) blocks combinable with the merge upstairs, placed below c, were
-    # combinable with the lower part downstairs
-    from shardorder.preorders import block_order
+    # combinable with the lower part downstairs; combinable is read off each
+    # element's block state, top = complete putting no bound on the pairs
+    def combinable(q):
+        state = block_masks(q)
+        pairs = set(combinable_slots(state, Preorder.complete(q.n)))
+        return lambda x, y: tuple(sorted((state[0].index(x.mask), state[0].index(y.mask)))) in pairs
 
-    def combinable(bo, i, j):
-        # incomparable or a cover, read off the masks of the block order
-        x, y = bo.blocks[i], bo.blocks[j]
-        if bo.above[i] & y.mask:
-            return bool(bo.covers[i] & y.mask)
-        if bo.above[j] & x.mask:
-            return bool(bo.covers[j] & x.mask)
-        return True
-
-    bo_up = block_order(upper)
-    bo_low = block_order(lower)
-    mi = bo_up.blocks.index(merged)
-    for bi, b in enumerate(bo_up.blocks):
+    combinable_up, combinable_low = combinable(upper), combinable(lower)
+    for b in blocks(upper):
         if b == merged or pl_up[b] >= c:
             continue
-        if not combinable(bo_up, bi, mi):
+        if not combinable_up(b, merged):
             continue
-        li = bo_low.blocks.index(b)
-        l1 = bo_low.blocks.index(b1)
-        assert combinable(bo_low, li, l1)
+        assert combinable_low(b, b1)
 
 
 def test_placement_proposition_exhaustive_n4(lattice):
@@ -536,8 +590,6 @@ def test_placement_proposition_sampled(lattice):
 def test_cover_reachability_lemma(lattice):
     # whenever two combinable blocks of w share a block of top, some cover
     # of w below top merges exactly that pair
-    from shardorder.shelling import combinable_pairs
-
     lat = lattice(4)
     for i in range(len(lat)):
         for j in range(len(lat)):

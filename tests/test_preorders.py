@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
@@ -8,15 +10,15 @@ from shardorder.perms import Permutation, all_permutations, descending_runs, ide
 from shardorder.preorders import (
     Preorder,
     axiom_violations,
+    Block,
     block_masks,
-    block_of,
-    block_order,
     blocks,
     close_rows,
+    cover_masks,
     is_permutation_preorder,
     lam,
+    lam_order,
     mu,
-    ordered_blocks,
     placements,
     preorder_from_json,
     preorder_to_json,
@@ -30,20 +32,23 @@ def members(q):
     return [sorted(b.members) for b in blocks(q)]
 
 
-def less_pairs(bo):
-    """Index pairs (i, j), blocks[i] strictly below blocks[j], read off ``above``."""
-    m = len(bo.blocks)
-    return {(i, j) for i in range(m) for j in range(m) if bo.above[i] & bo.blocks[j].mask}
+def less_pairs(q):
+    """Index pairs (i, j), block i strictly below block j, read off the ``block_masks`` up-sets."""
+    masks, ups, _ = block_masks(q)
+    m = len(masks)
+    return {(i, j) for i in range(m) for j in range(m) if i != j and ups[i] & masks[j]}
 
 
-def cover_pairs(bo):
-    """Index pairs (i, j), blocks[j] covering blocks[i], read off ``covers``."""
-    m = len(bo.blocks)
-    return {(i, j) for i in range(m) for j in range(m) if bo.covers[i] & bo.blocks[j].mask}
+def cover_pairs(q):
+    """Index pairs (i, j), block j covering block i, read off ``cover_masks``."""
+    masks, ups, _ = block_masks(q)
+    covers = cover_masks(masks, ups)
+    m = len(masks)
+    return {(i, j) for i in range(m) for j in range(m) if covers[i] & masks[j]}
 
 
-def comparable(bo, i, j):
-    less = less_pairs(bo)
+def comparable(q, i, j):
+    less = less_pairs(q)
     return (i, j) in less or (j, i) in less
 
 
@@ -62,29 +67,26 @@ def test_discrete_and_complete_blocks():
 def test_figure2_blocks_and_order():
     q = figure2_preorder()
     assert members(q) == [[1, 4], [2], [3], [5], [6, 7]]
-    bo = block_order(q)
-    idx = {b.min: i for i, b in enumerate(bo.blocks)}
-    less = less_pairs(bo)
+    m = len(blocks(q))
+    idx = {b.min: i for i, b in enumerate(blocks(q))}
+    less = less_pairs(q)
     assert (idx[3], idx[1]) in less
     assert (idx[1], idx[2]) in less
     assert (idx[3], idx[2]) in less  # transitively
     # {5} and {6,7} are isolated
     for lone in (idx[5], idx[6]):
-        assert all(
-            not comparable(bo, lone, j) for j in range(len(bo.blocks)) if j != lone
-        )
-    assert cover_pairs(bo) == {(idx[3], idx[1]), (idx[1], idx[2])}
+        assert all(not comparable(q, lone, j) for j in range(m) if j != lone)
+    assert cover_pairs(q) == {(idx[3], idx[1]), (idx[1], idx[2])}
 
 
 def test_mu_26314758_matches_figure3():
     q = mu(P("26314758"))
     assert members(q) == [[1, 3, 6], [2], [4], [5, 7], [8]]
-    bo = block_order(q)
-    idx = {b.min: i for i, b in enumerate(bo.blocks)}
-    assert cover_pairs(bo) == {(idx[2], idx[1]), (idx[1], idx[4]), (idx[1], idx[5])}
+    idx = {b.min: i for i, b in enumerate(blocks(q))}
+    assert cover_pairs(q) == {(idx[2], idx[1]), (idx[1], idx[4]), (idx[1], idx[5])}
     # {4} and {5,7} stay incomparable; {8} is isolated
-    assert not comparable(bo, idx[4], idx[5])
-    assert all(not comparable(bo, idx[8], j) for j in range(len(bo.blocks)) if j != idx[8])
+    assert not comparable(q, idx[4], idx[5])
+    assert all(not comparable(q, idx[8], j) for j in range(len(idx)) if j != idx[8])
 
 
 def test_mu_extremes():
@@ -97,13 +99,6 @@ def test_mu_blocks_are_runs():
         for p in all_permutations(n):
             runs = {frozenset(r.values) for r in descending_runs(p)}
             assert {b.members for b in blocks(mu(p))} == runs
-
-
-def test_block_of():
-    q = mu(P("26314758"))
-    assert sorted(block_of(q, 3).members) == [1, 3, 6]
-    with pytest.raises(ValueError):
-        block_of(q, 9)
 
 
 def test_validate_discrete_ok():
@@ -176,22 +171,22 @@ def test_placements_respect_block_order():
         for p in all_permutations(n):
             q = mu(p)
             pl = placements(q)
-            bo = block_order(q)
-            for (i, j) in less_pairs(bo):
-                assert pl[bo.blocks[i]] < pl[bo.blocks[j]]
+            bs = blocks(q)
+            for (i, j) in less_pairs(q):
+                assert pl[bs[i]] < pl[bs[j]]
 
 
 def test_consecutive_placements_combinable():
     # blocks with adjacent placements are incomparable or form a cover
     for p in all_permutations(5):
         q = mu(p)
-        bo = block_order(q)
-        by_pos = sorted(bo.blocks, key=lambda b: placements(q)[b])
-        covers = cover_pairs(bo)
+        bs = blocks(q)
+        by_pos = sorted(bs, key=lambda b: placements(q)[b])
+        covers = cover_pairs(q)
         for left, right in zip(by_pos, by_pos[1:]):
-            i, j = bo.blocks.index(left), bo.blocks.index(right)
+            i, j = bs.index(left), bs.index(right)
             assert (
-                not comparable(bo, i, j)
+                not comparable(q, i, j)
                 or (i, j) in covers
                 or (j, i) in covers
             )
@@ -204,7 +199,7 @@ def test_inversion_overlap_chain():
         for p in all_permutations(n):
             q = mu(p)
             bs = blocks(q)
-            less = less_pairs(block_order(q))
+            less = less_pairs(q)
             edges = {
                 i: [
                     j
@@ -214,7 +209,7 @@ def test_inversion_overlap_chain():
                 for i in range(len(bs))
             }
             for a, b in inversions(p):
-                ba, bb = block_of(q, a), block_of(q, b)
+                ba, bb = (next(x for x in bs if v in x.members) for v in (a, b))
                 if ba == bb or ba.overlaps(bb):
                     continue
                 start, goal = bs.index(ba), bs.index(bb)
@@ -275,10 +270,10 @@ def random_preorders(n, count, seed):
 
 
 def test_block_order_masks_match_pairwise():
+    # the up-sets of the block state and the cover masks give the block order
     elements = [mu(p) for n in range(1, 6) for p in all_permutations(n)]
     for q in elements + list(random_preorders(5, 500, 7)):
-        bo = block_order(q)
-        assert (less_pairs(bo), cover_pairs(bo)) == pairwise_block_order(q), q
+        assert (less_pairs(q), cover_pairs(q)) == pairwise_block_order(q), q
 
 
 def test_ordered_blocks_matches_tournament():
@@ -286,7 +281,7 @@ def test_ordered_blocks_matches_tournament():
     elements = [mu(p) for n in range(1, 6) for p in all_permutations(n)]
     for q in elements + list(random_preorders(5, 2000, 11)):
         try:
-            got = ordered_blocks(q)
+            got = tuple(map(Block.of, lam_order(*block_masks(q), q)))
         except InvalidPreorderError:
             got = None
         assert got == tournament_order(q), q
@@ -356,25 +351,16 @@ def test_closure_runs_once(monkeypatch):
     assert q == Preorder.from_rows(8, q.rows())
 
 
-def test_block_caches_stay_bounded():
-    import shardorder.preorders as preorders
-    from shardorder.lattice import covers_up
+def test_no_module_function_keeps_a_cache():
+    # every call reads its block state afresh, so memory does not grow with
+    # the elements touched
+    import shardorder
 
-    cached = {name: fn for name, fn in vars(preorders).items() if hasattr(fn, "cache_info")}
-    assert set(cached) == {"blocks", "block_order", "ordered_blocks"}
-    rng = random.Random(20261018)
-    seen = set()
-    while len(seen) <= preorders._CACHE_SIZE:
-        p = Permutation(tuple(rng.sample(range(1, 10), 9)))
-        if p in seen:
-            continue
-        seen.add(p)
-        q = mu(p)
-        assert lam(q) == p
-        preorder_to_json(q)
-        covers_up(q)
-    for name, fn in cached.items():
-        assert fn.cache_info().currsize <= preorders._CACHE_SIZE, name
+    names = [m.name for m in pkgutil.iter_modules(shardorder.__path__) if m.name != "__main__"]
+    assert {"preorders", "lattice", "shelling"} <= set(names)
+    for mod in [shardorder, *(importlib.import_module(f"shardorder.{name}") for name in names)]:
+        cached = [name for name, fn in vars(mod).items() if hasattr(fn, "cache_info")]
+        assert cached == [], mod.__name__
 
 
 def test_image_characterization_exhaustive():

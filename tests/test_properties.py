@@ -6,8 +6,6 @@ from shardorder.lattice import covers_up, interval_lattice, join, leq
 from shardorder.perms import Permutation
 from shardorder.preorders import (
     Preorder,
-    block_order,
-    blocks,
     lam,
     mu,
     preorder_from_json,
@@ -50,9 +48,7 @@ def test_text_round_trip(p):
 @given(permutations(8, 10))
 def test_block_order_masks_match_pairwise(p):
     q = mu(p)
-    bo = block_order(q)
-    assert bo.blocks == blocks(q)
-    assert (less_pairs(bo), cover_pairs(bo)) == pairwise_block_order(q)
+    assert (less_pairs(q), cover_pairs(q)) == pairwise_block_order(q)
 
 
 def _swapped(n: int, swaps) -> tuple[int, ...]:

@@ -2,13 +2,12 @@ import pytest
 
 import shardorder.shelling as shelling
 from shardorder.errors import IncomparableError, InvalidPreorderError, InvariantError
-from shardorder.lattice import covers_up, leq
+from shardorder.lattice import combinable_pairs, covers_up, leq
 from shardorder.perms import Permutation, all_permutations, is_indecomposable
 from shardorder.preorders import Preorder, blocks, lam, mu
 from shardorder.shelling import (
     chain_counts,
     chain_report,
-    combinable_pairs,
     count_decreasing_chains,
     edge_label,
     increasing_chain,
@@ -306,10 +305,10 @@ def test_mobius_disagreement_raises(monkeypatch):
 
 def test_el_checks_raise_invariant_error(monkeypatch):
     bot, top = Preorder.discrete(4), Preorder.complete(4)
-    monkeypatch.setattr(shelling, "placements", lambda q: {b: 9 for b in blocks(q)})
+    monkeypatch.setattr(shelling, "mask_placements", lambda state, q: dict.fromkeys(state[0], 9))
     with pytest.raises(InvariantError, match="out of range"):
         edge_label(bot, mu(P("2134")))
     # every pair scores the same placement: the greedy choice is not unique
-    monkeypatch.setattr(shelling, "placements", lambda q: {b: 1 for b in blocks(q)})
+    monkeypatch.setattr(shelling, "mask_placements", lambda state, q: dict.fromkeys(state[0], 1))
     with pytest.raises(InvariantError, match="must be unique"):
         increasing_chain(bot, top)

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import shardorder.preorders
@@ -109,7 +109,13 @@ def coxeter_words(low: int, high: int):
     )
 
 
-@settings(derandomize=True, max_examples=6, deadline=None)
+# Each example costs seconds, so a failure is reported as found, unshrunk.
+@settings(
+    derandomize=True,
+    max_examples=6,
+    deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
 @given(coxeter_words(8, 9))
 def test_sortable_maps_onto_noncrossing_beyond_the_exhaustive_range(c):
     sortable = sortable_permutations(c)
