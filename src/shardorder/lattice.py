@@ -26,7 +26,10 @@ one constructive path to covers, and it yields each with its lam word.  Its
 search runs on the m blocks of a ``block_masks`` state, not on the n rows:
 each merge or orientation is one ``relate_blocks`` step (O(m) mask ORs in
 place of Warshall's closure), checked by ``block_violations`` and written
-out by ``lam_order``.
+out by ``lam_order``.  The search starts from a valid state and only adds
+relations, so each state is scanned only where a step can break the
+axioms ((P1) on the pairs holding the merged block, (P2) on the covers of
+the blocks whose up-sets grew since the merge), up to its first failure.
 
 A cover below top merges two combinable blocks inside one block of top;
 ``combinable_slots`` is the one test of that, on a block state.
@@ -90,34 +93,40 @@ def join(a: Preorder, b: Preorder) -> Preorder:
 
 def _merge_candidates(n: int, state, i: int, j: int):
     """Yield (lam word, cover) for every cover that merges blocks i < j of a
-    ``block_masks`` state on [n], which is left unchanged.
+    valid ``block_masks`` state on [n], which is left unchanged.
 
     The merge adds D x U for the merged block (``relate_blocks``); a step
     that would collapse further blocks is skipped, since the rank would
-    jump by more than one.  A state that passes ``block_violations`` is a
-    cover.  On a first failure of (P1), the overlapping incomparable pair
-    is oriented both ways, each a new state; on a first failure of (P2) the
-    state is dropped.  No state is reached twice: the two branches order
-    their pair oppositely, and a state that related it both ways would have
-    collapsed.
+    jump by more than one.  A state with no (P1)/(P2) failure is a cover.
+    Each state is scanned only where its steps can break the axioms
+    (``block_violations`` restricted to the merged slot and the up-sets
+    that grew since the merge), and only up to its first failure.  On a
+    failure of (P1), the overlapping incomparable pair is oriented both
+    ways, each a new state; on a failure of (P2) the state is dropped.  No
+    state is reached twice: the two branches order their pair oppositely,
+    and a state that related it both ways would have collapsed.
     """
     masks, ups, downs = state
     merged = masks[i] | masks[j]
-    state = relate_blocks(masks, ups, downs, merged, merged)
-    if state is None:
+    base = relate_blocks(masks, ups, downs, merged, merged)
+    if base is None:
         return
     # the merged block keeps slot i: its min is the smaller one
-    masks = masks[:i] + [merged] + masks[i + 1 : j] + masks[j + 1 :]
-    stack = [tuple(sets[:j] + sets[j + 1 :] for sets in state)]
+    masks = masks.copy()
+    masks[i] = merged
+    for sets in (masks, *base):
+        del sets[j]
+    since = (i, base[0])
+    stack = [base]
     while stack:
         ups, downs = stack.pop()
-        bad = block_violations(masks, ups, downs)
-        if not bad:
+        bad = next(block_violations(masks, ups, downs, since), None)
+        if bad is None:
             cover = Preorder._of_blocks(n, masks, ups)
             yield runs_word(lam_order(masks, ups, downs, cover)), cover
-        elif bad[0].axiom == "P1":
+        elif bad.axiom == "P1":
             # orient the first overlapping incomparable pair both ways
-            cx, cy = bad[0].first.mask, bad[0].second.mask
+            cx, cy = bad.first.mask, bad.second.mask
             for lower, upper in ((cx, cy), (cy, cx)):
                 oriented = relate_blocks(masks, ups, downs, lower, upper)
                 if oriented is not None:

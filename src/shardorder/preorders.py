@@ -35,6 +35,12 @@ each.  The axiom check (``block_violations``), the word rule
 that state, and ``relate_blocks`` adds relations to it, keeping it closed
 in O(m) mask ORs with no Warshall pass.  Each function here that takes a
 ``Preorder`` reads its state once and runs all its checks on it.
+``block_violations`` yields its failures lazily, so a caller can stop at
+the first.  Given the merged slot and the up-sets right after a merge, it
+scans only the pairs that the cover search's merge and later steps can
+break; its docstring has the argument, and every other caller gets the
+full scan.  States the search accepts, and the bottom and top elements,
+are packed into ``bits`` directly, with no closure pass.
 """
 from __future__ import annotations
 
@@ -110,22 +116,29 @@ class Preorder:
         return Preorder._packed(n, close_rows(work))
 
     @staticmethod
-    def _packed(n: int, rows: Sequence[int]) -> "Preorder":
-        """Pack rows already reflexive and closed, skipping __post_init__'s check."""
-        bits = sum(rows[a] << (a * n) for a in range(n))
+    def _unchecked(n: int, bits: int) -> "Preorder":
+        """Wrap bits already reflexive and closed, skipping __post_init__'s check."""
         q = object.__new__(Preorder)
         object.__setattr__(q, "n", n)
         object.__setattr__(q, "bits", bits)
         return q
 
     @staticmethod
+    def _packed(n: int, rows: Sequence[int]) -> "Preorder":
+        """Pack rows already reflexive and closed."""
+        return Preorder._unchecked(n, sum(rows[a] << (a * n) for a in range(n)))
+
+    @staticmethod
     def _of_blocks(n: int, masks: Sequence[int], ups: Sequence[int]) -> "Preorder":
-        """Pack block value masks and their up-sets, already closed (see ``block_masks``)."""
-        rows = [0] * n
+        """Pack block value masks and their up-sets, already closed (see ``block_masks``):
+        each block's up-set is shifted into the row of each of its values."""
+        bits = 0
         for mask, up in zip(masks, ups):
-            for v in mask_values(mask):
-                rows[v - 1] = up
-        return Preorder._packed(n, rows)
+            while mask:
+                low = mask & -mask
+                bits |= up << (n * (low.bit_length() - 1))
+                mask ^= low
+        return Preorder._unchecked(n, bits)
 
     @staticmethod
     def from_pairs(n: int, pairs) -> "Preorder":
@@ -149,14 +162,17 @@ class Preorder:
 
     @staticmethod
     def discrete(n: int) -> "Preorder":
-        """Equality only: the minimal element of the lattice."""
-        return Preorder.from_rows(n, [0] * n)
+        """Equality only: the minimal element of the lattice (the diagonal bits)."""
+        if n < 1:
+            raise ValueError("ground set must be nonempty")
+        return Preorder._unchecked(n, sum(1 << (a * (n + 1)) for a in range(n)))
 
     @staticmethod
     def complete(n: int) -> "Preorder":
-        """Everything mutually comparable: the maximal element."""
-        full = (1 << n) - 1
-        return Preorder.from_rows(n, [full] * n)
+        """Everything mutually comparable: the maximal element (every bit)."""
+        if n < 1:
+            raise ValueError("ground set must be nonempty")
+        return Preorder._unchecked(n, (1 << (n * n)) - 1)
 
     def rows(self) -> list[int]:
         """Up-set masks: bit b-1 of rows()[a-1] is set iff a is below b."""
@@ -304,35 +320,71 @@ def cover_masks(masks: Sequence[int], ups: Sequence[int]) -> list[int]:
     return covers
 
 
-def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> list[Violation]:
-    """All (P1)/(P2) failures of a pre-order given by its blocks, P1 first.
+def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], merged=None):
+    """Yield the (P1)/(P2) failures of a pre-order given by its blocks, lazily,
+    P1 first and pairs in block order, so a caller can stop at the first.
 
     The arguments are a ``block_masks`` state: block value masks sorted by
-    min, and the up-set and down-set of each block.  Pairs come in block
-    order.
+    min, and the up-set and down-set of each block.
+
+    ``merged = (i, base_ups)`` restricts the scan to what a step of the
+    cover search (``lattice._merge_candidates``) can break.  That search
+    starts from a valid state w, merges two of its blocks into slot i (the
+    base state, with up-sets ``base_ups``) and then only adds relations
+    without collapsing blocks, so every block but slot i keeps its values:
+
+    - (P1) can fail only on pairs holding slot i: any other pair keeps its
+      intervals, and was comparable in w if they overlap.
+    - (P2) can fail only where the lower block's up-set grew beyond
+      ``base_ups``.  The base state has no failure: the merge relates two
+      blocks only through slot i, so a cover a < c there comes from a
+      chain of covers in w from a part of a up to a part of c.  A block
+      strictly inside that chain would lie strictly between a and c unless
+      it is merged into one of them, so some step of the chain goes from a
+      part of a to a part of c; that pair overlaps, and so do a and c.  A
+      block whose up-set did not grow since has the same blocks above it,
+      with more relations among them, so its covers are among its base
+      covers.
+
+    So the restricted scan yields the full scan's failures, in the same
+    order; in particular the same first one, or none.
     """
-    out = []
-    spans = [span(b) for b in masks]
-    unrelated = [~(u | d) for u, d in zip(ups, downs)]
-    # of two overlapping blocks, one has a value inside the other's interval,
-    # so (P1) fails only if some block's interval holds a value unrelated to it
-    if any(s & free for s, free in zip(spans, unrelated)):
-        for i, (si, free) in enumerate(zip(spans, unrelated)):
-            for j in range(i + 1, len(masks)):
-                if masks[j] & free and si & spans[j]:
-                    out.append(Violation("P1", Block.of(masks[i]), Block.of(masks[j])))
-    for bi, si, cover in zip(masks, spans, cover_masks(masks, ups)):
-        # a covering block with all its values inside bi's interval overlaps it
-        if cover & ~si:
-            for bj, sj in zip(masks, spans):
-                if cover & bj and not si & sj:
-                    out.append(Violation("P2", Block.of(bi), Block.of(bj)))
-    return out
+    if merged is None:
+        lower = range(len(masks))
+        spans = [span(b) for b in masks]
+        unrelated = [~(u | d) for u, d in zip(ups, downs)]
+        # of two overlapping blocks, one has a value inside the other's interval,
+        # so (P1) fails only if some block's interval holds a value unrelated to it
+        if any(s & free for s, free in zip(spans, unrelated)):
+            for i, (si, free) in enumerate(zip(spans, unrelated)):
+                for j in range(i + 1, len(masks)):
+                    if masks[j] & free and si & spans[j]:
+                        yield Violation("P1", Block.of(masks[i]), Block.of(masks[j]))
+    else:
+        i, base_ups = merged
+        lower = [a for a, (u, base) in enumerate(zip(ups, base_ups)) if u != base]
+        bi = masks[i]
+        free = ~(ups[i] | downs[i])
+        below, upto = (bi & -bi) - 1, (1 << bi.bit_length()) - 1
+        for k, bk in enumerate(masks):
+            # bk overlaps bi iff it has a value above bi's min and one below its max
+            if bk & free and bk & ~below and bk & upto:
+                first, second = (bk, bi) if k < i else (bi, bk)
+                yield Violation("P1", Block.of(first), Block.of(second))
+    covers = cover_masks(masks, ups) if lower else []
+    for a in lower:
+        b, cover = masks[a], covers[a]
+        below, upto = (b & -b) - 1, (1 << b.bit_length()) - 1
+        # a covering block with all its values inside b's interval overlaps it
+        if cover & (below | ~upto):
+            for c in masks:
+                if cover & c and not (c & ~below and c & upto):
+                    yield Violation("P2", Block.of(b), Block.of(c))
 
 
 def axiom_violations(q: Preorder) -> list[Violation]:
     """All (P1)/(P2) failures; empty list means q is a lattice element."""
-    return block_violations(*block_masks(q))
+    return list(block_violations(*block_masks(q)))
 
 
 def is_permutation_preorder(q: Preorder) -> bool:
@@ -341,7 +393,7 @@ def is_permutation_preorder(q: Preorder) -> bool:
 
 def require_block_axioms(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> None:
     """Raise InvalidPreorderError naming every (P1)/(P2) failure of a ``block_masks`` state."""
-    bad = block_violations(masks, ups, downs)
+    bad = list(block_violations(masks, ups, downs))
     if bad:
         raise InvalidPreorderError("; ".join(str(v) for v in bad))
 
@@ -396,7 +448,13 @@ def lam_order(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], q:
 
 def runs_word(masks) -> tuple[int, ...]:
     """The word whose descending runs have the given value masks, left to right."""
-    return tuple(v for b in masks for v in reversed(mask_values(b)))
+    word = []
+    for b in masks:
+        while b:
+            v = b.bit_length()
+            word.append(v)
+            b ^= 1 << (v - 1)
+    return tuple(word)
 
 
 def lam_word(q: Preorder) -> tuple[int, ...]:

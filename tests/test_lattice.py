@@ -1,6 +1,9 @@
+import contextlib
 import itertools
 import json
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,12 +36,15 @@ from shardorder.preorders import (
     Preorder,
     axiom_violations,
     block_masks,
+    block_violations,
     blocks,
     lam,
     lam_word,
     mask_values,
     mu,
     placements,
+    relate_blocks,
+    run_masks,
 )
 from shardorder.shards import Shard, enumerate_shards, intersect, to_preorder
 
@@ -227,11 +233,101 @@ def _relation_merge_candidates(w, bi, bj):
     return out
 
 
+@contextlib.contextmanager
+def _restricted_scans_checked():
+    """Check each restricted ``block_violations`` scan the cover search makes
+    against the full scan of the same state: the same failures in the same
+    order, so the same first one, or none.  Yields the first failures, one
+    per scanned state."""
+    real = lattice_module.block_violations
+    firsts = []
+
+    def checked(masks, ups, downs, merged=None):
+        if merged is not None:
+            full = list(real(masks, ups, downs))
+            assert list(real(masks, ups, downs, merged)) == full, (masks, ups, downs, merged)
+            firsts.append(full[0] if full else None)
+        return real(masks, ups, downs, merged)
+
+    with mock.patch.object(lattice_module, "block_violations", checked):
+        yield firsts
+
+
+def test_restricted_scan_matches_the_full_scan_in_the_search():
+    # every state the search visits from every combinable pair at n <= 6
+    with _restricted_scans_checked() as firsts:
+        for n in range(1, 7):
+            for p in all_permutations(n):
+                covers_up(mu(p))
+    # the search reaches covers and (P1) failures; at these sizes no visited
+    # state fails (P2), so the next test also scans states beyond the search
+    assert {None, "P1"} <= {v and v.axiom for v in firsts}
+
+
+def _states_after_a_merge(w):
+    """Every state reached from w's block state by merging any two blocks and
+    then relating incomparable blocks any number of times, with no collapse;
+    each with the (slot, base up-sets) restriction of its merge."""
+    masks, ups, downs = block_masks(w)
+    for i, j in itertools.combinations(range(len(masks)), 2):
+        merged = masks[i] | masks[j]
+        state = relate_blocks(masks, ups, downs, merged, merged)
+        if state is None:
+            continue
+        ms = masks[:i] + [merged] + masks[i + 1 : j] + masks[j + 1 :]
+        base = tuple(sets[:j] + sets[j + 1 :] for sets in state)
+        seen, stack = {tuple(base[0])}, [base]
+        while stack:
+            u, d = stack.pop()
+            yield ms, u, d, (i, base[0])
+            for a, b in itertools.permutations(range(len(ms)), 2):
+                if not (u[a] & ms[b] or u[b] & ms[a]):
+                    step = relate_blocks(ms, u, d, ms[a], ms[b])
+                    if step is not None and tuple(step[0]) not in seen:
+                        seen.add(tuple(step[0]))
+                        stack.append(step)
+
+
+def test_restricted_scan_matches_the_full_scan_after_any_merge():
+    # the restriction's argument needs only a valid start, one merge and
+    # added relations; these states fail (P2) at grown blocks as well
+    kinds = Counter()
+    for n in range(1, 6):
+        for p in all_permutations(n):
+            for masks, ups, downs, merged in _states_after_a_merge(mu(p)):
+                full = list(block_violations(masks, ups, downs))
+                assert list(block_violations(masks, ups, downs, merged)) == full, (p, masks, ups)
+                i, base_ups = merged
+                for v in full:
+                    a, b = masks.index(v.first.mask), masks.index(v.second.mask)
+                    if v.axiom == "P1":
+                        kinds["P1", i in (a, b)] += 1
+                    else:
+                        kinds["P2", ups[a] != base_ups[a], a == i] += 1
+    # every failure is where the restriction looks (a pair holding slot i,
+    # a lower block whose up-set grew), and each kind occurs, at slot i too
+    assert set(kinds) == {("P1", True), ("P2", True, True), ("P2", True, False)}
+
+
+def test_lower_covers_follow_the_runs():
+    # independent of the search: each lower cover of y splits one block B of
+    # y by one of the 2^|B| - |B| - 1 coatoms of the lattice on |B| values
+    for n, total in zip(range(1, 7), (0, 1, 8, 56, 408, 3232)):
+        below = Counter(c for p in all_permutations(n) for c in covers_up(mu(p)))
+        expected = Counter()
+        for p in all_permutations(n):
+            sizes = [r.bit_count() for r in run_masks(p.word)]
+            expected[mu(p)] = sum(2**k - k - 1 for k in sizes)
+        assert below == +expected, n
+        assert sum(expected.values()) == total, n
+
+
 def _check_block_search(w):
     state = block_masks(w)
     for i, j in combinable_slots(state, Preorder.complete(w.n)):
         bi, bj = Block.of(state[0][i]), Block.of(state[0][j])
-        found = list(_merge_candidates(w.n, state, i, j))
+        with _restricted_scans_checked():
+            found = list(_merge_candidates(w.n, state, i, j))
         covers = [c for _, c in found]
         assert covers == _relation_merge_candidates(w, bi, bj), (lam(w), bi, bj)
         for word, c in found:

@@ -64,6 +64,16 @@ def test_discrete_and_complete_blocks():
     assert members(Preorder.complete(4)) == [[1, 2, 3, 4]]
 
 
+def test_discrete_and_complete_are_packed_directly():
+    # equal to the closed row forms, with no closure pass of their own
+    for n in range(1, 12):
+        assert Preorder.discrete(n) == Preorder.from_rows(n, [0] * n)
+        assert Preorder.complete(n) == Preorder.from_rows(n, [(1 << n) - 1] * n)
+    for make in (Preorder.discrete, Preorder.complete):
+        with pytest.raises(ValueError, match="nonempty"):
+            make(0)
+
+
 def test_figure2_blocks_and_order():
     q = figure2_preorder()
     assert members(q) == [[1, 4], [2], [3], [5], [6, 7]]
