@@ -2,17 +2,24 @@
 The lattice of permutation pre-orders under containment of relations.
 
 Elements are the n! pre-orders mu(S_n); a <= b iff every related pair of a
-is related in b.  ``build_lattice`` enumerates everything and indexes it
-with one bitset kernel over the element indices.  a <= b iff each row of a
-lies inside the same row of b, so the kernel groups the elements by the
-value of each row, one mask per distinct value, and an element's up-set
-(down-set) is the AND over its n rows of the groups whose value contains
-(lies inside) its own.  The work follows the distinct row values, not 2^n.
-An element's covers are its up-set restricted to the next rank layer.  One
-mask check makes those covers the definitional ones (no element strictly
-between): each up-set must be the element itself plus the up-sets of its
-covers.  Read from the top rank down, that check also makes every rank
-layer an antichain.  A failure raises ``InvariantError``.
+is related in b.  ``build_lattice`` enumerates everything in one pass per
+word: it reads the word's descending runs once, packs mu from them and
+keeps them, as the blocks in placement order, for the ranks (n minus the
+number of runs) and the edge labels of ``shelling``; an interval takes
+them from its lam words.  It indexes the elements with one bitset kernel
+over the element indices.  a <= b iff each row of a lies inside the same
+row of b.  One transposition of all the relations gives, for each pair of
+values, the mask of the elements relating them; from those, each distinct
+value of each row gets the mask of the elements whose row contains it and
+of those whose row lies inside it, and an element's up-set (down-set) is
+the AND of the first (second) over its n rows.  The work follows the
+distinct row values, not 2^n.  An element's covers are its up-set
+restricted to the next rank layer.  One mask check makes those covers the
+definitional ones (no element strictly between): each up-set must be the
+element itself plus the up-sets of its covers.  Read from the top rank
+down, that check also makes every rank layer an antichain.  A failure
+raises ``InvariantError``.  Set bits are read off the wide masks from the
+top (``iter_bits``), so each step works on a shorter int.
 ``interval_lattice`` indexes one closed interval the same way, from the
 elements a ``covers_below`` walk finds, so its cost follows the interval
 rather than n!.
@@ -32,8 +39,9 @@ axioms ((P1) on the pairs holding the merged block, (P2) on the covers of
 the blocks whose up-sets grew since the merge), up to its first failure.
 
 A cover below top merges two combinable blocks inside one block of top;
-``combinable_slots`` is the one test of that, on a block state.
-``covers_below`` reads w's state once and merges only those pairs.
+``combinable_slots`` is the one test of that, on a block state, reading
+top one row per block.  ``covers_below`` reads w's state and builds the
+covers among its blocks once, and merges only those pairs.
 ``covers_up`` (the kernel's oracle in the tests and in ``verify --suite
 covers``) is its case top = complete, ``interval_lattice`` walks it, and
 the greedy chain of ``shelling`` merges the one pair it chose.
@@ -42,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, itemgetter
+from operator import and_, itemgetter, or_
 
 from .errors import IncomparableError, InvariantError, ResourceLimitError
 from .perms import Permutation, all_permutations
@@ -56,10 +64,10 @@ from .preorders import (
     lam,
     lam_order,
     lam_word,
-    mu,
     relate_blocks,
     require_block_axioms,
     require_permutation_preorder,
+    run_masks,
     runs_word,
 )
 
@@ -133,19 +141,26 @@ def _merge_candidates(n: int, state, i: int, j: int):
                     stack.append(oriented)
 
 
-def combinable_slots(state, top: Preorder):
+def combinable_slots(state, top: Preorder, covers=None):
     """Yield the slot pairs i < j of a ``block_masks`` state whose blocks lie
     inside one block of top and are incomparable or a cover: the merges
-    that can start a maximal chain from the state's pre-order below top."""
+    that can start a maximal chain from the state's pre-order below top.
+
+    The state's pre-order must lie below top, so each of its blocks lies
+    inside one block of top: two blocks share one iff each meets the row
+    of top at the other's min.  So top is read a row per block, and its
+    blocks are never formed.  The state's ``cover_masks`` may be passed as
+    ``covers``.
+    """
     masks, ups, _ = state
-    covers = cover_masks(masks, ups)
-    top_rows, top_cols = top.rows(), top.cols()
+    if covers is None:
+        covers = cover_masks(masks, ups)
+    n, row = top.n, (1 << top.n) - 1
+    top_ups = [top.bits >> n * ((b & -b).bit_length() - 1) & row for b in masks]
     for i, bi in enumerate(masks):
-        a = (bi & -bi).bit_length() - 1
-        together = top_rows[a] & top_cols[a]
         for j in range(i + 1, len(masks)):
             bj = masks[j]
-            if bj & together and (
+            if bj & top_ups[i] and bi & top_ups[j] and (
                 not (ups[i] & bj or ups[j] & bi) or covers[i] & bj or covers[j] & bi
             ):
                 yield i, j
@@ -163,13 +178,15 @@ def covers_below(w: Preorder, top: Preorder):
     """Yield (lam word, cover) for the covers of w below top, each once: a
     cover's blocks name the one pair of ``combinable_slots`` it merged.
 
-    w's block state is read once, checked against (P1)/(P2), and searched.
+    w's block state is read once, and the covers among its blocks built
+    once, for the (P1)/(P2) check and the combinable pairs alike.
     """
     if not leq(w, top):
         raise IncomparableError("w is not below top")
     state = block_masks(w)
-    require_block_axioms(*state)
-    for i, j in combinable_slots(state, top):
+    covers = cover_masks(state[0], state[1])
+    require_block_axioms(*state, covers)
+    for i, j in combinable_slots(state, top, covers):
         for word, cand in _merge_candidates(w.n, state, i, j):
             if cand <= top:
                 yield word, cand
@@ -194,21 +211,26 @@ class OmegaLattice:
     """The lattice on S_n, or one closed interval of it, indexed.
 
     Elements are indexed by the lexicographic order of their lam words, so
-    diagrams and reports are stable across runs.  ``up_mask[i]`` has bit j
+    diagrams and reports are stable across runs.  ``runs[i]`` holds the
+    value masks of the descending runs of words[i], left to right: the
+    blocks of elements[i] in their lam placement.  ``up_mask[i]`` has bit j
     set iff elements[i] <= elements[j], ``down_mask[i]`` bit j iff
     elements[j] <= elements[i], and ``layers[r]`` holds the elements of
     rank r (ranks are those of the full lattice).
     """
 
-    def __init__(self, n: int, elements, words):
+    def __init__(self, n: int, elements, words, *, runs=None):
         self.n = n
         self.elements: tuple[Preorder, ...] = tuple(elements)
         self.words: tuple[Permutation, ...] = tuple(words)
+        # the k-th descending run of a word is the block lam places k-th;
+        # ``build_lattice`` passes the runs mu was packed from
+        if runs is None:
+            runs = [run_masks(w.word) for w in self.words]
+        self.runs: tuple[tuple[int, ...], ...] = tuple(runs)
         self.index: dict[Preorder, int] = {q: i for i, q in enumerate(self.elements)}
-        # lam(q) has one descending run per block, so rank = n - runs = descents
-        self.rank: tuple[int, ...] = tuple(
-            sum(a > b for a, b in zip(w.word, w.word[1:])) for w in self.words
-        )
+        # one block per run, so rank = n - runs
+        self.rank: tuple[int, ...] = tuple([n - len(r) for r in self.runs])
         self.up_mask, self.down_mask = _relation_masks(n, self.elements)
         self.layers, self.covers = graded_covers(self.up_mask, self.rank)
         full = (1 << len(self.elements)) - 1
@@ -269,15 +291,19 @@ class OmegaLattice:
         """``json.dumps(self.to_json(), indent=2) + "\\n"``, written directly.
 
         The encoder's indented mode runs in pure Python, so the text is
-        assembled here instead; words are digits and commas, so quoting
-        needs no escapes.
+        assembled here instead: the node strings in one format of the word
+        values (digits, comma-separated above n = 9, as ``str`` writes a
+        word), and the edges from the index strings.  Nothing needs quoting.
         """
-        nodes = ",\n".join(f'    "{w}"' for w in self.words)
-        edges = ",\n".join(
-            f"    [\n      {i},\n      {j}\n    ]"
-            for i in range(len(self))
-            for j in self.covers[i]
-        )
+        sep = "" if self.n <= 9 else ","
+        node = '    "' + sep.join(["%d"] * self.n) + '"'
+        nodes = ",\n".join([node] * len(self)) % tuple([v for w in self.words for v in w.word])
+        text = [str(i) for i in range(len(self))]
+        edges = ",\n".join([
+            f"    [\n      {text[i]},\n      {text[j]}\n    ]"
+            for i, covers in enumerate(self.covers)
+            for j in covers
+        ])
         edges = f"[\n{edges}\n  ]" if edges else "[]"
         return f'{{\n  "n": {self.n},\n  "nodes": [\n{nodes}\n  ],\n  "edges": {edges}\n}}\n'
 
@@ -292,42 +318,35 @@ class OmegaLattice:
         return "\n".join(lines) + "\n"
 
 
-def iter_bits(mask: int):
-    """Indices of the set bits of a mask, ascending."""
+def iter_bits(mask: int) -> list[int]:
+    """Indices of the set bits of a mask, ascending.
+
+    The bits are peeled from the top, so each step works on a shorter int
+    (peeling the lowest bit would rebuild the full width every time).
+    """
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
+    return out
 
 
 def _relation_masks(n: int, elements) -> tuple[list[int], list[int]]:
     """Up-set and down-set masks of every element under containment.
 
     j is above i iff each row of j contains the same row of i, and below i
-    iff each row of j lies inside it.  So for each row index the elements
-    are grouped by their row value, one mask per distinct value
-    (``_row_groups``); the superset mask of a value is the OR of the groups
-    whose value contains it, the subset mask that of the groups whose value
-    lies inside it.  An element's up-set is the AND of the superset masks of
-    its n rows, its down-set the AND of the subset masks.  The work follows
-    the number of distinct row values, never 2^n.
+    iff each row of j lies inside it.  So for each row index and each
+    distinct value of that row, ``_row_groups`` gives the mask of the
+    elements whose row contains the value (the superset mask) and of those
+    whose row lies inside it (the subset mask).  An element's up-set is the
+    AND of the superset masks of its n rows, its down-set the AND of the
+    subset masks.  The work follows the number of distinct row values,
+    never 2^n.
     """
-    rows, supersets, subsets = [], [], []
-    for a in range(n):
-        values, groups = _row_groups(n, a, elements)
-        above_of, below_of = {}, {}
-        for v in groups:
-            above = below = 0
-            for w, mask in groups.items():
-                common = w & v
-                if common == v:
-                    above |= mask
-                if common == w:
-                    below |= mask
-            above_of[v], below_of[v] = above, below
-        rows.append(values)
-        supersets.append(above_of)
-        subsets.append(below_of)
+    pairs = _pair_masks(n, elements)
+    rows, supersets, subsets = zip(*(_row_groups(n, a, elements, pairs) for a in range(n)))
     # one element at a time, so no second list of full-width masks is alive
     per_element = list(zip(*rows))
     up_mask = [reduce(and_, map(dict.__getitem__, supersets, r)) for r in per_element]
@@ -335,14 +354,37 @@ def _relation_masks(n: int, elements) -> tuple[list[int], list[int]]:
     return up_mask, down_mask
 
 
-def _row_groups(n: int, a: int, elements) -> tuple[list[int], dict[int, int]]:
-    """Row a of every element, and for each distinct row value the mask of its elements."""
-    shift, row = a * n, (1 << n) - 1
+def _pair_masks(n: int, elements) -> list[int]:
+    """For each bit p = (a-1)*n + (b-1) of the packed relation, the mask of
+    the elements with that bit set, i.e. with a below b.
+
+    This transposes the relations in one pass: their binary forms, last
+    element first, joined into one digit string hold bit p of element i at
+    digit (size-1-i)*n*n + n*n-1-p, so every (n*n)-th digit from n*n-1-p is
+    bit p of each element, the last element's first.
+    """
+    nn, spec = n * n, f"0{n * n}b"
+    digits = "".join([format(q.bits, spec) for q in reversed(elements)])
+    return [int(digits[nn - 1 - p :: nn], 2) for p in range(nn)]
+
+
+def _row_groups(n: int, a: int, elements, pairs) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    """Row a of every element, and for each distinct value of that row the
+    superset mask (elements whose row a contains it: the AND of the pair
+    masks of its members) and the subset mask (those whose row a lies
+    inside it: the complement of the OR of the pair masks of the rest)."""
+    shift, row, full = a * n, (1 << n) - 1, (1 << len(elements)) - 1
     values = [q.bits >> shift & row for q in elements]
-    groups = dict.fromkeys(values, 0)
-    for i, v in enumerate(values):
-        groups[v] |= 1 << i
-    return values, groups
+    above_of, below_of = {}, {}
+    for v in set(values):
+        above, outside = full, 0
+        for b in range(n):
+            if v >> b & 1:
+                above &= pairs[shift + b]
+            else:
+                outside |= pairs[shift + b]
+        above_of[v], below_of[v] = above, full ^ outside
+    return values, above_of, below_of
 
 
 def graded_covers(up_mask, rank) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
@@ -358,12 +400,9 @@ def graded_covers(up_mask, rank) -> tuple[list[int], tuple[tuple[int, ...], ...]
     layers = [0] * (max(rank) + 2)
     for i, r in enumerate(rank):
         layers[r] |= 1 << i
-    covers = tuple(tuple(iter_bits(up & layers[rank[i] + 1])) for i, up in enumerate(up_mask))
+    covers = tuple([tuple(iter_bits(up & layers[rank[i] + 1])) for i, up in enumerate(up_mask)])
     for i, up in enumerate(up_mask):
-        generated = 1 << i
-        for c in covers[i]:
-            generated |= up_mask[c]
-        if generated != up:
+        if reduce(or_, map(up_mask.__getitem__, covers[i]), 1 << i) != up:
             raise InvariantError(f"up-set of element {i} is not generated by its covers")
     return layers[:-1], covers
 
@@ -377,8 +416,10 @@ def build_lattice(n: int, force: bool = False) -> OmegaLattice:
             f"cap is {LATTICE_SIZE_CAP} (use force to override)"
         )
     words = list(all_permutations(n))
-    elements = [mu(p) for p in words]
-    return OmegaLattice(n, elements, words)
+    # each word's runs are read once: mu packs from them and the lattice keeps them
+    runs = [run_masks(p.word) for p in words]
+    elements = [Preorder._of_runs(n, r) for r in runs]
+    return OmegaLattice(n, elements, words, runs=runs)
 
 
 def interval_lattice(bottom: Preorder, top: Preorder) -> OmegaLattice:

@@ -21,9 +21,11 @@ The elements of the lattice are the pre-orders satisfying two axioms:
 
 ``mu`` sends a permutation to such a pre-order (descending runs become
 blocks, overlapping runs are ordered left-below-right) and ``lam`` is its
-inverse.  ``lam`` writes the blocks as descending runs in the order
-``lam_order`` gives: a block's run is preceded by the blocks below it
-and by the incomparable blocks to its numeric left, a mask per block.
+inverse.  ``mu`` packs its bits straight from the word's ``run_masks``
+(``Preorder._of_runs``), so a caller holding the runs can keep them.
+``lam`` writes the blocks as descending runs in the order ``lam_order``
+gives: a block's run is preceded by the blocks below it and by the
+incomparable blocks to its numeric left, a mask per block.
 Sorted by popcount, those masks must be the nested prefixes of the order,
 which one O(m) pass checks (m blocks); a pre-order whose blocks admit no
 such order is rejected.
@@ -39,8 +41,8 @@ in O(m) mask ORs with no Warshall pass.  Each function here that takes a
 the first.  Given the merged slot and the up-sets right after a merge, it
 scans only the pairs that the cover search's merge and later steps can
 break; its docstring has the argument, and every other caller gets the
-full scan.  States the search accepts, and the bottom and top elements,
-are packed into ``bits`` directly, with no closure pass.
+full scan.  States the search accepts, mu's images, and the bottom and
+top elements are packed into ``bits`` directly, with no closure pass.
 """
 from __future__ import annotations
 
@@ -77,14 +79,17 @@ def span(mask: int) -> int:
     return (1 << mask.bit_length()) - (mask & -mask)
 
 
-def run_masks(word: Sequence[int]) -> list[int]:
+def run_masks(word: Sequence[int]) -> tuple[int, ...]:
     """Value masks of the descending runs of a word, left to right."""
-    masks = [0]
-    for prev, v in zip((0, *word), word):
-        if prev and v > prev:
-            masks.append(0)
-        masks[-1] |= 1 << (v - 1)
-    return masks
+    masks, run, prev = [], 0, 0
+    for v in word:
+        if v > prev and run:
+            masks.append(run)
+            run = 0
+        run |= 1 << (v - 1)
+        prev = v
+    masks.append(run)
+    return tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,8 @@ class Preorder:
         work = [rows[a] | (1 << a) for a in range(n)]
         if any(r >> n for r in work):
             raise ValueError(f"row masks reach beyond [1,{n}]")
-        return Preorder._packed(n, close_rows(work))
+        rows = close_rows(work)
+        return Preorder._unchecked(n, sum(rows[a] << (a * n) for a in range(n)))
 
     @staticmethod
     def _unchecked(n: int, bits: int) -> "Preorder":
@@ -122,11 +128,6 @@ class Preorder:
         object.__setattr__(q, "n", n)
         object.__setattr__(q, "bits", bits)
         return q
-
-    @staticmethod
-    def _packed(n: int, rows: Sequence[int]) -> "Preorder":
-        """Pack rows already reflexive and closed."""
-        return Preorder._unchecked(n, sum(rows[a] << (a * n) for a in range(n)))
 
     @staticmethod
     def _of_blocks(n: int, masks: Sequence[int], ups: Sequence[int]) -> "Preorder":
@@ -138,6 +139,28 @@ class Preorder:
                 low = mask & -mask
                 bits |= up << (n * (low.bit_length() - 1))
                 mask ^= low
+        return Preorder._unchecked(n, bits)
+
+    @staticmethod
+    def _of_runs(n: int, runs: Sequence[int]) -> "Preorder":
+        """Pack the pre-order of a word from its ``run_masks``: runs are blocks,
+        and of two runs with intersecting value intervals the one further
+        right is above.  Every such generator points right, so a run's up-set
+        is the run plus the up-sets of the overlapping runs to its right: one
+        pass from the right closes the relation, shifting each up-set into
+        the row of each of its run's values as ``_of_blocks`` does."""
+        bits = 0
+        done = []  # (span, up-set) of the runs to the right
+        for mask in reversed(runs):
+            run_span, up = (1 << mask.bit_length()) - (mask & -mask), mask  # span(mask)
+            for right_span, right_up in done:
+                if run_span & right_span:
+                    up |= right_up
+            done.append((run_span, up))
+            while mask:
+                v = mask.bit_length() - 1
+                bits |= up << (n * v)
+                mask ^= 1 << v
         return Preorder._unchecked(n, bits)
 
     @staticmethod
@@ -320,12 +343,13 @@ def cover_masks(masks: Sequence[int], ups: Sequence[int]) -> list[int]:
     return covers
 
 
-def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], merged=None):
+def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], merged=None, covers=None):
     """Yield the (P1)/(P2) failures of a pre-order given by its blocks, lazily,
     P1 first and pairs in block order, so a caller can stop at the first.
 
     The arguments are a ``block_masks`` state: block value masks sorted by
-    min, and the up-set and down-set of each block.
+    min, and the up-set and down-set of each block.  A caller that already
+    holds the state's ``cover_masks`` may pass them as ``covers``.
 
     ``merged = (i, base_ups)`` restricts the scan to what a step of the
     cover search (``lattice._merge_candidates``) can break.  That search
@@ -371,7 +395,8 @@ def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[i
             if bk & free and bk & ~below and bk & upto:
                 first, second = (bk, bi) if k < i else (bi, bk)
                 yield Violation("P1", Block.of(first), Block.of(second))
-    covers = cover_masks(masks, ups) if lower else []
+    if covers is None:
+        covers = cover_masks(masks, ups) if lower else []
     for a in lower:
         b, cover = masks[a], covers[a]
         below, upto = (b & -b) - 1, (1 << b.bit_length()) - 1
@@ -391,9 +416,10 @@ def is_permutation_preorder(q: Preorder) -> bool:
     return not axiom_violations(q)
 
 
-def require_block_axioms(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> None:
-    """Raise InvalidPreorderError naming every (P1)/(P2) failure of a ``block_masks`` state."""
-    bad = list(block_violations(masks, ups, downs))
+def require_block_axioms(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], covers=None) -> None:
+    """Raise InvalidPreorderError naming every (P1)/(P2) failure of a ``block_masks``
+    state (its ``cover_masks`` may be passed as ``covers``)."""
+    bad = list(block_violations(masks, ups, downs, None, covers))
     if bad:
         raise InvalidPreorderError("; ".join(str(v) for v in bad))
 
@@ -408,21 +434,10 @@ def mu(p: Permutation) -> Preorder:
 
     Of two distinct runs with intersecting value intervals, the one further
     right in the word gives the greater block; the relation is the
-    transitive closure of these generators.  Every generator points right,
-    so a run's up-set is the run plus the up-sets of the overlapping runs
-    to its right: one pass from the right closes the relation.
+    transitive closure of these generators, packed by ``Preorder._of_runs``
+    from the word's ``run_masks``.
     """
-    rows = [0] * p.n
-    done = []  # (span, up-set) of the runs to the right
-    for mask in reversed(run_masks(p.word)):
-        run_span, up = span(mask), mask
-        for right_span, right_up in done:
-            if run_span & right_span:
-                up |= right_up
-        done.append((run_span, up))
-        for v in mask_values(mask):
-            rows[v - 1] = up
-    return Preorder._packed(p.n, rows)
+    return Preorder._of_runs(p.n, run_masks(p.word))
 
 
 def lam_order(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], q: Preorder) -> list[int]:

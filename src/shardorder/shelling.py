@@ -15,10 +15,13 @@ and disagreement is fatal.
 Whole-interval counts run on an indexed lattice (``OmegaLattice``): the
 interval [b, t] is the mask ``up_mask[b] & down_mask[t]`` and its edges are
 the kernel's covers inside it.  Each edge label is computed once, from the
-descending runs of the lattice words (lam(mu(p)) = p, so the k-th run of
-the lower word is the block placed k-th).  Chains are counted by recursion
-memoized on (element, last label), and the Moebius recursion sums, for each
-element, one mask per distinct value over its down-set.  A caller may
+run masks the lattice keeps for each word (lam(mu(p)) = p, so the k-th run
+of the lower word is the block placed k-th): it is the position of the
+rightmost of the two lower runs that the upper element lacks, and a cover
+that does not lack exactly two raises ``InvariantError``.  No run is
+computed again here.  Chains are counted by recursion memoized on
+(element, last label), and the Moebius recursion sums, for each element,
+one mask per distinct value over its down-set.  A caller may
 pass the full lattice (``build_lattice``) and reuse it; without one, each
 call indexes just the interval (``interval_lattice``), so small intervals
 stay cheap at any n.
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 from .errors import IncomparableError, InvariantError
 from .lattice import OmegaLattice, _merge_candidates, combinable_slots, interval_lattice, iter_bits, leq
-from .preorders import Block, Preorder, block_masks, lam, mask_placements, run_masks
+from .preorders import Block, Preorder, block_masks, lam, mask_placements
 
 
 def _merged_masks(lower: Preorder, upper: Preorder, lower_masks) -> list[int]:
@@ -119,40 +122,50 @@ def _indexed(bottom: Preorder, top: Preorder, lattice: OmegaLattice | None):
 
 
 def _labeled_edges(lat: OmegaLattice, inside: int) -> dict[int, list[tuple[int, int]]]:
-    """For each element of the interval mask: its covers inside, with labels."""
-    runs = {i: run_masks(lat.words[i].word) for i in iter_bits(inside)}
-    run_sets = {i: set(masks) for i, masks in runs.items()}
-    out = {}
-    for i, masks in runs.items():
-        lower = run_sets[i]
-        place = {mask: k for k, mask in enumerate(masks, start=1)}
+    """For each element of the interval mask: its covers inside, with labels.
+
+    The lower element's runs (``lat.runs``) are its blocks in placement
+    order, so a cover's label is the position of the rightmost of the two
+    lower runs that are not runs of the upper element.
+    """
+    runs, out = lat.runs, dict.fromkeys(iter_bits(inside))
+    for i in out:
+        lower = runs[i]
+        lower_set = set(lower)
         edges = []
         for c in lat.covers[i]:
-            upper = run_sets.get(c)  # None outside the interval
-            if upper is None:
+            if c not in out:  # outside the interval
                 continue
-            merged = lower - upper
+            merged = lower_set.difference(runs[c])
             if len(merged) != 2:
                 raise InvariantError(f"cover {lat.words[i]} -> {lat.words[c]} does not merge two blocks")
-            first, second = merged
-            edges.append((c, max(place[first], place[second])))
+            label = len(lower)
+            while lower[label - 1] not in merged:
+                label -= 1
+            edges.append((c, label))
         out[i] = edges
     return out
 
 
 def _count_chains(edges, bottom: int, top: int, start: int, keep) -> int:
-    """Maximal chains whose consecutive labels satisfy keep(label, last)."""
+    """Maximal chains whose consecutive labels satisfy keep(label, last).
+
+    The count from an element depends on the label that entered it, so it
+    is memoized on (element, label), and read from the memo before any call.
+    """
     memo = {}
 
     def count(i: int, last: int) -> int:
-        if i == top:
-            return 1
-        key = (i, last)
-        if key not in memo:
-            memo[key] = sum(count(c, lab) for c, lab in edges[i] if keep(lab, last))
-        return memo[key]
+        total = 0
+        for c, lab in edges[i]:
+            if keep(lab, last):
+                ways = memo.get((c, lab))
+                if ways is None:
+                    ways = memo[c, lab] = 1 if c == top else count(c, lab)
+                total += ways
+        return total
 
-    return count(bottom, start)
+    return 1 if bottom == top else count(bottom, start)
 
 
 def count_decreasing_chains(
@@ -187,9 +200,11 @@ def _mobius_recursion(lat: OmegaLattice, b: int, t: int, inside: int) -> int:
     """
     by_value = {1: 1 << b}
     for r in range(lat.rank[b] + 1, lat.rank[t] + 1):
+        # no element of rank r lies below another, so the layer reads the values so far
+        found = list(by_value.items())
         for y in iter_bits(inside & lat.layers[r]):
             below = lat.down_mask[y]
-            value = -sum(v * (mask & below).bit_count() for v, mask in by_value.items())
+            value = -sum([v * (mask & below).bit_count() for v, mask in found])
             by_value[value] = by_value.get(value, 0) | 1 << y
     return next(v for v, mask in by_value.items() if mask >> t & 1)
 

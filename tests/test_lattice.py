@@ -389,16 +389,26 @@ def test_interval_index_work_follows_the_distinct_rows(monkeypatch):
     grouped = []
     real = lattice_module._row_groups
 
-    def counted(n, a, elements):
-        values, groups = real(n, a, elements)
-        grouped.append(len(groups))
-        return values, groups
+    def counted(n, a, elements, pairs):
+        values, above_of, below_of = real(n, a, elements, pairs)
+        grouped.append(len(above_of))
+        return values, above_of, below_of
 
     monkeypatch.setattr(lattice_module, "_row_groups", counted)
     sub = interval_lattice(Preorder.discrete(9), mu(P("432156789")))
     assert len(sub) == 24 and len(grouped) == 9
     assert all(1 <= g <= 24 for g in grouped)
     assert (sub.up_mask, sub.down_mask, sub.covers) == _pairwise_oracle(sub)
+
+
+def test_iter_bits_gives_the_set_bits_ascending():
+    # dense masks as the Moebius layers see them, sparse ones as cover extraction does
+    rng = random.Random(20261018)
+    masks = [0, *(1 << k for k in range(0, 6000, 37))]
+    masks += [rng.getrandbits(rng.randint(1, 6000)) for _ in range(60)]
+    masks += [sum(1 << k for k in rng.sample(range(6000), rng.randint(1, 12))) for _ in range(60)]
+    for m in masks:
+        assert list(iter_bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 def test_rank_layer_that_is_not_an_antichain_is_rejected(lattice):

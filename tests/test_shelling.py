@@ -1,8 +1,12 @@
+import math
+import sys
+
 import pytest
 
+import shardorder.preorders as preorders
 import shardorder.shelling as shelling
 from shardorder.errors import IncomparableError, InvalidPreorderError, InvariantError
-from shardorder.lattice import combinable_pairs, covers_up, leq
+from shardorder.lattice import OmegaLattice, build_lattice, combinable_pairs, covers_up, leq
 from shardorder.perms import Permutation, all_permutations, is_indecomposable
 from shardorder.preorders import Preorder, blocks, lam, mu
 from shardorder.shelling import (
@@ -312,3 +316,33 @@ def test_el_checks_raise_invariant_error(monkeypatch):
     monkeypatch.setattr(shelling, "mask_placements", lambda state, q: dict.fromkeys(state[0], 1))
     with pytest.raises(InvariantError, match="must be unique"):
         increasing_chain(bot, top)
+
+
+def test_cover_that_does_not_merge_two_runs_raises(lattice):
+    # two atoms trade runs: the ranks, and so the kernel's covers, stay, but
+    # the runs of an atom no longer coarsen into those of its covers
+    lat = lattice(4)
+    runs = list(lat.runs)
+    i, j = lat.covers[lat.bottom][:2]
+    runs[i], runs[j] = runs[j], runs[i]
+    traded = OmegaLattice(4, lat.elements, lat.words, runs=runs)
+    with pytest.raises(InvariantError, match="does not merge two blocks"):
+        chain_counts(Preorder.discrete(4), Preorder.complete(4), traded)
+
+
+def test_whole_lattice_reads_each_word_once(monkeypatch):
+    # the runs mu packs from are the runs the edge labels read: one call per word
+    real, calls = preorders.run_masks, []
+
+    def counted(word):
+        calls.append(word)
+        return real(word)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "shardorder" and getattr(module, "run_masks", None) is real:
+            monkeypatch.setattr(module, "run_masks", counted)
+    for n in range(1, 7):
+        calls.clear()
+        lat = build_lattice(n)
+        chain_report(Preorder.discrete(n), Preorder.complete(n), lat)
+        assert len(calls) == math.factorial(n), n
