@@ -32,8 +32,9 @@ candidates that are valid elements with exactly one block fewer; it is the
 one constructive path to covers, and it yields each with its lam word.  Its
 search runs on the m blocks of a ``block_masks`` state, not on the n rows:
 each merge or orientation is one ``relate_blocks`` step (O(m) mask ORs in
-place of Warshall's closure), checked by ``block_violations`` and written
-out by ``lam_order``.  The search starts from a valid state and only adds
+place of Warshall's closure) and is checked by ``block_violations``; a
+cover's word and bits are written in one pass over its ``lam_order``
+(``lam_packed``).  The search starts from a valid state and only adds
 relations, so each state is scanned only where a step can break the
 axioms ((P1) on the pairs holding the merged block, (P2) on the covers of
 the blocks whose up-sets grew since the merge), up to its first failure.
@@ -62,13 +63,12 @@ from .preorders import (
     cover_masks,
     is_permutation_preorder,
     lam,
-    lam_order,
+    lam_packed,
     lam_word,
     relate_blocks,
     require_block_axioms,
     require_permutation_preorder,
     run_masks,
-    runs_word,
 )
 
 LATTICE_SIZE_CAP = 7
@@ -130,8 +130,7 @@ def _merge_candidates(n: int, state, i: int, j: int):
         ups, downs = stack.pop()
         bad = next(block_violations(masks, ups, downs, since), None)
         if bad is None:
-            cover = Preorder._of_blocks(n, masks, ups)
-            yield runs_word(lam_order(masks, ups, downs, cover)), cover
+            yield lam_packed(n, masks, ups, downs)
         elif bad.axiom == "P1":
             # orient the first overlapping incomparable pair both ways
             cx, cy = bad.first.mask, bad.second.mask

@@ -43,6 +43,14 @@ scans only the pairs that the cover search's merge and later steps can
 break; its docstring has the argument, and every other caller gets the
 full scan.  States the search accepts, mu's images, and the bottom and
 top elements are packed into ``bits`` directly, with no closure pass.
+
+Pre-orders built from given blocks (JSON input, noncrossing elements) are
+closed on the blocks too: ``close_blocks`` takes disjoint value masks and
+index pairs and returns their closure's block state directly, by
+Warshall's algorithm on the m blocks (O(m^2) mask ORs) instead of on the
+n rows, with no packed relation read back, or None when the closure would
+merge given blocks.  ``lam_packed`` then writes a state's lam word and its
+``bits`` in one pass over ``lam_order``.
 """
 from __future__ import annotations
 
@@ -169,18 +177,6 @@ class Preorder:
         rows = [0] * n
         for a, b in pairs:
             rows[a - 1] |= 1 << (b - 1)
-        return Preorder.from_rows(n, rows)
-
-    @staticmethod
-    def from_blocks(n: int, masks: Sequence[int], less=()) -> "Preorder":
-        """Closure of the value masks as classes, masks[i] below masks[j] per (i, j) in less."""
-        rows = [0] * n
-        for mask in masks:
-            for v in mask_values(mask):
-                rows[v - 1] |= mask
-        for i, j in less:
-            for v in mask_values(masks[i]):
-                rows[v - 1] |= masks[j]
         return Preorder.from_rows(n, rows)
 
     @staticmethod
@@ -328,6 +324,41 @@ def relate_blocks(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]
     )
 
 
+def close_blocks(masks: Sequence[int], less) -> tuple[list[int], list[int], list[int]] | None:
+    """The ``block_masks`` state of the closure of disjoint value masks taken as
+    classes, masks[i] below masks[j] for each index pair (i, j) in ``less``;
+    None if the closure would merge given blocks.
+
+    Every generator relates whole blocks, so every up-set is a union of
+    blocks and block a reaches block k iff a's up-set meets k.  Warshall's
+    closure therefore runs on the m blocks, not on the n rows: O(m^2) mask
+    tests and ORs.  A block's down-set is the union of the blocks whose
+    up-sets meet it, and blocks merge iff some block's up-set and down-set
+    share more than the block.
+    """
+    ups = list(masks)
+    for i, j in less:
+        ups[i] |= masks[j]
+    for k, (bk, up) in enumerate(zip(masks, ups)):
+        if up != bk:  # else block k adds nothing above what reaches it
+            for a, ua in enumerate(ups):
+                if ua & bk:
+                    ups[a] = ua | up
+    downs = list(masks)
+    for b, up in zip(masks, ups):
+        if up != b:
+            for k, bk in enumerate(masks):
+                if up & bk:
+                    downs[k] |= b
+    if any(u & d != b for b, u, d in zip(masks, ups, downs)):
+        return None
+    mins = [b & -b for b in masks]
+    if mins != sorted(mins):
+        order = sorted(range(len(masks)), key=mins.__getitem__)
+        masks, ups, downs = ([s[a] for a in order] for s in (masks, ups, downs))
+    return list(masks), ups, downs
+
+
 def cover_masks(masks: Sequence[int], ups: Sequence[int]) -> list[int]:
     """For each block of a ``block_masks`` state, the union of the blocks covering it:
     those strictly above it (its up-set minus itself) and above no other of those."""
@@ -375,7 +406,7 @@ def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[i
     """
     if merged is None:
         lower = range(len(masks))
-        spans = [span(b) for b in masks]
+        spans = [(1 << b.bit_length()) - (b & -b) for b in masks]  # span(b)
         unrelated = [~(u | d) for u, d in zip(ups, downs)]
         # of two overlapping blocks, one has a value inside the other's interval,
         # so (P1) fails only if some block's interval holds a value unrelated to it
@@ -440,8 +471,8 @@ def mu(p: Permutation) -> Preorder:
     return Preorder._of_runs(p.n, run_masks(p.word))
 
 
-def lam_order(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], q: Preorder) -> list[int]:
-    """Block masks of q in the left-to-right order their runs take in lam(q).
+def lam_order(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> list[int]:
+    """Block masks of a pre-order q in the left-to-right order their runs take in lam(q).
 
     ``masks``, ``ups`` and ``downs`` are q's blocks as ``block_masks`` gives them.
     Comparable blocks follow the block order; incomparable blocks (whose
@@ -456,7 +487,9 @@ def lam_order(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], q:
     placed = 0
     for before, b in keyed:
         if before != placed:
-            raise InvalidPreorderError(f"blocks of {q} are not totally orderable at {Block.of(b)}")
+            raise InvalidPreorderError(
+                f"blocks {[Block.of(m) for m in masks]} are not totally orderable at {Block.of(b)}"
+            )
         placed |= b
     return [b for _, b in keyed]
 
@@ -474,7 +507,24 @@ def runs_word(masks) -> tuple[int, ...]:
 
 def lam_word(q: Preorder) -> tuple[int, ...]:
     """The word of lam(q) for a q already checked against (P1)/(P2)."""
-    return runs_word(lam_order(*block_masks(q), q))
+    return runs_word(lam_order(*block_masks(q)))
+
+
+def lam_packed(n: int, masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]):
+    """(lam word, pre-order) of a closed ``block_masks`` state on [n], in one pass
+    over its ``lam_order`` (which raises if the blocks have no run order):
+    each block writes its run and shifts its up-set into the row of each
+    of its values, as ``Preorder._of_blocks`` does."""
+    up_of = dict(zip(masks, ups))
+    word, bits = [], 0
+    for b in lam_order(masks, ups, downs):
+        up = up_of[b]
+        while b:
+            v = b.bit_length() - 1
+            word.append(v + 1)
+            bits |= up << (n * v)
+            b ^= 1 << v
+    return tuple(word), Preorder._unchecked(n, bits)
 
 
 def lam(q: Preorder) -> Permutation:
@@ -484,27 +534,28 @@ def lam(q: Preorder) -> Permutation:
     """
     state = block_masks(q)
     require_block_axioms(*state)
-    return Permutation(runs_word(lam_order(*state, q)))
+    return Permutation(runs_word(lam_order(*state)))
 
 
-def mask_placements(state, q: Preorder) -> dict[int, int]:
-    """1-based position of each block mask of q's ``block_masks`` state in lam(q).
+def mask_placements(state, covers=None) -> dict[int, int]:
+    """1-based position of each block mask of a pre-order q's ``block_masks`` state
+    in lam(q).  A caller holding the state's ``cover_masks`` may pass them.
 
     Raises InvalidPreorderError if the state fails (P1)/(P2).
     """
-    require_block_axioms(*state)
-    return {b: k for k, b in enumerate(lam_order(*state, q), start=1)}
+    require_block_axioms(*state, covers)
+    return {b: k for k, b in enumerate(lam_order(*state), start=1)}
 
 
 def placements(q: Preorder) -> dict[Block, int]:
     """1-based position of each block's run in lam(q), left to right."""
-    return {Block.of(b): k for b, k in mask_placements(block_masks(q), q).items()}
+    return {Block.of(b): k for b, k in mask_placements(block_masks(q)).items()}
 
 
 def preorder_to_json(q: Preorder) -> dict:
     """JSON form: blocks in lam order plus the cover pairs of the block order."""
     masks, ups, downs = block_masks(q)
-    order = lam_order(masks, ups, downs, q)
+    order = lam_order(masks, ups, downs)
     cover_of = dict(zip(masks, cover_masks(masks, ups)))
     less = [[i, j] for i, b in enumerate(order) for j, c in enumerate(order) if cover_of[b] & c]
     return {"n": q.n, "blocks": [mask_values(b) for b in order], "less": less}
@@ -562,10 +613,8 @@ def partition_masks(block_sets, n: int) -> list[int]:
 def preorder_from_json(data: dict) -> Preorder:
     """Rebuild a pre-order from its JSON form and validate (P1)/(P2)."""
     n = check_json_shape(data)
-    masks = partition_masks(data["blocks"], n)
-    q = Preorder.from_blocks(n, masks, data.get("less", []))
-    state = block_masks(q)
-    if set(state[0]) != set(masks):
+    state = close_blocks(partition_masks(data["blocks"], n), data.get("less", []))
+    if state is None:
         raise ValueError("order relations collapse the given blocks")
     require_block_axioms(*state)
-    return q
+    return Preorder._of_blocks(n, state[0], state[1])

@@ -7,7 +7,9 @@ maximal chain with a weakly increasing label word, found greedily: among
 the pairs that can be combined on the way to the top
 (``lattice.combinable_slots``), merge the one whose larger placement is
 smallest; exactly one of the covers ``lattice`` builds for that merge lies
-below top.  Each step reads the block state of its element once.  The
+below top.  Each step reads the block state of its element once and
+builds its block covers once, for the (P1)/(P2) check and the combinable
+pairs alike.  The
 number of strictly decreasing maximal chains gives the Moebius number up
 to sign; the classical recursion is run alongside as an independent check
 and disagreement is fatal.
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 from .errors import IncomparableError, InvariantError
 from .lattice import OmegaLattice, _merge_candidates, combinable_slots, interval_lattice, iter_bits, leq
-from .preorders import Block, Preorder, block_masks, lam, mask_placements
+from .preorders import Block, Preorder, block_masks, cover_masks, lam, mask_placements
 
 
 def _merged_masks(lower: Preorder, upper: Preorder, lower_masks) -> list[int]:
@@ -64,7 +66,7 @@ def merged_pair(lower: Preorder, upper: Preorder) -> tuple[Block, Block]:
 def edge_label(lower: Preorder, upper: Preorder) -> int:
     """Larger placement (in ``lower``) of the two blocks the cover merges."""
     state = block_masks(lower)
-    place = mask_placements(state, lower)
+    place = mask_placements(state)
     b1, b2 = _merged_masks(lower, upper, state[0])
     label = max(place[b1], place[b2])
     if not 2 <= label <= len(state[0]):
@@ -92,9 +94,10 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
     while chain[-1] != top:
         cur = chain[-1]
         state = block_masks(cur)
-        masks, place = state[0], mask_placements(state, cur)
+        masks, covers = state[0], cover_masks(state[0], state[1])
+        place = mask_placements(state, covers)
         label = {
-            (i, j): max(place[masks[i]], place[masks[j]]) for i, j in combinable_slots(state, top)
+            (i, j): max(place[masks[i]], place[masks[j]]) for i, j in combinable_slots(state, top, covers)
         }
         ranked = sorted(label, key=label.get)
         if not ranked:

@@ -20,10 +20,16 @@ construction passes over S_n.
 The orientation rule is one mask function (``_orientation``): the members
 of each block strictly inside the other's interval, split by the mask of
 upper-barred values, say which directions a pair demands.  Each element
-is closed once and its block state (``block_masks``) read once; every
-check runs on that state: the closure kept the blocks, (P1)/(P2), the
-closing noncrossing check, and the run order whose lam word is the sort
-key.  ``is_noncrossing_preorder`` is the same closing check.
+is built from its blocks alone: its demands are computed once, and its
+blocks are closed once on the block state (``close_blocks``: O(m^2) mask
+ORs on the m blocks, no rows and no packed relation read back).  Every
+check then runs once on that state: no witness conflict, the closure kept
+the blocks, (P1)/(P2), the closing noncrossing check (the crossing test
+on cycle positions read from the masks, and the orientation against the
+demands), and the run order whose lam word is the sort key, written in
+one pass with the packed bits (``lam_packed``).  ``is_noncrossing_preorder``
+is the same closing check; a partition given by the user is also tested
+for crossing up front, so it fails with ``CrossingPartitionError``.
 """
 from __future__ import annotations
 
@@ -43,11 +49,10 @@ from .preorders import (
     Block,
     Preorder,
     block_masks,
-    lam_order,
-    mask_values,
+    close_blocks,
+    lam_packed,
     partition_masks,
     require_block_axioms,
-    runs_word,
     span,
 )
 
@@ -200,7 +205,15 @@ def _crosses(a: int, b: int) -> bool:
 def _places(masks, bar: Barring) -> list[int]:
     """The cycle-position mask of each value mask."""
     positions = bar.positions
-    return [sum(positions[v - 1] for v in mask_values(mask)) for mask in masks]
+    places = []
+    for mask in masks:
+        place = 0
+        while mask:
+            v = mask.bit_length() - 1
+            place |= positions[v]
+            mask ^= 1 << v
+        places.append(place)
+    return places
 
 
 def _places_noncrossing(places) -> bool:
@@ -231,20 +244,23 @@ def _orientation(b1: int, b2: int, upper: int) -> tuple[bool, bool]:
 
 def _demands(masks, bar: Barring):
     """(i, j, below demanded, above demanded) for each overlapping pair i < j of the masks."""
-    spans = [span(b) for b in masks]
+    spans = [(1 << b.bit_length()) - (b & -b) for b in masks]  # span(b)
     for i, j in itertools.combinations(range(len(masks)), 2):
         if spans[i] & spans[j]:
             yield i, j, *_orientation(masks[i], masks[j], bar.upper_mask)
 
 
-def _noncrossing(masks, ups, bar: Barring) -> bool:
+def _noncrossing(masks, ups, bar: Barring, demands=None) -> bool:
     """The closing check on a pre-order's ``block_masks`` (value masks, up-sets).
 
     The blocks must be noncrossing on the cycle, and no overlapping pair
-    may have a demand against the direction its up-sets give.
+    may have a demand against the direction its up-sets give.  A caller
+    that already holds ``_demands(masks, bar)`` may pass them as ``demands``.
     """
+    if demands is None:
+        demands = _demands(masks, bar)
     return _places_noncrossing(_places(masks, bar)) and not any(
-        above if ups[i] & masks[j] else below for i, j, below, above in _demands(masks, bar)
+        above if ups[i] & masks[j] else below for i, j, below, above in demands
     )
 
 
@@ -257,27 +273,28 @@ def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
     return _noncrossing(masks, ups, barring_of(c))
 
 
-def _noncrossing_partitions(cells: list[tuple[int, int]]):
-    """Noncrossing partitions of consecutive cycle positions.
+def _noncrossing_partitions(cells: list[int]):
+    """Noncrossing partitions of consecutive cycle positions, as value masks.
 
-    ``cells[k]`` is the (value mask, position mask) pair of the k-th
-    position, and each block is the union of its cells, so the partitions
-    come with the position masks the crossing check reads.  The block of
-    the first position comes first: either it stands alone, or its next
-    member is some position j and the positions strictly between them are
-    partitioned on their own.
+    ``cells[k]`` is the value mask of the k-th position, and each block is
+    the union of its cells.  The positions are read in order, with a stack
+    of the blocks still open: each position opens a new block, or joins an
+    open block and closes every block opened after it, which could only
+    gain members by crossing it.  Each partition arises from exactly one
+    such sequence of choices.  The choices are explored depth first from
+    one list of pending (position, closed blocks, open blocks) states, so
+    one generator frame yields every partition.
     """
-    if not cells:
-        yield []
-        return
-    for rest in _noncrossing_partitions(cells[1:]):
-        yield [cells[0], *rest]
-    value, place = cells[0]
-    for j in range(1, len(cells)):
-        for inner in _noncrossing_partitions(cells[1:j]):
-            for rest in _noncrossing_partitions(cells[j:]):
-                next_value, next_place = rest[0]
-                yield [(value | next_value, place | next_place), *inner, *rest[1:]]
+    pending = [(0, [], [])]
+    while pending:
+        k, closed, stack = pending.pop()
+        if k == len(cells):
+            yield closed + stack
+            continue
+        cell = cells[k]
+        pending.append((k + 1, closed, stack + [cell]))
+        for d in range(len(stack)):
+            pending.append((k + 1, closed + stack[d + 1 :], stack[:d] + [stack[d] | cell]))
 
 
 def noncrossing_preorders(c: CoxeterElement) -> list[Preorder]:
@@ -287,11 +304,8 @@ def noncrossing_preorders(c: CoxeterElement) -> list[Preorder]:
     arXiv:0909.3288), so the cost is Catalan(n) constructions, not n!.
     """
     bar = barring_of(c)
-    cells = [(1 << (v - 1), 1 << k) for k, v in enumerate(bar.cycle)]
-    keyed = [
-        _order_of_partition([v for v, _ in part], [p for _, p in part], bar)
-        for part in _noncrossing_partitions(cells)
-    ]
+    cells = [1 << (v - 1) for v in bar.cycle]
+    keyed = [_order_of_partition(part, bar) for part in _noncrossing_partitions(cells)]
     keyed.sort(key=itemgetter(0))
     return [q for _, q in keyed]
 
@@ -300,36 +314,39 @@ def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
     """The unique noncrossing pre-order with the given noncrossing blocks."""
     bar = barring_of(c)
     masks = partition_masks(block_sets, c.n)
-    return _order_of_partition(masks, _places(masks, bar), bar)[1]
+    if not _places_noncrossing(_places(masks, bar)):
+        raise CrossingPartitionError("blocks interleave on the cycle of c")
+    return _order_of_partition(masks, bar)[1]
 
 
-def _order_of_partition(masks: list[int], places: list[int], bar: Barring) -> tuple[tuple[int, ...], Preorder]:
+def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...], Preorder]:
     """(lam word, pre-order) of the noncrossing pre-order whose blocks are the value masks.
 
-    ``places`` holds the cycle-position mask of each block.  Each
-    overlapping pair is oriented by the mask rule ``_orientation``;
+    Each overlapping pair is oriented by the mask rule ``_orientation``;
     conflicting demands would mean the partition admits no such pre-order,
     which the theory rules out for noncrossing input, so that case is
-    fatal.  The closure's block state is then read once (``block_masks``)
-    and every later check runs on it, once: the closure kept the given
-    blocks, (P1)/(P2) hold, the closing ``_noncrossing`` check passes (it
-    reads the blocks' cycle positions afresh, not ``places``), and the
-    blocks have a run order (``lam_order``, whose word is the sort key).
+    fatal.  The blocks are closed on their own (``close_blocks``, no rows),
+    and every later check runs once on that block state: the closure kept
+    the given blocks, (P1)/(P2) hold, the closing ``_noncrossing`` check
+    passes (the crossing test on cycle positions read from the masks, and
+    the orientation against the demands computed here), and the blocks have
+    a run order (``lam_order``, whose word is the sort key, written in one
+    pass with the packed bits).
     """
-    if not _places_noncrossing(places):
-        raise CrossingPartitionError("blocks interleave on the cycle of c")
+    # in the state's min order, so the demands' indices are the state's
+    masks = sorted(masks, key=lambda b: b & -b)
+    demands = list(_demands(masks, bar))
     less = []
-    for i, j, below, above in _demands(masks, bar):
+    for i, j, below, above in demands:
         if below == above:
             raise InvariantError(
                 f"witnesses disagree on the orientation of {Block.of(masks[i])} vs {Block.of(masks[j])}"
             )
         less.append((i, j) if below else (j, i))
-    q = Preorder.from_blocks(bar.n, masks, less)
-    state = block_masks(q)
-    if set(state[0]) != set(masks):
+    state = close_blocks(masks, less)
+    if state is None:
         raise InvariantError("orientation closure collapsed the given blocks")
     require_block_axioms(*state)
-    if not _noncrossing(state[0], state[1], bar):
+    if not _noncrossing(state[0], state[1], bar, demands):
         raise InvariantError("constructed pre-order is not noncrossing")
-    return runs_word(lam_order(*state, q)), q
+    return lam_packed(bar.n, *state)

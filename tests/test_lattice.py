@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -171,15 +172,44 @@ def test_each_call_reads_the_block_state_once(monkeypatch):
     monkeypatch.setattr(lattice_module, "block_masks", spied)
     for p in (P("1"), P("26314758"), P("231978456"), P("987654321")):
         q = mu(p)
-        for fn, arg in (
-            (preorders.lam, q),
-            (preorders.preorder_to_json, q),
-            (preorders.preorder_from_json, preorders.preorder_to_json(q)),
-            (covers_up, q),
+        # preorder_from_json closes the given blocks itself (close_blocks),
+        # so it never reads a packed pre-order's state
+        for fn, arg, reads in (
+            (preorders.lam, q, [q]),
+            (preorders.preorder_to_json, q, [q]),
+            (preorders.preorder_from_json, preorders.preorder_to_json(q), []),
+            (covers_up, q, [q]),
         ):
             calls.clear()
             fn(arg)
-            assert calls == [q], (fn.__name__, p)
+            assert calls == reads, (fn.__name__, p)
+
+
+def test_each_cover_is_written_in_one_pass(monkeypatch):
+    # the word rule (lam_order) runs on every cover found, and the cover's
+    # word and bits come from that one pass, not from a packing and a
+    # runs_word pass of their own
+    import shardorder.preorders as preorders
+
+    calls = Counter()
+
+    def spy(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in ("lam_order", "runs_word"):
+        real = getattr(preorders, name)
+        for module in list(sys.modules.values()):
+            if module.__name__.split(".")[0] == "shardorder" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy(name, real))
+    monkeypatch.setattr(Preorder, "_of_blocks", staticmethod(spy("_of_blocks", Preorder._of_blocks)))
+    for p in (P("1"), P("26314758"), P("231978456"), P("987654321")):
+        calls.clear()
+        covers = covers_up(mu(p))
+        assert calls == Counter(lam_order=len(covers)), p
 
 
 def test_interval_walk_merges_only_inside_blocks_of_top(monkeypatch):

@@ -291,7 +291,7 @@ def test_ordered_blocks_matches_tournament():
     elements = [mu(p) for n in range(1, 6) for p in all_permutations(n)]
     for q in elements + list(random_preorders(5, 2000, 11)):
         try:
-            got = tuple(map(Block.of, lam_order(*block_masks(q), q)))
+            got = tuple(map(Block.of, lam_order(*block_masks(q))))
         except InvalidPreorderError:
             got = None
         assert got == tournament_order(q), q

@@ -6,6 +6,8 @@ from shardorder.lattice import covers_up, interval_lattice, join, leq
 from shardorder.perms import Permutation
 from shardorder.preorders import (
     Preorder,
+    block_masks,
+    close_blocks,
     lam,
     mu,
     preorder_from_json,
@@ -49,6 +51,43 @@ def test_text_round_trip(p):
 def test_block_order_masks_match_pairwise(p):
     q = mu(p)
     assert (less_pairs(q), cover_pairs(q)) == pairwise_block_order(q)
+
+
+@st.composite
+def blocks_and_relations(draw, high: int = 9):
+    """(n, value masks partitioning [n] in random order, index pairs (i, j) of them)."""
+    n = draw(st.integers(1, high))
+    values = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    masks = [sum(1 << (v - 1) for v in values[a:b]) for a, b in zip(bounds, bounds[1:])]
+    slot = st.integers(0, len(masks) - 1)
+    pairs = st.tuples(slot, slot).filter(lambda pair: pair[0] != pair[1])
+    less = draw(st.lists(pairs, max_size=2 * len(masks))) if len(masks) > 1 else []
+    return n, masks, less
+
+
+@FAST
+@given(blocks_and_relations())
+def test_block_closure_matches_the_row_closure(case):
+    # the reference closes the relation on the n rows (Warshall in
+    # Preorder.from_rows) and reads the blocks back from the packed bits
+    n, masks, less = case
+    rows = [0] * n
+    for b in masks:
+        for v in range(n):
+            if b >> v & 1:
+                rows[v] |= b
+    for i, j in less:
+        for v in range(n):
+            if masks[i] >> v & 1:
+                rows[v] |= masks[j]
+    reference = block_masks(Preorder.from_rows(n, rows))
+    got = close_blocks(masks, less)
+    if set(reference[0]) != set(masks):
+        assert got is None, case
+    else:
+        assert got == reference, case
 
 
 def _swapped(n: int, swaps) -> tuple[int, ...]:

@@ -309,11 +309,11 @@ def test_mobius_disagreement_raises(monkeypatch):
 
 def test_el_checks_raise_invariant_error(monkeypatch):
     bot, top = Preorder.discrete(4), Preorder.complete(4)
-    monkeypatch.setattr(shelling, "mask_placements", lambda state, q: dict.fromkeys(state[0], 9))
+    monkeypatch.setattr(shelling, "mask_placements", lambda state, covers=None: dict.fromkeys(state[0], 9))
     with pytest.raises(InvariantError, match="out of range"):
         edge_label(bot, mu(P("2134")))
     # every pair scores the same placement: the greedy choice is not unique
-    monkeypatch.setattr(shelling, "mask_placements", lambda state, q: dict.fromkeys(state[0], 1))
+    monkeypatch.setattr(shelling, "mask_placements", lambda state, covers=None: dict.fromkeys(state[0], 1))
     with pytest.raises(InvariantError, match="must be unique"):
         increasing_chain(bot, top)
 
@@ -346,3 +346,20 @@ def test_whole_lattice_reads_each_word_once(monkeypatch):
         lat = build_lattice(n)
         chain_report(Preorder.discrete(n), Preorder.complete(n), lat)
         assert len(calls) == math.factorial(n), n
+
+
+def test_greedy_chain_builds_the_block_covers_once_per_step(monkeypatch):
+    # each step's (P1)/(P2) check and its combinable pairs share one
+    # cover_masks of the step's block state
+    real, calls = preorders.cover_masks, []
+
+    def counted(*state):
+        calls.append(state)
+        return real(*state)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "shardorder" and getattr(module, "cover_masks", None) is real:
+            monkeypatch.setattr(module, "cover_masks", counted)
+    chain = increasing_chain(Preorder.discrete(7), Preorder.complete(7))
+    assert len(chain.labels) == 6
+    assert len(calls) == 6

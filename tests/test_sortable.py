@@ -192,13 +192,24 @@ def test_one_barring_per_call(monkeypatch, call, barrings):
     assert len(calls) == barrings
 
 
-@pytest.mark.parametrize("name", ["_places", "block_masks", "block_violations"])
+CALLS_PER_ELEMENT = {
+    "_places": 1,
+    "_places_noncrossing": 1,
+    "_demands": 1,
+    "close_blocks": 1,
+    "block_violations": 1,
+    "block_masks": 0,
+    "close_rows": 0,
+}
+
+
+@pytest.mark.parametrize("name", list(CALLS_PER_ELEMENT))
 def test_one_pass_per_noncrossing_element(monkeypatch, name):
-    # the generator hands over the cycle positions for the crossing check,
-    # and every later check and the sort key read one block state, so each
-    # element converts its blocks to cycle positions, reads its block state
-    # and checks (P1)/(P2) exactly once; every namespace binding the
-    # function is counted, so a call through another module shows too
+    # each element closes its blocks once on the block state (no rows, no
+    # packed state read back), computes its demands once, and runs the
+    # crossing test (on cycle positions read from its masks) and the
+    # (P1)/(P2) check once; every namespace binding the function is
+    # counted, so a call through another module shows too
     real = getattr(shardorder.sortable, name, None) or getattr(shardorder.preorders, name)
     calls = []
 
@@ -212,7 +223,7 @@ def test_one_pass_per_noncrossing_element(monkeypatch, name):
     for n in range(1, 7):
         calls.clear()
         noncrossing_preorders(linear_coxeter(n) if n > 1 else CoxeterElement(1, ()))
-        assert len(calls) == CATALAN[n]
+        assert len(calls) == CALLS_PER_ELEMENT[name] * CATALAN[n]
 
 
 def test_noncrossing_trivial_elements():
@@ -310,9 +321,9 @@ def test_partition_on_example_cycle():
 
 
 def _build_with(transform):
-    """A stand-in for ``Preorder.from_blocks`` that rewrites the given relations."""
-    real = Preorder.from_blocks
-    return staticmethod(lambda n, masks, less=(): real(n, masks, transform(less)))
+    """A stand-in for ``close_blocks`` that rewrites the given relations."""
+    real = shardorder.preorders.close_blocks
+    return lambda masks, less: real(masks, transform(less))
 
 
 @pytest.mark.parametrize(
@@ -328,7 +339,7 @@ def _build_with(transform):
 def test_construction_checks_fire(monkeypatch, transform, skip_axioms, error, match):
     # each check after the closure reads the one block state and raises (no
     # assert), so a construction gone wrong stops there under python -O too
-    monkeypatch.setattr(Preorder, "from_blocks", _build_with(transform))
+    monkeypatch.setattr(shardorder.sortable, "close_blocks", _build_with(transform))
     if skip_axioms:
         monkeypatch.setattr(shardorder.preorders, "block_violations", lambda *state: [])
     with pytest.raises(error, match=match):
@@ -336,11 +347,21 @@ def test_construction_checks_fire(monkeypatch, transform, skip_axioms, error, ma
 
 
 def test_conflicting_witnesses_are_fatal():
-    # crossing blocks whose witnesses disagree, past the crossing check
+    # crossing blocks whose witnesses disagree: the demands are checked
+    # before the closure and the closing crossing test
     bar = barring_of(linear_coxeter(4))
     masks = [0b0101, 0b1010]
     with pytest.raises(InvariantError, match="disagree"):
-        shardorder.sortable._order_of_partition(masks, [0, 0], bar)
+        shardorder.sortable._order_of_partition(masks, bar)
+
+
+def test_closing_check_tests_crossing_on_its_own():
+    # with every demand met (none given), blocks that interleave on the
+    # cycle 1 2 3 4 still fail the closing check, and nested ones pass
+    bar = barring_of(linear_coxeter(4))
+    noncrossing = shardorder.sortable._noncrossing
+    assert not noncrossing([0b0101, 0b1010], [0b1111, 0b1010], bar, demands=[])
+    assert noncrossing([0b1001, 0b0110], [0b1111, 0b0110], bar, demands=[])
 
 
 def test_partition_rejects_crossing_and_bad_input():
