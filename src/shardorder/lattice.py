@@ -34,18 +34,26 @@ search runs on the m blocks of a ``block_masks`` state, not on the n rows:
 each merge or orientation is one ``relate_blocks`` step (O(m) mask ORs in
 place of Warshall's closure) and is checked by ``block_violations``; a
 cover's word and bits are written in one pass over its ``lam_order``
-(``lam_packed``).  The search starts from a valid state and only adds
-relations, so each state is scanned only where a step can break the
-axioms ((P1) on the pairs holding the merged block, (P2) on the covers of
-the blocks whose up-sets grew since the merge), up to its first failure.
+(``lam_packed``), and the cover carries the state it was checked on
+(``preorders.checked_state``).  The search starts from a valid state and
+only adds relations, so each state is scanned only where a step can break
+the axioms ((P1) on the pairs holding the merged block, (P2) on the covers
+of the blocks whose up-sets grew since the merge), up to its first failure.
 
 A cover below top merges two combinable blocks inside one block of top;
 ``combinable_slots`` is the one test of that, on a block state, reading
-top one row per block.  ``covers_below`` reads w's state and builds the
-covers among its blocks once, and merges only those pairs.
+top one row per block.  ``covers_below`` reads w's checked state and
+builds the covers among its blocks once, and merges only those pairs.
 ``covers_up`` (the kernel's oracle in the tests and in ``verify --suite
 covers``) is its case top = complete, ``interval_lattice`` walks it, and
-the greedy chain of ``shelling`` merges the one pair it chose.
+the greedy chain of ``shelling`` merges the one pair it chose.  A walk
+reaches each element as a cover, so it checks each element once, when
+the cover search finds it.
+
+``join`` checks its arguments through ``checked_state``, so an element
+that was checked before (a cover, a JSON or a join result, or an argument
+of an earlier call) is not checked again; its result is checked once and
+carries that state.
 """
 from __future__ import annotations
 
@@ -53,15 +61,17 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, itemgetter, or_
 
-from .errors import IncomparableError, InvariantError, ResourceLimitError
+from .errors import IncomparableError, InvalidPreorderError, InvariantError, ResourceLimitError
 from .perms import Permutation, all_permutations
 from .preorders import (
     Block,
     Preorder,
     block_masks,
     block_violations,
+    _carried,
+    _carry,
+    checked_state,
     cover_masks,
-    is_permutation_preorder,
     lam,
     lam_packed,
     lam_word,
@@ -86,7 +96,8 @@ def join(a: Preorder, b: Preorder) -> Preorder:
 
     Both arguments must be elements (``InvalidPreorderError`` otherwise).
     Geometrically the join is the intersection of the two cones, so the
-    result is always an element; that is asserted, not assumed.
+    result is always an element; that is checked, not assumed, and the
+    result carries the state it was checked on (``checked_state``).
     """
     if a.n != b.n:
         raise ValueError("elements live on different ground sets")
@@ -94,8 +105,10 @@ def join(a: Preorder, b: Preorder) -> Preorder:
     require_permutation_preorder(b)
     rows = [ra | rb for ra, rb in zip(a.rows(), b.rows())]
     out = Preorder.from_rows(a.n, rows)
-    if not is_permutation_preorder(out):
-        raise InvariantError(f"join fell outside the lattice: {out}")
+    try:
+        checked_state(out)
+    except InvalidPreorderError as exc:
+        raise InvariantError(f"join fell outside the lattice: {out}") from exc
     return out
 
 
@@ -105,7 +118,8 @@ def _merge_candidates(n: int, state, i: int, j: int):
 
     The merge adds D x U for the merged block (``relate_blocks``); a step
     that would collapse further blocks is skipped, since the rank would
-    jump by more than one.  A state with no (P1)/(P2) failure is a cover.
+    jump by more than one.  A state with no (P1)/(P2) failure is a cover,
+    and the cover carries it (``checked_state``).
     Each state is scanned only where its steps can break the axioms
     (``block_violations`` restricted to the merged slot and the up-sets
     that grew since the merge), and only up to its first failure.  On a
@@ -120,7 +134,7 @@ def _merge_candidates(n: int, state, i: int, j: int):
     if base is None:
         return
     # the merged block keeps slot i: its min is the smaller one
-    masks = masks.copy()
+    masks = list(masks)
     masks[i] = merged
     for sets in (masks, *base):
         del sets[j]
@@ -130,7 +144,8 @@ def _merge_candidates(n: int, state, i: int, j: int):
         ups, downs = stack.pop()
         bad = next(block_violations(masks, ups, downs, since), None)
         if bad is None:
-            yield lam_packed(n, masks, ups, downs)
+            word, cover = lam_packed(n, masks, ups, downs)
+            yield word, _carry(cover, masks, ups, downs)
         elif bad.axiom == "P1":
             # orient the first overlapping incomparable pair both ways
             cx, cy = bad.first.mask, bad.second.mask
@@ -178,13 +193,19 @@ def covers_below(w: Preorder, top: Preorder):
     cover's blocks name the one pair of ``combinable_slots`` it merged.
 
     w's block state is read once, and the covers among its blocks built
-    once, for the (P1)/(P2) check and the combinable pairs alike.
+    once.  A w that carries no checked state is checked here as
+    ``checked_state`` does, on those covers, and then carries its state.
+    Each cover carries its state too, so a walk from cover to cover reads
+    no packed relation and checks nothing twice.
     """
     if not leq(w, top):
         raise IncomparableError("w is not below top")
-    state = block_masks(w)
+    carried = _carried(w)
+    state = carried or block_masks(w)
     covers = cover_masks(state[0], state[1])
-    require_block_axioms(*state, covers)
+    if carried is None:
+        require_block_axioms(*state, covers)
+        _carry(w, *state)
     for i, j in combinable_slots(state, top, covers):
         for word, cand in _merge_candidates(w.n, state, i, j):
             if cand <= top:

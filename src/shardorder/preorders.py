@@ -44,6 +44,25 @@ break; its docstring has the argument, and every other caller gets the
 full scan.  States the search accepts, mu's images, and the bottom and
 top elements are packed into ``bits`` directly, with no closure pass.
 
+Each element is checked against (P1)/(P2) once.  ``checked_state`` reads
+an object's state and runs the full scan the first time it sees it, then
+carries the state on the object as one flat tuple, in an attribute that
+is not a dataclass field, so ``==``, ``hash`` and ``repr`` ignore it.
+Code that has just checked a state carries it from the start: the cover
+search (``lattice._merge_candidates``, after its restricted scan),
+``preorder_from_json`` and ``lattice.join``'s result.  ``lam``,
+``require_permutation_preorder`` (``join``, ``interval_lattice``) and
+``is_noncrossing_preorder`` go through ``checked_state``;
+``lattice.covers_below`` runs the same check on the block covers it
+builds anyway.  ``preorder_to_json`` reads a carried state when there is
+one and checks nothing new.  ``mu``, ``Preorder(n, bits)`` and
+``from_rows`` carry nothing, so whatever a user builds is checked on its
+first use.  ``axiom_violations`` always runs the full scan: it is the
+oracle.  No cache is kept: a state lives and dies with its object.  The
+noncrossing elements carry none either: they are built in bulk
+(Catalan(n) per word) and mostly only compared, so a state on each would
+cost about 1 MB at n = 9 and save no measurable time.
+
 Pre-orders built from given blocks (JSON input, noncrossing elements) are
 closed on the blocks too: ``close_blocks`` takes disjoint value masks and
 index pairs and returns their closure's block state directly, by
@@ -106,6 +125,10 @@ class Preorder:
 
     n: int
     bits: int
+
+    # the checked block state (``checked_state``); a plain class attribute,
+    # not a field, so ``==``, ``hash`` and ``repr`` ignore it
+    _state = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -221,7 +244,9 @@ class Preorder:
         return self.bits & ~other.bits == 0
 
     def __lt__(self, other: "Preorder") -> bool:
-        return self <= other and self.bits != other.bits
+        if self.n != other.n:
+            return NotImplemented
+        return self.bits & ~other.bits == 0 and self.bits != other.bits
 
     def __ge__(self, other: "Preorder") -> bool:
         return other.__le__(self)
@@ -455,8 +480,42 @@ def require_block_axioms(masks: Sequence[int], ups: Sequence[int], downs: Sequen
         raise InvalidPreorderError("; ".join(str(v) for v in bad))
 
 
+def _carry(q: Preorder, masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> Preorder:
+    """Attach to q the ``block_masks`` state its caller has just checked
+    against (P1)/(P2), as one flat tuple (the masks, then the up-sets, then
+    the down-sets: one object per element, not four); returns q."""
+    object.__setattr__(q, "_state", (*masks, *ups, *downs))
+    return q
+
+
+def _carried(q: Preorder):
+    """The (masks, up-sets, down-sets) tuples q carries, or None."""
+    state = q._state
+    if state is None:
+        return None
+    m = len(state) // 3
+    return state[:m], state[m : 2 * m], state[2 * m :]
+
+
+def checked_state(q: Preorder) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """q's ``block_masks`` state, checked against (P1)/(P2) before first use.
+
+    The first call on an object without a carried state reads the state
+    and runs the full scan, raising InvalidPreorderError as
+    ``require_block_axioms`` does, and only then carries the state on q.
+    Later calls read it back.  The module docstring lists the constructors
+    that carry a state from the start.
+    """
+    state = _carried(q)
+    if state is None:
+        state = block_masks(q)
+        require_block_axioms(*state)
+        _carry(q, *state)
+    return state
+
+
 def require_permutation_preorder(q: Preorder) -> Preorder:
-    require_block_axioms(*block_masks(q))
+    checked_state(q)
     return q
 
 
@@ -507,7 +566,7 @@ def runs_word(masks) -> tuple[int, ...]:
 
 def lam_word(q: Preorder) -> tuple[int, ...]:
     """The word of lam(q) for a q already checked against (P1)/(P2)."""
-    return runs_word(lam_order(*block_masks(q)))
+    return runs_word(lam_order(*(_carried(q) or block_masks(q))))
 
 
 def lam_packed(n: int, masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]):
@@ -532,9 +591,7 @@ def lam(q: Preorder) -> Permutation:
 
     Raises InvalidPreorderError if q fails (P1)/(P2).
     """
-    state = block_masks(q)
-    require_block_axioms(*state)
-    return Permutation(runs_word(lam_order(*state)))
+    return Permutation(runs_word(lam_order(*checked_state(q))))
 
 
 def mask_placements(state, covers=None) -> dict[int, int]:
@@ -553,8 +610,11 @@ def placements(q: Preorder) -> dict[Block, int]:
 
 
 def preorder_to_json(q: Preorder) -> dict:
-    """JSON form: blocks in lam order plus the cover pairs of the block order."""
-    masks, ups, downs = block_masks(q)
+    """JSON form: blocks in lam order plus the cover pairs of the block order.
+
+    A carried state (``checked_state``) is read back; otherwise the state
+    is read here, and only ``lam_order``'s run-order rule is checked."""
+    masks, ups, downs = _carried(q) or block_masks(q)
     order = lam_order(masks, ups, downs)
     cover_of = dict(zip(masks, cover_masks(masks, ups)))
     less = [[i, j] for i, b in enumerate(order) for j, c in enumerate(order) if cover_of[b] & c]
@@ -617,4 +677,4 @@ def preorder_from_json(data: dict) -> Preorder:
     if state is None:
         raise ValueError("order relations collapse the given blocks")
     require_block_axioms(*state)
-    return Preorder._of_blocks(n, state[0], state[1])
+    return _carry(Preorder._of_blocks(n, state[0], state[1]), *state)

@@ -7,9 +7,14 @@ choice eps_k for each k strictly between i and j: the shard is the cone
     x_i = x_j,   eps_k * x_i <= eps_k * x_k   for i < k < j.
 
 Only the index/sign data is stored; no floating-point geometry is needed
-for anything downstream.  Intersections are unions of these constraints
-followed by transitive closure, with equalities read off from two-sided
-inequalities.
+for anything downstream.  An intersection is the union of these
+constraints, closed once by Warshall's algorithm on one row mask per
+index (x_a <= x_b is bit b-1 of row a), and kept as those closed rows.
+Equalities (two-sided inequalities) and the strict one-way inequalities
+are read off the rows on demand, and the pre-order of an intersection
+packs the rows as they are, with no second closure.  Nothing here uses
+``mu`` or a block state, so the shards stay an independent route to
+``mu``.
 
 Text form is "H(i,j)[+-...]" with one sign per k = i+1 .. j-1.
 """
@@ -97,15 +102,44 @@ def lower_shards(p: Permutation) -> list[Shard]:
 class ShardIntersection:
     """Closed constraint set of an intersection of shards.
 
-    ``equalities`` holds unordered pairs {a, b} with x_a = x_b derivable;
-    ``inequalities`` holds the strict one-way pairs (a, b) meaning
-    x_a <= x_b.  Closure is applied on construction, so equal intersections
-    compare equal as values.
+    ``rows`` holds one value mask per index: bit b-1 of ``rows[a-1]`` is set
+    iff x_a <= x_b is derivable.  The rows are made reflexive and closed on
+    construction (one Warshall pass), so equal intersections compare equal
+    as values.  ``equalities`` (unordered pairs {a, b} with x_a = x_b) and
+    ``inequalities`` (the strict one-way pairs (a, b), x_a <= x_b only) are
+    read off the rows.
     """
 
     n: int
-    equalities: frozenset[frozenset[int]]
-    inequalities: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("ground set must be nonempty")
+        if len(self.rows) != self.n or any(r >> self.n for r in self.rows):
+            raise ValueError(f"need {self.n} row masks within [1,{self.n}]")
+        rows = close_rows([r | 1 << a for a, r in enumerate(self.rows)])
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @property
+    def equalities(self) -> frozenset[frozenset[int]]:
+        rows, n = self.rows, self.n
+        return frozenset(
+            frozenset((a + 1, b + 1))
+            for a in range(n)
+            for b in range(a + 1, n)
+            if rows[a] >> b & 1 and rows[b] >> a & 1
+        )
+
+    @property
+    def inequalities(self) -> frozenset[tuple[int, int]]:
+        rows, n = self.rows, self.n
+        return frozenset(
+            (a + 1, b + 1)
+            for a in range(n)
+            for b in range(n)
+            if a != b and rows[a] >> b & 1 and not rows[b] >> a & 1
+        )
 
 
 def intersect(shards, n: int | None = None) -> ShardIntersection:
@@ -124,7 +158,7 @@ def intersect(shards, n: int | None = None) -> ShardIntersection:
     elif n is None:
         raise ValueError("empty intersection needs an explicit n")
 
-    rows = [1 << a for a in range(n)]
+    rows = [0] * n
     for s in shards:
         rows[s.i - 1] |= 1 << (s.j - 1)
         rows[s.j - 1] |= 1 << (s.i - 1)
@@ -133,26 +167,12 @@ def intersect(shards, n: int | None = None) -> ShardIntersection:
                 rows[s.i - 1] |= 1 << (k - 1)
             else:  # x_k <= x_i
                 rows[k - 1] |= 1 << (s.i - 1)
-    close_rows(rows)
-
-    eqs = set()
-    ineqs = set()
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if a == b or not rows[a - 1] >> (b - 1) & 1:
-                continue
-            if rows[b - 1] >> (a - 1) & 1:
-                eqs.add(frozenset((a, b)))
-            else:
-                ineqs.add((a, b))
-    return ShardIntersection(n, frozenset(eqs), frozenset(ineqs))
+    return ShardIntersection(n, tuple(rows))
 
 
 def to_preorder(g: ShardIntersection) -> Preorder:
-    """Read the index relation off the constraints: a below b iff x_a <= x_b."""
-    pairs = list(g.inequalities)
-    for eq in g.equalities:
-        a, b = sorted(eq)
-        pairs.append((a, b))
-        pairs.append((b, a))
-    return Preorder.from_pairs(g.n, pairs)
+    """Read the index relation off the constraints: a below b iff x_a <= x_b.
+
+    The rows are reflexive and closed already, so they are packed as they
+    are, with no second closure."""
+    return Preorder._unchecked(g.n, sum(r << (a * g.n) for a, r in enumerate(g.rows)))

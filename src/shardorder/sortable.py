@@ -48,7 +48,7 @@ from .perms import (
 from .preorders import (
     Block,
     Preorder,
-    block_masks,
+    checked_state,
     close_blocks,
     lam_packed,
     partition_masks,
@@ -268,8 +268,7 @@ def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
     """Blocks noncrossing on the cycle and every overlap oriented by its bar."""
     if w.n != c.n:
         raise ValueError("pre-order and Coxeter element sizes differ")
-    masks, ups, downs = block_masks(w)
-    require_block_axioms(masks, ups, downs)
+    masks, ups, _ = checked_state(w)
     return _noncrossing(masks, ups, barring_of(c))
 
 

@@ -1,0 +1,161 @@
+"""The block state an element carries once it is checked (``checked_state``).
+
+Each element is checked against (P1)/(P2) once, by the first reader or by
+the constructor that built it, and carries the state it was checked on.
+These tests count the reads and scans, check that nothing the user builds
+skips the check, and compare every carried state with the packed bits.
+"""
+import itertools
+import json
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shardorder.errors import InvalidPreorderError
+from shardorder.lattice import covers_up, interval_lattice, join
+from shardorder.perms import Permutation
+from shardorder.preorders import Preorder, _carried, block_masks, lam, mu, preorder_from_json, preorder_to_json
+from shardorder.shards import intersect, lower_shards, to_preorder
+from shardorder.sortable import (
+    CoxeterElement,
+    barring_of,
+    is_noncrossing_preorder,
+    linear_coxeter,
+    noncrossing_order_of_partition,
+    noncrossing_preorders,
+)
+
+
+def _bind_everywhere(monkeypatch, name, replacement):
+    """Replace every binding of the preorders function ``name`` in the package."""
+    import shardorder.preorders as preorders
+
+    real = getattr(preorders, name)
+    for module in list(sys.modules.values()):
+        if module.__name__.split(".")[0] == "shardorder" and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, replacement)
+    return real
+
+
+def test_each_element_reads_and_checks_its_state_three_times(monkeypatch):
+    # the element stream of the benchmark: map, JSON, unmap, the shard
+    # oracle, covers_up, and join with the previous element.  mu carries no
+    # state, so preorder_to_json reads one (and checks nothing), covers_up
+    # reads and checks it once, and join checks only its fresh result; the
+    # JSON result and the join arguments were checked before
+    reads, scans = [], []
+    real_masks = _bind_everywhere(monkeypatch, "block_masks", lambda q: reads.append(q) or real_masks(q))
+
+    def scan(masks, ups, downs, merged=None, covers=None):
+        if merged is None:
+            scans.append(masks)
+        return real_violations(masks, ups, downs, merged, covers)
+
+    real_violations = _bind_everywhere(monkeypatch, "block_violations", scan)
+    rng = random.Random(20261018)
+    prev = None
+    for _ in range(50):
+        p = Permutation(tuple(rng.sample(range(1, 10), 9)))
+        reads.clear()
+        scans.clear()
+        q = mu(p)
+        text = json.dumps(preorder_to_json(q))
+        assert lam(preorder_from_json(json.loads(text))) == p
+        assert to_preorder(intersect(lower_shards(p), n=9)) == q
+        covers_up(q)
+        join(q, q if prev is None else prev)
+        prev = q
+        assert (len(reads), len(scans)) == (3, 3), p
+
+
+def _non_elements():
+    """Closed relations outside the lattice, built the ways a user can."""
+    p1 = [0b0101, 0b1010, 0b0101, 0b1010]  # blocks {1,3} and {2,4} overlap, unrelated
+    return [
+        Preorder.from_rows(3, [0b100, 0, 0]),  # {1} < {3} a cover, no overlap: (P2)
+        Preorder(4, sum(r << 4 * a for a, r in enumerate(p1))),  # (P1)
+        Preorder(3, 275),
+        Preorder.from_rows(9, [1 << 8] + [0] * 8),
+    ]
+
+
+@pytest.mark.parametrize("bad", _non_elements(), ids=repr)
+def test_a_non_element_is_rejected_on_every_call(bad):
+    n = bad.n
+    good = Preorder.discrete(n)
+    calls = [
+        lambda: lam(bad),
+        lambda: covers_up(bad),
+        lambda: join(bad, good),
+        lambda: join(good, bad),
+        lambda: interval_lattice(bad, Preorder.complete(n)),
+        lambda: interval_lattice(good, bad),
+    ]
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(InvalidPreorderError):
+                call()
+    assert bad._state is None
+
+
+def test_only_checking_code_carries_a_state():
+    p = Permutation((2, 6, 3, 1, 4, 7, 5, 8))
+    q = mu(p)
+    built = [q, Preorder(q.n, q.bits), Preorder.from_rows(q.n, q.rows()), Preorder.discrete(4)]
+    # noncrossing elements are built in bulk and mostly only compared
+    built += noncrossing_preorders(linear_coxeter(5))
+    preorder_to_json(q)  # reads a state, checks nothing, so carries nothing
+    assert [x._state for x in built] == [None] * len(built)
+    lam(q)
+    assert _carried(q) == tuple(map(tuple, block_masks(q)))
+
+
+def _noncrossing_blocks(labels):
+    """Cycle positions grouped by label, blocks merged while two of them cross."""
+    blocks = [set(k for k, x in enumerate(labels) if x == label) for label in set(labels)]
+
+    def cross(a, b):
+        return any(
+            w < x < y < z or x < w < z < y
+            for w, y in itertools.combinations(sorted(a), 2)
+            for x, z in itertools.combinations(sorted(b), 2)
+        )
+
+    while True:
+        pair = next(((a, b) for a, b in itertools.combinations(blocks, 2) if cross(a, b)), None)
+        if pair is None:
+            return blocks
+        blocks.remove(pair[1])
+        pair[0].update(pair[1])
+
+
+@st.composite
+def carried_elements(draw):
+    """Elements whose state was checked: covers, a JSON result, a join
+    result, and a mu image and a noncrossing element after a checking
+    reader (covers_up, is_noncrossing_preorder), at n = 8..10."""
+    n = draw(st.integers(8, 10))
+    word = st.permutations(range(1, n + 1)).map(lambda w: Permutation(tuple(w)))
+    a, b = mu(draw(word)), mu(draw(word))
+    out = [*covers_up(a), a, preorder_from_json(preorder_to_json(b)), join(a, b)]
+    c = CoxeterElement(n, tuple(draw(st.permutations(range(1, n)))))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    cycle = barring_of(c).cycle
+    blocks = [{cycle[k] for k in block} for block in _noncrossing_blocks(labels)]
+    q = noncrossing_order_of_partition(blocks, c)
+    assert is_noncrossing_preorder(q, c)
+    return [*out, q]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(carried_elements())
+def test_every_carried_state_is_the_state_of_the_bits(elements):
+    for x in elements:
+        assert _carried(x) == tuple(map(tuple, block_masks(x))), x
+        plain = Preorder(x.n, x.bits)
+        assert plain._state is None
+        assert plain == x and hash(plain) == hash(x) and repr(plain) == repr(x)
+        assert {plain, x} == {x}

@@ -171,18 +171,26 @@ def test_each_call_reads_the_block_state_once(monkeypatch):
     monkeypatch.setattr(preorders, "block_masks", spied)
     monkeypatch.setattr(lattice_module, "block_masks", spied)
     for p in (P("1"), P("26314758"), P("231978456"), P("987654321")):
-        q = mu(p)
+        # a fresh pre-order (mu carries no state) is read once per call;
         # preorder_from_json closes the given blocks itself (close_blocks),
         # so it never reads a packed pre-order's state
-        for fn, arg, reads in (
-            (preorders.lam, q, [q]),
-            (preorders.preorder_to_json, q, [q]),
-            (preorders.preorder_from_json, preorders.preorder_to_json(q), []),
-            (covers_up, q, [q]),
-        ):
+        for fn in (preorders.lam, preorders.preorder_to_json, covers_up):
+            q = mu(p)
             calls.clear()
-            fn(arg)
-            assert calls == reads, (fn.__name__, p)
+            fn(q)
+            assert calls == [q], (fn.__name__, p)
+        text = preorders.preorder_to_json(mu(p))
+        calls.clear()
+        from_json = preorders.preorder_from_json(text)
+        assert calls == [], p
+        q = mu(p)
+        covers = covers_up(q)  # checks q once and carries its state
+        # a state checked once, by a call or by the constructor, is never read again
+        calls.clear()
+        for r in (from_json, q, *covers):
+            for fn in (preorders.lam, preorders.preorder_to_json, covers_up):
+                fn(r)
+        assert calls == [], p
 
 
 def test_each_cover_is_written_in_one_pass(monkeypatch):
@@ -772,7 +780,12 @@ def test_hasse_text_is_the_indented_json_dump(lattice):
 def test_join_membership_failure_raises(lattice, monkeypatch):
     lat = lattice(3)
     a, b = lat.elements[1], lat.elements[2]
-    monkeypatch.setattr(lattice_module, "is_permutation_preorder", lambda q: False)
+    # join checks its arguments through preorders and its result through the
+    # checked_state name bound in lattice; only the result check fails here
+    def reject(q):
+        raise InvalidPreorderError("forced")
+
+    monkeypatch.setattr(lattice_module, "checked_state", reject)
     with pytest.raises(InvariantError, match="outside the lattice"):
         join(a, b)
     monkeypatch.setattr(lattice_module, "join", lambda x, y: Preorder.discrete(4))

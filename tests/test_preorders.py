@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import operator
 import pkgutil
 import random
 
@@ -72,6 +73,17 @@ def test_discrete_and_complete_are_packed_directly():
     for make in (Preorder.discrete, Preorder.complete):
         with pytest.raises(ValueError, match="nonempty"):
             make(0)
+
+
+def test_order_across_sizes_names_the_operator_used():
+    # each comparison returns NotImplemented on another size, so Python's
+    # TypeError names the operator written, not the '<=' that < used to call
+    small, large = Preorder.discrete(3), Preorder.discrete(4)
+    for op, text in ((operator.lt, "'<'"), (operator.le, "'<='"), (operator.gt, "'>'"), (operator.ge, "'>='")):
+        with pytest.raises(TypeError, match=f"{text} not supported"):
+            op(small, large)
+    assert small < Preorder.complete(3) and not small < small and small <= small
+    assert Preorder.complete(3) > small and not small > small
 
 
 def test_figure2_blocks_and_order():

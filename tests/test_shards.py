@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from shardorder.perms import Permutation, all_permutations, identity, reversal
 from shardorder.preorders import Preorder, blocks, mu
 from shardorder.shards import (
     Shard,
+    ShardIntersection,
     enumerate_shards,
     intersect,
     lower_shards,
@@ -137,3 +139,61 @@ def test_single_shard_preorders_shape():
                     (v,) = b.members
                     comparable = q.leq(v, s.i) or q.leq(s.i, v)
                     assert comparable == (s.i < v < s.j)
+
+
+def reference_intersection(shards, n):
+    """(equalities, inequalities, pre-order) of an intersection, built the way
+    the closed pairs were once stored: the shard constraints as pairs, closed
+    pair by pair, split into frozensets of two-sided and one-way pairs, and
+    read back into a pre-order by ``Preorder.from_pairs``, which closes again."""
+    pairs = set()
+    for s in shards:
+        pairs |= {(s.i, s.j), (s.j, s.i)}
+        pairs |= {(s.i, k) if s.sign(k) > 0 else (k, s.i) for k in range(s.i + 1, s.j)}
+    while True:
+        more = {(a, d) for a, b in pairs for c, d in pairs if b == c and a != d} - pairs
+        if not more:
+            break
+        pairs |= more
+    eqs = frozenset(frozenset(pair) for pair in pairs if pair[::-1] in pairs)
+    ineqs = frozenset(pair for pair in pairs if pair[::-1] not in pairs)
+    back = list(ineqs) + [pair for eq in eqs for pair in (tuple(sorted(eq)), tuple(sorted(eq))[::-1])]
+    return eqs, ineqs, Preorder.from_pairs(n, back)
+
+
+def _agrees_with_reference(shards, n):
+    g = intersect(shards, n=n)
+    eqs, ineqs, q = reference_intersection(shards, n)
+    return (g.equalities, g.inequalities, to_preorder(g)) == (eqs, ineqs, q)
+
+
+def test_intersection_matches_the_pair_reference_on_every_subset():
+    for n in range(1, 5):
+        shards = enumerate_shards(n)
+        for r in range(len(shards) + 1):
+            for combo in itertools.combinations(shards, r):
+                assert _agrees_with_reference(combo, n), combo
+
+
+def test_intersection_matches_the_pair_reference_at_n9():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        p = Permutation(tuple(rng.sample(range(1, 10), 9)))
+        below = lower_shards(p)
+        for chosen in (below, rng.sample(below, rng.randint(0, len(below)))):
+            assert _agrees_with_reference(chosen, 9), (p, chosen)
+
+
+def test_intersection_rows_are_closed_and_read_only():
+    # built from any rows, the intersection holds their reflexive closure,
+    # and equal closures are equal values
+    g = ShardIntersection(3, (0b010, 0b100, 0))
+    assert g.rows == (0b111, 0b110, 0b100)
+    assert g == ShardIntersection(3, (0b111, 0b100, 0)) and hash(g) == hash(ShardIntersection(3, g.rows))
+    assert g.inequalities == frozenset({(1, 2), (1, 3), (2, 3)}) and g.equalities == frozenset()
+    with pytest.raises(ValueError):
+        ShardIntersection(2, (0b100, 0))
+    with pytest.raises(ValueError, match="nonempty"):
+        intersect([], n=0)
+    with pytest.raises(AttributeError):
+        g.equalities = frozenset()
