@@ -36,9 +36,9 @@ place of Warshall's closure) and is checked by ``block_violations``; a
 cover's word and bits are written in one pass over its ``lam_order``
 (``lam_packed``), and the cover carries the state it was checked on
 (``preorders.checked_state``).  The search starts from a valid state and
-only adds relations, so each state is scanned only where a step can break
-the axioms ((P1) on the pairs holding the merged block, (P2) on the covers
-of the blocks whose up-sets grew since the merge), up to its first failure.
+only orients overlapping pairs, which cannot break (P2), so each state is
+scanned only for (P1) on the pairs holding the merged block, up to its
+first failure.
 
 A cover below top merges two combinable blocks inside one block of top;
 ``combinable_slots`` is the one test of that, on a block state, reading
@@ -121,12 +121,11 @@ def _merge_candidates(n: int, state, i: int, j: int):
     jump by more than one.  A state with no (P1)/(P2) failure is a cover,
     and the cover carries it (``checked_state``).
     Each state is scanned only where its steps can break the axioms
-    (``block_violations`` restricted to the merged slot and the up-sets
-    that grew since the merge), and only up to its first failure.  On a
-    failure of (P1), the overlapping incomparable pair is oriented both
-    ways, each a new state; on a failure of (P2) the state is dropped.  No
-    state is reached twice: the two branches order their pair oppositely,
-    and a state that related it both ways would have collapsed.
+    (``block_violations`` restricted to (P1) on the merged slot; no step
+    can break (P2)), and only up to its first failure.  The overlapping
+    incomparable pair of that failure is oriented both ways, each a new
+    state.  No state is reached twice: the two branches order their pair
+    oppositely, and a state that related it both ways would have collapsed.
     """
     masks, ups, downs = state
     merged = masks[i] | masks[j]
@@ -138,15 +137,14 @@ def _merge_candidates(n: int, state, i: int, j: int):
     masks[i] = merged
     for sets in (masks, *base):
         del sets[j]
-    since = (i, base[0])
     stack = [base]
     while stack:
         ups, downs = stack.pop()
-        bad = next(block_violations(masks, ups, downs, since), None)
+        bad = next(block_violations(masks, ups, downs, i), None)
         if bad is None:
             word, cover = lam_packed(n, masks, ups, downs)
             yield word, _carry(cover, masks, ups, downs)
-        elif bad.axiom == "P1":
+        else:
             # orient the first overlapping incomparable pair both ways
             cx, cy = bad.first.mask, bad.second.mask
             for lower, upper in ((cx, cy), (cy, cx)):
@@ -188,24 +186,29 @@ def combinable_pairs(w: Preorder, top: Preorder) -> list[tuple[Block, Block]]:
     return [(Block.of(state[0][i]), Block.of(state[0][j])) for i, j in combinable_slots(state, top)]
 
 
-def covers_below(w: Preorder, top: Preorder):
-    """Yield (lam word, cover) for the covers of w below top, each once: a
-    cover's blocks name the one pair of ``combinable_slots`` it merged.
-
-    w's block state is read once, and the covers among its blocks built
-    once.  A w that carries no checked state is checked here as
-    ``checked_state`` does, on those covers, and then carries its state.
-    Each cover carries its state too, so a walk from cover to cover reads
-    no packed relation and checks nothing twice.
-    """
-    if not leq(w, top):
-        raise IncomparableError("w is not below top")
+def checked_covers(w: Preorder):
+    """(checked state, ``cover_masks``) of w, built once: a w that carries no
+    state is checked on those covers, as ``checked_state`` does, and carries it."""
     carried = _carried(w)
     state = carried or block_masks(w)
     covers = cover_masks(state[0], state[1])
     if carried is None:
         require_block_axioms(*state, covers)
         _carry(w, *state)
+    return state, covers
+
+
+def covers_below(w: Preorder, top: Preorder):
+    """Yield (lam word, cover) for the covers of w below top, each once: a
+    cover's blocks name the one pair of ``combinable_slots`` it merged.
+
+    w's checked state and block covers are built once (``checked_covers``).
+    Each cover carries its state too, so a walk from cover to cover reads
+    no packed relation and checks nothing twice.
+    """
+    if not leq(w, top):
+        raise IncomparableError("w is not below top")
+    state, covers = checked_covers(w)
     for i, j in combinable_slots(state, top, covers):
         for word, cand in _merge_candidates(w.n, state, i, j):
             if cand <= top:

@@ -38,11 +38,11 @@ that state, and ``relate_blocks`` adds relations to it, keeping it closed
 in O(m) mask ORs with no Warshall pass.  Each function here that takes a
 ``Preorder`` reads its state once and runs all its checks on it.
 ``block_violations`` yields its failures lazily, so a caller can stop at
-the first.  Given the merged slot and the up-sets right after a merge, it
-scans only the pairs that the cover search's merge and later steps can
-break; its docstring has the argument, and every other caller gets the
-full scan.  States the search accepts, mu's images, and the bottom and
-top elements are packed into ``bits`` directly, with no closure pass.
+the first.  Given the merged slot of the cover search, it scans only the
+(P1) pairs holding that slot: no step of that search can break anything
+else, and its docstring has the proof.  Every other caller gets the full
+scan.  States the search accepts, mu's images, and the bottom and top
+elements are packed into ``bits`` directly, with no closure pass.
 
 Each element is checked against (P1)/(P2) once.  ``checked_state`` reads
 an object's state and runs the full scan the first time it sees it, then
@@ -51,17 +51,17 @@ is not a dataclass field, so ``==``, ``hash`` and ``repr`` ignore it.
 Code that has just checked a state carries it from the start: the cover
 search (``lattice._merge_candidates``, after its restricted scan),
 ``preorder_from_json`` and ``lattice.join``'s result.  ``lam``,
-``require_permutation_preorder`` (``join``, ``interval_lattice``) and
-``is_noncrossing_preorder`` go through ``checked_state``;
-``lattice.covers_below`` runs the same check on the block covers it
-builds anyway.  ``preorder_to_json`` reads a carried state when there is
-one and checks nothing new.  ``mu``, ``Preorder(n, bits)`` and
-``from_rows`` carry nothing, so whatever a user builds is checked on its
-first use.  ``axiom_violations`` always runs the full scan: it is the
-oracle.  No cache is kept: a state lives and dies with its object.  The
-noncrossing elements carry none either: they are built in bulk
-(Catalan(n) per word) and mostly only compared, so a state on each would
-cost about 1 MB at n = 9 and save no measurable time.
+``preorder_to_json``, ``placements``, ``require_permutation_preorder``
+(``join``, ``interval_lattice``), ``is_noncrossing_preorder`` and
+``shelling.edge_label`` go through ``checked_state``;
+``lattice.checked_covers`` (``covers_below``, the greedy chain) runs the
+same check on the block covers it builds anyway.  ``mu``,
+``Preorder(n, bits)`` and ``from_rows`` carry nothing, so whatever a user
+builds is checked on its first use.  ``axiom_violations`` always runs the
+full scan: it is the oracle.  No cache is kept: a state lives and dies
+with its object.  The noncrossing elements start with none either: they
+are built in bulk (Catalan(n) per word) and mostly only compared, so a
+state on each would cost about 1 MB at n = 9 and save no measurable time.
 
 Pre-orders built from given blocks (JSON input, noncrossing elements) are
 closed on the blocks too: ``close_blocks`` takes disjoint value masks and
@@ -407,54 +407,55 @@ def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[i
     min, and the up-set and down-set of each block.  A caller that already
     holds the state's ``cover_masks`` may pass them as ``covers``.
 
-    ``merged = (i, base_ups)`` restricts the scan to what a step of the
-    cover search (``lattice._merge_candidates``) can break.  That search
-    starts from a valid state w, merges two of its blocks into slot i (the
-    base state, with up-sets ``base_ups``) and then only adds relations
-    without collapsing blocks, so every block but slot i keeps its values:
+    ``merged = i`` restricts the scan to what a step of the cover search
+    (``lattice._merge_candidates``) can break: the (P1) pairs holding slot
+    i.  That search starts from a valid state w, merges two of its blocks
+    into slot i (the base state), and then only orients (P1) failures, each
+    an overlapping incomparable pair related one way without collapsing
+    blocks.  So every block but slot i keeps its values:
 
     - (P1) can fail only on pairs holding slot i: any other pair keeps its
       intervals, and was comparable in w if they overlap.
-    - (P2) can fail only where the lower block's up-set grew beyond
-      ``base_ups``.  The base state has no failure: the merge relates two
-      blocks only through slot i, so a cover a < c there comes from a
+    - (P2) never fails.  The base state has no failure: the merge relates
+      two blocks only through slot i, so a cover a < c there comes from a
       chain of covers in w from a part of a up to a part of c.  A block
       strictly inside that chain would lie strictly between a and c unless
       it is merged into one of them, so some step of the chain goes from a
-      part of a to a part of c; that pair overlaps, and so do a and c.  A
-      block whose up-set did not grow since has the same blocks above it,
-      with more relations among them, so its covers are among its base
-      covers.
+      part of a to a part of c; that pair overlaps, and so do a and c.
+      Orienting x < y in a state with no (P2) failure adds down(x) x up(y),
+      and ``relate_blocks`` returns None if that would collapse blocks.  A
+      pair a < c that is new and a cover must be (x, y): if a != x, x lies
+      strictly between a and c, and if c != y, y does (x = c or y = a would
+      make x and y comparable before the step).  Relations are only added,
+      so an old cover stays a cover or stops being one, and a pair with a
+      block between stays so.  The covers grow at most by (x, y), which
+      overlaps because it was a (P1) failure.
 
     So the restricted scan yields the full scan's failures, in the same
     order; in particular the same first one, or none.
     """
-    if merged is None:
-        lower = range(len(masks))
-        spans = [(1 << b.bit_length()) - (b & -b) for b in masks]  # span(b)
-        unrelated = [~(u | d) for u, d in zip(ups, downs)]
-        # of two overlapping blocks, one has a value inside the other's interval,
-        # so (P1) fails only if some block's interval holds a value unrelated to it
-        if any(s & free for s, free in zip(spans, unrelated)):
-            for i, (si, free) in enumerate(zip(spans, unrelated)):
-                for j in range(i + 1, len(masks)):
-                    if masks[j] & free and si & spans[j]:
-                        yield Violation("P1", Block.of(masks[i]), Block.of(masks[j]))
-    else:
-        i, base_ups = merged
-        lower = [a for a, (u, base) in enumerate(zip(ups, base_ups)) if u != base]
-        bi = masks[i]
-        free = ~(ups[i] | downs[i])
+    if merged is not None:
+        bi = masks[merged]
+        free = ~(ups[merged] | downs[merged])
         below, upto = (bi & -bi) - 1, (1 << bi.bit_length()) - 1
         for k, bk in enumerate(masks):
             # bk overlaps bi iff it has a value above bi's min and one below its max
             if bk & free and bk & ~below and bk & upto:
-                first, second = (bk, bi) if k < i else (bi, bk)
+                first, second = (bk, bi) if k < merged else (bi, bk)
                 yield Violation("P1", Block.of(first), Block.of(second))
+        return
+    spans = [(1 << b.bit_length()) - (b & -b) for b in masks]  # span(b)
+    unrelated = [~(u | d) for u, d in zip(ups, downs)]
+    # of two overlapping blocks, one has a value inside the other's interval,
+    # so (P1) fails only if some block's interval holds a value unrelated to it
+    if any(s & free for s, free in zip(spans, unrelated)):
+        for i, (si, free) in enumerate(zip(spans, unrelated)):
+            for j in range(i + 1, len(masks)):
+                if masks[j] & free and si & spans[j]:
+                    yield Violation("P1", Block.of(masks[i]), Block.of(masks[j]))
     if covers is None:
-        covers = cover_masks(masks, ups) if lower else []
-    for a in lower:
-        b, cover = masks[a], covers[a]
+        covers = cover_masks(masks, ups)
+    for b, cover in zip(masks, covers):
         below, upto = (b & -b) - 1, (1 << b.bit_length()) - 1
         # a covering block with all its values inside b's interval overlaps it
         if cover & (below | ~upto):
@@ -594,27 +595,23 @@ def lam(q: Preorder) -> Permutation:
     return Permutation(runs_word(lam_order(*checked_state(q))))
 
 
-def mask_placements(state, covers=None) -> dict[int, int]:
-    """1-based position of each block mask of a pre-order q's ``block_masks`` state
-    in lam(q).  A caller holding the state's ``cover_masks`` may pass them.
-
-    Raises InvalidPreorderError if the state fails (P1)/(P2).
-    """
-    require_block_axioms(*state, covers)
+def mask_placements(state) -> dict[int, int]:
+    """1-based position of each block mask of a pre-order q's checked state
+    (``checked_state``) in lam(q)."""
     return {b: k for k, b in enumerate(lam_order(*state), start=1)}
 
 
 def placements(q: Preorder) -> dict[Block, int]:
     """1-based position of each block's run in lam(q), left to right."""
-    return {Block.of(b): k for b, k in mask_placements(block_masks(q)).items()}
+    return {Block.of(b): k for b, k in mask_placements(checked_state(q)).items()}
 
 
 def preorder_to_json(q: Preorder) -> dict:
     """JSON form: blocks in lam order plus the cover pairs of the block order.
 
-    A carried state (``checked_state``) is read back; otherwise the state
-    is read here, and only ``lam_order``'s run-order rule is checked."""
-    masks, ups, downs = _carried(q) or block_masks(q)
+    Raises InvalidPreorderError if q fails (P1)/(P2) (``checked_state``).
+    """
+    masks, ups, downs = checked_state(q)
     order = lam_order(masks, ups, downs)
     cover_of = dict(zip(masks, cover_masks(masks, ups)))
     less = [[i, j] for i, b in enumerate(order) for j, c in enumerate(order) if cover_of[b] & c]

@@ -7,12 +7,13 @@ maximal chain with a weakly increasing label word, found greedily: among
 the pairs that can be combined on the way to the top
 (``lattice.combinable_slots``), merge the one whose larger placement is
 smallest; exactly one of the covers ``lattice`` builds for that merge lies
-below top.  Each step reads the block state of its element once and
-builds its block covers once, for the (P1)/(P2) check and the combinable
-pairs alike.  The
-number of strictly decreasing maximal chains gives the Moebius number up
-to sign; the classical recursion is run alongside as an independent check
-and disagreement is fatal.
+below top.  Each step reads its element's checked state and builds its
+block covers once (``lattice.checked_covers``), for the (P1)/(P2) check
+and the combinable pairs alike; every element after the first is a cover
+that carries its state, so a chain runs one scan, for its bottom.  The number of
+strictly decreasing maximal chains gives the Moebius number up to sign;
+the classical recursion is run alongside as an independent check and
+disagreement is fatal.
 
 Whole-interval counts run on an indexed lattice (``OmegaLattice``): the
 interval [b, t] is the mask ``up_mask[b] & down_mask[t]`` and its edges are
@@ -40,8 +41,9 @@ import operator
 from dataclasses import dataclass
 
 from .errors import IncomparableError, InvariantError
-from .lattice import OmegaLattice, _merge_candidates, combinable_slots, interval_lattice, iter_bits, leq
-from .preorders import Block, Preorder, block_masks, cover_masks, lam, mask_placements
+from .lattice import OmegaLattice, _merge_candidates, checked_covers, combinable_slots
+from .lattice import interval_lattice, iter_bits, leq
+from .preorders import Block, Preorder, block_masks, checked_state, lam, mask_placements
 
 
 def _merged_masks(lower: Preorder, upper: Preorder, lower_masks) -> list[int]:
@@ -65,7 +67,7 @@ def merged_pair(lower: Preorder, upper: Preorder) -> tuple[Block, Block]:
 
 def edge_label(lower: Preorder, upper: Preorder) -> int:
     """Larger placement (in ``lower``) of the two blocks the cover merges."""
-    state = block_masks(lower)
+    state = checked_state(lower)
     place = mask_placements(state)
     b1, b2 = _merged_masks(lower, upper, state[0])
     label = max(place[b1], place[b2])
@@ -93,9 +95,8 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
     chain, labels = [bottom], []
     while chain[-1] != top:
         cur = chain[-1]
-        state = block_masks(cur)
-        masks, covers = state[0], cover_masks(state[0], state[1])
-        place = mask_placements(state, covers)
+        state, covers = checked_covers(cur)
+        masks, place = state[0], mask_placements(state)
         label = {
             (i, j): max(place[masks[i]], place[masks[j]]) for i, j in combinable_slots(state, top, covers)
         }

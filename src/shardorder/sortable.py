@@ -24,12 +24,12 @@ is built from its blocks alone: its demands are computed once, and its
 blocks are closed once on the block state (``close_blocks``: O(m^2) mask
 ORs on the m blocks, no rows and no packed relation read back).  Every
 check then runs once on that state: no witness conflict, the closure kept
-the blocks, (P1)/(P2), the closing noncrossing check (the crossing test
-on cycle positions read from the masks, and the orientation against the
-demands), and the run order whose lam word is the sort key, written in
-one pass with the packed bits (``lam_packed``).  ``is_noncrossing_preorder``
-is the same closing check; a partition given by the user is also tested
-for crossing up front, so it fails with ``CrossingPartitionError``.
+the blocks, (P1)/(P2), the orientation against the demands, and the run
+order whose lam word is the sort key, written with the packed bits
+(``lam_packed``).  The partitions are noncrossing by construction, so the
+crossing test (on cycle positions read from the masks) runs only where
+it can fail: up front on a user's partition (``CrossingPartitionError``),
+and in ``is_noncrossing_preorder``, which adds it to the orientation.
 """
 from __future__ import annotations
 
@@ -250,18 +250,16 @@ def _demands(masks, bar: Barring):
             yield i, j, *_orientation(masks[i], masks[j], bar.upper_mask)
 
 
-def _noncrossing(masks, ups, bar: Barring, demands=None) -> bool:
-    """The closing check on a pre-order's ``block_masks`` (value masks, up-sets).
+def _misoriented(masks, ups, demands) -> bool:
+    """Is a pair of ``_demands`` against the direction the up-sets give?"""
+    return any(above if ups[i] & masks[j] else below for i, j, below, above in demands)
 
-    The blocks must be noncrossing on the cycle, and no overlapping pair
-    may have a demand against the direction its up-sets give.  A caller
-    that already holds ``_demands(masks, bar)`` may pass them as ``demands``.
-    """
-    if demands is None:
-        demands = _demands(masks, bar)
-    return _places_noncrossing(_places(masks, bar)) and not any(
-        above if ups[i] & masks[j] else below for i, j, below, above in demands
-    )
+
+def _noncrossing(masks, ups, bar: Barring) -> bool:
+    """The closing check on a pre-order's ``block_masks`` (value masks, up-sets):
+    the blocks are noncrossing on the cycle, and no overlapping pair is
+    oriented against its demand."""
+    return _places_noncrossing(_places(masks, bar)) and not _misoriented(masks, ups, _demands(masks, bar))
 
 
 def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
@@ -321,15 +319,15 @@ def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
 def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...], Preorder]:
     """(lam word, pre-order) of the noncrossing pre-order whose blocks are the value masks.
 
-    Each overlapping pair is oriented by the mask rule ``_orientation``;
-    conflicting demands would mean the partition admits no such pre-order,
-    which the theory rules out for noncrossing input, so that case is
-    fatal.  The blocks are closed on their own (``close_blocks``, no rows),
-    and every later check runs once on that block state: the closure kept
-    the given blocks, (P1)/(P2) hold, the closing ``_noncrossing`` check
-    passes (the crossing test on cycle positions read from the masks, and
-    the orientation against the demands computed here), and the blocks have
-    a run order (``lam_order``, whose word is the sort key, written in one
+    The masks must be noncrossing on the cycle; both callers make sure of
+    it.  Each overlapping pair is oriented by the mask rule
+    ``_orientation``; conflicting demands would mean the partition admits
+    no such pre-order, which the theory rules out for noncrossing input, so
+    that case is fatal.  The blocks are closed on their own
+    (``close_blocks``, no rows), and every later check runs once on that
+    block state: the closure kept the given blocks, (P1)/(P2) hold, no pair
+    is oriented against the demands computed here, and the blocks have a
+    run order (``lam_order``, whose word is the sort key, written in one
     pass with the packed bits).
     """
     # in the state's min order, so the demands' indices are the state's
@@ -346,6 +344,6 @@ def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...]
     if state is None:
         raise InvariantError("orientation closure collapsed the given blocks")
     require_block_axioms(*state)
-    if not _noncrossing(state[0], state[1], bar, demands):
+    if _misoriented(state[0], state[1], demands):
         raise InvariantError("constructed pre-order is not noncrossing")
     return lam_packed(bar.n, *state)

@@ -334,7 +334,7 @@ def test_forced_invariant_failure_under_python_O_exits_2():
     # not unique; the check is an InvariantError, not an assert -O drops
     forced = (
         "import sys; from shardorder import cli, shelling; "
-        "shelling.mask_placements = lambda state, covers=None: dict.fromkeys(state[0], 1); "
+        "shelling.mask_placements = lambda state: dict.fromkeys(state[0], 1); "
         "sys.exit(cli.main(['chains', '--n', '4']))"
     )
     result = python("-c", forced, optimize=True)

@@ -275,37 +275,38 @@ def _relation_merge_candidates(w, bi, bj):
 def _restricted_scans_checked():
     """Check each restricted ``block_violations`` scan the cover search makes
     against the full scan of the same state: the same failures in the same
-    order, so the same first one, or none.  Yields the first failures, one
-    per scanned state."""
+    order, so the same first one, or none.  Yields the full scans' failures,
+    one list per scanned state."""
     real = lattice_module.block_violations
-    firsts = []
+    fulls = []
 
     def checked(masks, ups, downs, merged=None):
         if merged is not None:
             full = list(real(masks, ups, downs))
             assert list(real(masks, ups, downs, merged)) == full, (masks, ups, downs, merged)
-            firsts.append(full[0] if full else None)
+            fulls.append(full)
         return real(masks, ups, downs, merged)
 
     with mock.patch.object(lattice_module, "block_violations", checked):
-        yield firsts
+        yield fulls
 
 
 def test_restricted_scan_matches_the_full_scan_in_the_search():
-    # every state the search visits from every combinable pair at n <= 6
-    with _restricted_scans_checked() as firsts:
-        for n in range(1, 7):
+    # every state the search visits from every combinable pair at n <= 7:
+    # each is a cover or a (P1) branch, and none fails (P2), as the proof
+    # in block_violations' docstring says
+    with _restricted_scans_checked() as fulls:
+        for n in range(1, 8):
             for p in all_permutations(n):
                 covers_up(mu(p))
-    # the search reaches covers and (P1) failures; at these sizes no visited
-    # state fails (P2), so the next test also scans states beyond the search
-    assert {None, "P1"} <= {v and v.axiom for v in firsts}
+    assert all(v.axiom == "P1" for full in fulls for v in full)
+    assert {bool(full) for full in fulls} == {False, True}
 
 
 def _states_after_a_merge(w):
     """Every state reached from w's block state by merging any two blocks and
-    then relating incomparable blocks any number of times, with no collapse;
-    each with the (slot, base up-sets) restriction of its merge."""
+    then orienting overlapping incomparable blocks, in every order, with no
+    collapse; each with the slot of its merge."""
     masks, ups, downs = block_masks(w)
     for i, j in itertools.combinations(range(len(masks)), 2):
         merged = masks[i] | masks[j]
@@ -317,9 +318,10 @@ def _states_after_a_merge(w):
         seen, stack = {tuple(base[0])}, [base]
         while stack:
             u, d = stack.pop()
-            yield ms, u, d, (i, base[0])
+            yield ms, u, d, i
             for a, b in itertools.permutations(range(len(ms)), 2):
-                if not (u[a] & ms[b] or u[b] & ms[a]):
+                overlap = Block.of(ms[a]).overlaps(Block.of(ms[b]))
+                if overlap and not (u[a] & ms[b] or u[b] & ms[a]):
                     step = relate_blocks(ms, u, d, ms[a], ms[b])
                     if step is not None and tuple(step[0]) not in seen:
                         seen.add(tuple(step[0]))
@@ -327,24 +329,30 @@ def _states_after_a_merge(w):
 
 
 def test_restricted_scan_matches_the_full_scan_after_any_merge():
-    # the restriction's argument needs only a valid start, one merge and
-    # added relations; these states fail (P2) at grown blocks as well
-    kinds = Counter()
-    for n in range(1, 6):
+    # the proof needs only a valid start, one merge and oriented overlapping
+    # pairs, not the search's choice of the first failure: every such state
+    # fails (P1) only on pairs holding the merged slot, and never (P2)
+    failing = Counter()
+    for n in range(1, 7):
         for p in all_permutations(n):
-            for masks, ups, downs, merged in _states_after_a_merge(mu(p)):
+            for masks, ups, downs, i in _states_after_a_merge(mu(p)):
                 full = list(block_violations(masks, ups, downs))
-                assert list(block_violations(masks, ups, downs, merged)) == full, (p, masks, ups)
-                i, base_ups = merged
+                assert list(block_violations(masks, ups, downs, i)) == full, (p, masks, ups)
                 for v in full:
-                    a, b = masks.index(v.first.mask), masks.index(v.second.mask)
-                    if v.axiom == "P1":
-                        kinds["P1", i in (a, b)] += 1
-                    else:
-                        kinds["P2", ups[a] != base_ups[a], a == i] += 1
-    # every failure is where the restriction looks (a pair holding slot i,
-    # a lower block whose up-set grew), and each kind occurs, at slot i too
-    assert set(kinds) == {("P1", True), ("P2", True, True), ("P2", True, False)}
+                    assert v.axiom == "P1" and masks[i] in (v.first.mask, v.second.mask), (p, v)
+                failing[bool(full)] += 1
+    assert failing[True] and failing[False]
+
+
+def test_relating_a_non_overlapping_pair_can_fail_p2():
+    # the proof rests on orienting overlapping pairs only: with {2, 3} just
+    # merged on [4], relating {1} below {4} makes a cover that does not
+    # overlap, which the restricted scan of slot 1 cannot see
+    masks, ups, downs = block_masks(Preorder.from_pairs(4, [(2, 3), (3, 2)]))
+    ups, downs = relate_blocks(masks, ups, downs, 0b0001, 0b1000)
+    full = list(block_violations(masks, ups, downs))
+    assert [(v.axiom, v.first.mask, v.second.mask) for v in full] == [("P2", 0b0001, 0b1000)]
+    assert list(block_violations(masks, ups, downs, 1)) == []
 
 
 def test_lower_covers_follow_the_runs():

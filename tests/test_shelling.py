@@ -309,11 +309,11 @@ def test_mobius_disagreement_raises(monkeypatch):
 
 def test_el_checks_raise_invariant_error(monkeypatch):
     bot, top = Preorder.discrete(4), Preorder.complete(4)
-    monkeypatch.setattr(shelling, "mask_placements", lambda state, covers=None: dict.fromkeys(state[0], 9))
+    monkeypatch.setattr(shelling, "mask_placements", lambda state: dict.fromkeys(state[0], 9))
     with pytest.raises(InvariantError, match="out of range"):
         edge_label(bot, mu(P("2134")))
     # every pair scores the same placement: the greedy choice is not unique
-    monkeypatch.setattr(shelling, "mask_placements", lambda state, covers=None: dict.fromkeys(state[0], 1))
+    monkeypatch.setattr(shelling, "mask_placements", lambda state: dict.fromkeys(state[0], 1))
     with pytest.raises(InvariantError, match="must be unique"):
         increasing_chain(bot, top)
 
@@ -363,3 +363,24 @@ def test_greedy_chain_builds_the_block_covers_once_per_step(monkeypatch):
     chain = increasing_chain(Preorder.discrete(7), Preorder.complete(7))
     assert len(chain.labels) == 6
     assert len(calls) == 6
+
+
+def test_greedy_chain_runs_one_full_scan(monkeypatch):
+    # every element after the bottom is a cover that carries its checked
+    # state, so a 6-step chain at n = 9 runs the full (P1)/(P2) scan once,
+    # for its bottom, and an edge label read off the chain runs none
+    real, scans = preorders.block_violations, []
+
+    def counted(masks, ups, downs, merged=None, covers=None):
+        if merged is None:
+            scans.append(masks)
+        return real(masks, ups, downs, merged, covers)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "shardorder" and getattr(module, "block_violations", None) is real:
+            monkeypatch.setattr(module, "block_violations", counted)
+    chain = increasing_chain(Preorder.discrete(9), mu(P("432187659")))
+    assert len(chain.labels) == 6
+    assert len(scans) == 1
+    assert edge_label(chain.elements[1], chain.elements[2]) == chain.labels[1]
+    assert len(scans) == 1

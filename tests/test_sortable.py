@@ -1,5 +1,7 @@
 import itertools
 import math
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -12,7 +14,10 @@ from shardorder.perms import Permutation, all_permutations, identity
 from shardorder.preorders import Block, Preorder, blocks, lam, mask_values, mu
 from shardorder.sortable import (
     CoxeterElement,
+    _noncrossing_partitions,
     _orientation,
+    _places,
+    _places_noncrossing,
     all_coxeter_elements,
     barring_of,
     cycle_of,
@@ -193,8 +198,8 @@ def test_one_barring_per_call(monkeypatch, call, barrings):
 
 
 CALLS_PER_ELEMENT = {
-    "_places": 1,
-    "_places_noncrossing": 1,
+    "_places": 0,
+    "_places_noncrossing": 0,
     "_demands": 1,
     "close_blocks": 1,
     "block_violations": 1,
@@ -207,9 +212,10 @@ CALLS_PER_ELEMENT = {
 def test_one_pass_per_noncrossing_element(monkeypatch, name):
     # each element closes its blocks once on the block state (no rows, no
     # packed state read back), computes its demands once, and runs the
-    # crossing test (on cycle positions read from its masks) and the
-    # (P1)/(P2) check once; every namespace binding the function is
-    # counted, so a call through another module shows too
+    # (P1)/(P2) check once; its partition is noncrossing by construction,
+    # so the crossing test never runs (test_generated_partitions_are_
+    # noncrossing checks that instead); every namespace binding the
+    # function is counted, so a call through another module shows too
     real = getattr(shardorder.sortable, name, None) or getattr(shardorder.preorders, name)
     calls = []
 
@@ -224,6 +230,21 @@ def test_one_pass_per_noncrossing_element(monkeypatch, name):
         calls.clear()
         noncrossing_preorders(linear_coxeter(n) if n > 1 else CoxeterElement(1, ()))
         assert len(calls) == CALLS_PER_ELEMENT[name] * CATALAN[n]
+
+
+def test_generated_partitions_are_noncrossing():
+    # the crossing test the constructor no longer runs, on every partition
+    # _noncrossing_partitions yields for every barring at n <= 6: each is
+    # noncrossing, and they are the Catalan(n) distinct partitions of [n]
+    for n in range(1, 7):
+        for bar in {barring_of(c) for c in all_coxeter_elements(n)}:
+            cells = [1 << (v - 1) for v in bar.cycle]
+            parts = list(_noncrossing_partitions(cells))
+            for part in parts:
+                assert _places_noncrossing(_places(part, bar)), (bar.cycle, part)
+                # nonempty, disjoint (their sum is their union) and covering [n]
+                assert all(part) and sum(part) == reduce(or_, part) == (1 << n) - 1, part
+            assert len({frozenset(part) for part in parts}) == len(parts) == CATALAN[n], bar.cycle
 
 
 def test_noncrossing_trivial_elements():
@@ -348,20 +369,21 @@ def test_construction_checks_fire(monkeypatch, transform, skip_axioms, error, ma
 
 def test_conflicting_witnesses_are_fatal():
     # crossing blocks whose witnesses disagree: the demands are checked
-    # before the closure and the closing crossing test
+    # before the closure
     bar = barring_of(linear_coxeter(4))
     masks = [0b0101, 0b1010]
     with pytest.raises(InvariantError, match="disagree"):
         shardorder.sortable._order_of_partition(masks, bar)
 
 
-def test_closing_check_tests_crossing_on_its_own():
-    # with every demand met (none given), blocks that interleave on the
-    # cycle 1 2 3 4 still fail the closing check, and nested ones pass
-    bar = barring_of(linear_coxeter(4))
-    noncrossing = shardorder.sortable._noncrossing
-    assert not noncrossing([0b0101, 0b1010], [0b1111, 0b1010], bar, demands=[])
-    assert noncrossing([0b1001, 0b0110], [0b1111, 0b0110], bar, demands=[])
+def test_closing_check_tests_crossing_on_its_own(monkeypatch):
+    # with no demand to meet, blocks that interleave on the cycle 1 2 3 4
+    # still fail the closing check of is_noncrossing_preorder, and nested
+    # ones pass
+    monkeypatch.setattr(shardorder.sortable, "_demands", lambda masks, bar: [])
+    c = linear_coxeter(4)
+    assert not is_noncrossing_preorder(Preorder.from_pairs(4, [(1, 3), (3, 1), (2, 4), (4, 2), (1, 2)]), c)
+    assert is_noncrossing_preorder(Preorder.from_pairs(4, [(1, 4), (4, 1), (2, 3), (3, 2), (2, 1)]), c)
 
 
 def test_partition_rejects_crossing_and_bad_input():
