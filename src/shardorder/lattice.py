@@ -57,9 +57,9 @@ carries that state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, itemgetter, or_
+from typing import NamedTuple
 
 from .errors import IncomparableError, InvalidPreorderError, InvariantError, ResourceLimitError
 from .perms import Permutation, all_permutations
@@ -220,8 +220,7 @@ def covers_up(w: Preorder) -> list[Preorder]:
     return [c for _, c in sorted(covers_below(w, Preorder.complete(w.n)), key=itemgetter(0))]
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """A closed interval of the lattice with its induced cover edges."""
 
     bottom: Preorder

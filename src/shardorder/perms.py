@@ -13,14 +13,14 @@ permutation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
+
+from .frozen import Frozen
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    """One-line word of a permutation of [n].
+class Permutation(Frozen):
+    """One-line word of a permutation of [n], ordered by word.
 
     >>> Permutation.parse("4312").word
     (4, 3, 1, 2)
@@ -28,14 +28,33 @@ class Permutation:
     '26314758'
     """
 
-    word: tuple[int, ...]
+    __slots__ = ("word",)
 
-    def __post_init__(self):
-        n = len(self.word)
+    def __init__(self, word: tuple[int, ...]):
+        n = len(word)
         if n < 1:
             raise ValueError("permutation must have size n >= 1")
-        if sorted(self.word) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of [{n}]: {self.word!r}")
+        if sorted(word) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of [{n}]: {word!r}")
+        _set_word(self, word)
+
+    def __eq__(self, other):
+        return self.word == other.word if other.__class__ is Permutation else NotImplemented
+
+    def __hash__(self):
+        return hash((self.word,))
+
+    def __lt__(self, other):
+        return self.word < other.word if other.__class__ is Permutation else NotImplemented
+
+    def __le__(self, other):
+        return self.word <= other.word if other.__class__ is Permutation else NotImplemented
+
+    def __gt__(self, other):
+        return self.word > other.word if other.__class__ is Permutation else NotImplemented
+
+    def __ge__(self, other):
+        return self.word >= other.word if other.__class__ is Permutation else NotImplemented
 
     @property
     def n(self) -> int:
@@ -62,6 +81,9 @@ class Permutation:
         return self.word.index(value)
 
 
+_set_word = Permutation.word.__set__
+
+
 def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
@@ -72,9 +94,11 @@ def reversal(n: int) -> Permutation:
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
-    """All of S_n in lexicographic word order."""
+    """All of S_n in lexicographic word order (the words need no check)."""
     for word in itertools.permutations(range(1, n + 1)):
-        yield Permutation(word)
+        p = object.__new__(Permutation)
+        _set_word(p, word)
+        yield p
 
 
 def inversions(p: Permutation) -> set[tuple[int, int]]:
@@ -97,8 +121,7 @@ def descents(p: Permutation) -> set[tuple[int, int]]:
     return {(w[i], w[i + 1]) for i in range(p.n - 1) if w[i] > w[i + 1]}
 
 
-@dataclass(frozen=True)
-class DescendingRun:
+class DescendingRun(NamedTuple):
     """A maximal strictly decreasing contiguous factor of a word.
 
     ``start``/``end`` are 0-based inclusive positions; ``values`` keeps the

@@ -46,11 +46,12 @@ elements are packed into ``bits`` directly, with no closure pass.
 
 Each element is checked against (P1)/(P2) once.  ``checked_state`` reads
 an object's state and runs the full scan the first time it sees it, then
-carries the state on the object as one flat tuple, in an attribute that
-is not a dataclass field, so ``==``, ``hash`` and ``repr`` ignore it.
-Code that has just checked a state carries it from the start: the cover
-search (``lattice._merge_candidates``, after its restricted scan),
-``preorder_from_json`` and ``lattice.join``'s result.  ``lam``,
+carries the state on the object as one flat tuple, in the private slot
+``_state``, which ``==``, ``hash`` and ``repr`` ignore.  Code that has
+just checked a state carries it from the start: the cover search
+(``lattice._merge_candidates``, after its restricted scan),
+``preorder_from_json``, ``lattice.join``'s result and the noncrossing
+constructor (``sortable._order_of_partition``).  ``lam``,
 ``preorder_to_json``, ``placements``, ``require_permutation_preorder``
 (``join``, ``interval_lattice``), ``is_noncrossing_preorder`` and
 ``shelling.edge_label`` go through ``checked_state``;
@@ -59,9 +60,7 @@ same check on the block covers it builds anyway.  ``mu``,
 ``Preorder(n, bits)`` and ``from_rows`` carry nothing, so whatever a user
 builds is checked on its first use.  ``axiom_violations`` always runs the
 full scan: it is the oracle.  No cache is kept: a state lives and dies
-with its object.  The noncrossing elements start with none either: they
-are built in bulk (Catalan(n) per word) and mostly only compared, so a
-state on each would cost about 1 MB at n = 9 and save no measurable time.
+with its object.
 
 Pre-orders built from given blocks (JSON input, noncrossing elements) are
 closed on the blocks too: ``close_blocks`` takes disjoint value masks and
@@ -73,10 +72,10 @@ merge given blocks.  ``lam_packed`` then writes a state's lam word and its
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidPreorderError
+from .frozen import Frozen
 from .perms import Permutation
 
 def close_rows(rows: list[int]) -> list[int]:
@@ -119,27 +118,34 @@ def run_masks(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@dataclass(frozen=True)
-class Preorder:
+class Preorder(Frozen):
     """Reflexive transitive relation on [n], packed into one int."""
 
-    n: int
-    bits: int
+    # _state is the checked block state (``checked_state``), a private
+    # slot, so ``==``, ``hash`` and ``repr`` ignore it
+    __slots__ = ("n", "bits", "_state")
 
-    # the checked block state (``checked_state``); a plain class attribute,
-    # not a field, so ``==``, ``hash`` and ``repr`` ignore it
-    _state = None
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, bits: int):
+        _set_n(self, n)
+        _set_bits(self, bits)
+        _set_state(self, None)
+        if n < 1:
             raise ValueError("ground set must be nonempty")
         rows = self.rows()
-        for a in range(self.n):
+        for a in range(n):
             if not rows[a] >> a & 1:
                 raise ValueError(f"relation is not reflexive at {a + 1}")
         closed = close_rows(list(rows))
         if closed != rows:
             raise ValueError("relation is not transitively closed")
+
+    def __eq__(self, other):
+        if other.__class__ is Preorder:
+            return self.bits == other.bits and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.bits))
 
     @staticmethod
     def from_rows(n: int, rows: Sequence[int]) -> "Preorder":
@@ -154,10 +160,11 @@ class Preorder:
 
     @staticmethod
     def _unchecked(n: int, bits: int) -> "Preorder":
-        """Wrap bits already reflexive and closed, skipping __post_init__'s check."""
-        q = object.__new__(Preorder)
-        object.__setattr__(q, "n", n)
-        object.__setattr__(q, "bits", bits)
+        """Wrap bits already reflexive and closed, skipping __init__'s check."""
+        q = _new(Preorder)
+        _set_n(q, n)
+        _set_bits(q, bits)
+        _set_state(q, None)
         return q
 
     @staticmethod
@@ -239,12 +246,12 @@ class Preorder:
 
     # Containment of relations is the lattice order on these objects.
     def __le__(self, other: "Preorder") -> bool:
-        if self.n != other.n:
+        if other.__class__ is not Preorder or self.n != other.n:
             return NotImplemented
         return self.bits & ~other.bits == 0
 
     def __lt__(self, other: "Preorder") -> bool:
-        if self.n != other.n:
+        if other.__class__ is not Preorder or self.n != other.n:
             return NotImplemented
         return self.bits & ~other.bits == 0 and self.bits != other.bits
 
@@ -255,8 +262,11 @@ class Preorder:
         return other.__lt__(self)
 
 
-@dataclass(frozen=True)
-class Block:
+_new = object.__new__
+_set_n, _set_bits, _set_state = Preorder.n.__set__, Preorder.bits.__set__, Preorder._state.__set__
+
+
+class Block(NamedTuple):
     """An equivalence class of mutual comparability, labeled [min, max].
 
     ``mask`` has bit v-1 set for each member v.
@@ -291,8 +301,7 @@ def blocks(q: Preorder) -> tuple[Block, ...]:
     return tuple(Block.of(mask) for mask in block_masks(q)[0])
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed axiom, with the offending block pair."""
 
     axiom: str  # "P1" or "P2"
@@ -485,7 +494,7 @@ def _carry(q: Preorder, masks: Sequence[int], ups: Sequence[int], downs: Sequenc
     """Attach to q the ``block_masks`` state its caller has just checked
     against (P1)/(P2), as one flat tuple (the masks, then the up-sets, then
     the down-sets: one object per element, not four); returns q."""
-    object.__setattr__(q, "_state", (*masks, *ups, *downs))
+    _set_state(q, (*masks, *ups, *downs))
     return q
 
 

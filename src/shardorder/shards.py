@@ -22,26 +22,27 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
+from .frozen import Frozen
 from .perms import Permutation
 from .preorders import Preorder, close_rows
 
 
-@dataclass(frozen=True)
-class Shard:
-    n: int
-    i: int
-    j: int
-    eps: tuple[int, ...]  # +1 / -1 for k = i+1 .. j-1
+class Shard(Frozen):
+    __slots__ = ("n", "i", "j", "eps")  # eps: +1 / -1 for k = i+1 .. j-1
 
-    def __post_init__(self):
-        if not 1 <= self.i < self.j <= self.n:
-            raise ValueError(f"need 1 <= i < j <= n, got i={self.i} j={self.j} n={self.n}")
-        if len(self.eps) != self.j - self.i - 1:
+    def __init__(self, n: int, i: int, j: int, eps: tuple[int, ...]):
+        if not 1 <= i < j <= n:
+            raise ValueError(f"need 1 <= i < j <= n, got i={i} j={j} n={n}")
+        if len(eps) != j - i - 1:
             raise ValueError("one sign required per index strictly between i and j")
-        if any(e not in (1, -1) for e in self.eps):
+        if any(e not in (1, -1) for e in eps):
             raise ValueError("signs must be +1 or -1")
+        write = object.__setattr__
+        write(self, "n", n)
+        write(self, "i", i)
+        write(self, "j", j)
+        write(self, "eps", eps)
 
     def sign(self, k: int) -> int:
         if not self.i < k < self.j:
@@ -98,8 +99,7 @@ def lower_shards(p: Permutation) -> list[Shard]:
     return out
 
 
-@dataclass(frozen=True)
-class ShardIntersection:
+class ShardIntersection(Frozen):
     """Closed constraint set of an intersection of shards.
 
     ``rows`` holds one value mask per index: bit b-1 of ``rows[a-1]`` is set
@@ -110,16 +110,15 @@ class ShardIntersection:
     read off the rows.
     """
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        if n < 1:
             raise ValueError("ground set must be nonempty")
-        if len(self.rows) != self.n or any(r >> self.n for r in self.rows):
-            raise ValueError(f"need {self.n} row masks within [1,{self.n}]")
-        rows = close_rows([r | 1 << a for a, r in enumerate(self.rows)])
-        object.__setattr__(self, "rows", tuple(rows))
+        if len(rows) != n or any(r >> n for r in rows):
+            raise ValueError(f"need {n} row masks within [1,{n}]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", tuple(close_rows([r | 1 << a for a, r in enumerate(rows)])))
 
     @property
     def equalities(self) -> frozenset[frozenset[int]]:

@@ -38,7 +38,7 @@ invariants here raise ``InvariantError``, so they also run under
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IncomparableError, InvariantError
 from .lattice import OmegaLattice, _merge_candidates, checked_covers, combinable_slots
@@ -76,8 +76,7 @@ def edge_label(lower: Preorder, upper: Preorder) -> int:
     return label
 
 
-@dataclass(frozen=True)
-class LabeledChain:
+class LabeledChain(NamedTuple):
     """A maximal chain of an interval together with its edge labels."""
 
     elements: tuple[Preorder, ...]

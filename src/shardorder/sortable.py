@@ -24,9 +24,11 @@ is built from its blocks alone: its demands are computed once, and its
 blocks are closed once on the block state (``close_blocks``: O(m^2) mask
 ORs on the m blocks, no rows and no packed relation read back).  Every
 check then runs once on that state: no witness conflict, the closure kept
-the blocks, (P1)/(P2), the orientation against the demands, and the run
-order whose lam word is the sort key, written with the packed bits
-(``lam_packed``).  The partitions are noncrossing by construction, so the
+the blocks, (P1)/(P2), and the run order whose lam word is the sort key,
+written with the packed bits (``lam_packed``); the element carries that
+state.  The closure orients every pair as demanded, so the orientation
+is not checked again (``_order_of_partition`` has the argument).  The
+partitions are noncrossing by construction, so the
 crossing test (on cycle positions read from the masks) runs only where
 it can fail: up front on a user's partition (``CrossingPartitionError``),
 and in ``is_noncrossing_preorder``, which adds it to the orientation.
@@ -34,11 +36,11 @@ and in ``is_noncrossing_preorder``, which adds it to the orientation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CrossingPartitionError, InvariantError
+from .frozen import Frozen
 from .perms import (
     BarredPattern,
     Permutation,
@@ -48,6 +50,7 @@ from .perms import (
 from .preorders import (
     Block,
     Preorder,
+    _carry,
     checked_state,
     close_blocks,
     lam_packed,
@@ -57,18 +60,16 @@ from .preorders import (
 )
 
 
-@dataclass(frozen=True)
-class CoxeterElement:
+class CoxeterElement(Frozen):
     """A word in the simple generators, each index 1..n-1 exactly once."""
 
-    n: int
-    word: tuple[int, ...]
+    __slots__ = ("n", "word")
 
-    def __post_init__(self):
-        if sorted(self.word) != list(range(1, self.n)):
-            raise ValueError(
-                f"word must use each generator 1..{self.n - 1} once, got {self.word!r}"
-            )
+    def __init__(self, n: int, word: tuple[int, ...]):
+        if sorted(word) != list(range(1, n)):
+            raise ValueError(f"word must use each generator 1..{n - 1} once, got {word!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "word", word)
 
     @classmethod
     def parse(cls, text: str, n: int) -> "CoxeterElement":
@@ -100,8 +101,7 @@ def all_coxeter_elements(n: int) -> Iterator[CoxeterElement]:
         yield CoxeterElement(n, word)
 
 
-@dataclass(frozen=True)
-class Barring:
+class Barring(NamedTuple):
     """Upper/lower bars on the values 2..n-1 (1 and n are unbarred), and the
     circular order on [n] they induce, starting at 1.
 
@@ -325,10 +325,17 @@ def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...]
     no such pre-order, which the theory rules out for noncrossing input, so
     that case is fatal.  The blocks are closed on their own
     (``close_blocks``, no rows), and every later check runs once on that
-    block state: the closure kept the given blocks, (P1)/(P2) hold, no pair
-    is oriented against the demands computed here, and the blocks have a
-    run order (``lam_order``, whose word is the sort key, written in one
-    pass with the packed bits).
+    block state: the closure kept the given blocks, (P1)/(P2) hold, and the
+    blocks have a run order (``lam_order``, whose word is the sort key,
+    written in one pass with the packed bits).  The pre-order carries the
+    checked state (``checked_state``).
+
+    No pair ends up oriented against its demand, so the orientation half
+    of ``is_noncrossing_preorder``'s check is not run here: each demanded
+    direction is one of the generators ``close_blocks`` closes, so the
+    pair is related that way, and ``close_blocks`` returns a state only
+    when no given blocks merged, so the pair is not related the other way
+    too.
     """
     # in the state's min order, so the demands' indices are the state's
     masks = sorted(masks, key=lambda b: b & -b)
@@ -344,6 +351,5 @@ def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...]
     if state is None:
         raise InvariantError("orientation closure collapsed the given blocks")
     require_block_axioms(*state)
-    if _misoriented(state[0], state[1], demands):
-        raise InvariantError("constructed pre-order is not noncrossing")
-    return lam_packed(bar.n, *state)
+    word, q = lam_packed(bar.n, *state)
+    return word, _carry(q, *state)

@@ -107,13 +107,31 @@ def test_only_checking_code_carries_a_state():
     p = Permutation((2, 6, 3, 1, 4, 7, 5, 8))
     q = mu(p)
     built = [q, Preorder(q.n, q.bits), Preorder.from_rows(q.n, q.rows()), Preorder.discrete(4)]
-    # noncrossing elements are built in bulk and mostly only compared
-    built += noncrossing_preorders(linear_coxeter(5))
     assert [x._state for x in built] == [None] * len(built)
     for check in (lam, preorder_to_json):
         x = Preorder(q.n, q.bits)
         check(x)
         assert _carried(x) == tuple(map(tuple, block_masks(q))), check.__name__
+    # the noncrossing constructor checks each element's state, so it carries it
+    for x in noncrossing_preorders(linear_coxeter(5)):
+        assert _carried(x) == tuple(map(tuple, block_masks(x))), x
+
+
+def test_noncrossing_elements_are_scanned_once_through_json(monkeypatch):
+    # the constructor runs the full (P1)/(P2) scan and carries the state,
+    # so preorder_to_json reads it back instead of scanning again
+    scans = []
+
+    def scan(masks, ups, downs, merged=None, covers=None):
+        if merged is None:
+            scans.append(masks)
+        return real_violations(masks, ups, downs, merged, covers)
+
+    real_violations = _bind_everywhere(monkeypatch, "block_violations", scan)
+    elements = noncrossing_preorders(CoxeterElement(6, (2, 1, 4, 3, 5)))
+    for q in elements:
+        preorder_to_json(q)
+    assert len(scans) == len(elements) == 132
 
 
 def _noncrossing_blocks(labels):
@@ -138,8 +156,8 @@ def _noncrossing_blocks(labels):
 @st.composite
 def carried_elements(draw):
     """Elements whose state was checked: covers, a JSON result, a join
-    result, and a mu image and a noncrossing element after a checking
-    reader (covers_up, is_noncrossing_preorder), at n = 8..10."""
+    result, a mu image after a checking reader (covers_up) and a
+    noncrossing element, which its constructor checked, at n = 8..10."""
     n = draw(st.integers(8, 10))
     word = st.permutations(range(1, n + 1)).map(lambda w: Permutation(tuple(w)))
     a, b = mu(draw(word)), mu(draw(word))

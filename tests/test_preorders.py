@@ -84,6 +84,11 @@ def test_order_across_sizes_names_the_operator_used():
             op(small, large)
     assert small < Preorder.complete(3) and not small < small and small <= small
     assert Preorder.complete(3) > small and not small > small
+    # so does a comparison with another type, instead of reading other.n
+    for other in (5, None, "3"):
+        for op, text in ((operator.lt, "'<'"), (operator.le, "'<='"), (operator.gt, "'>'"), (operator.ge, "'>='")):
+            with pytest.raises(TypeError, match=f"{text} not supported"):
+                op(small, other)
 
 
 def test_figure2_blocks_and_order():

@@ -1,0 +1,141 @@
+"""Value semantics of the package's classes, pinned to what frozen dataclasses gave.
+
+The slots classes (``Preorder``, ``Permutation``, ``Shard``,
+``ShardIntersection``, ``CoxeterElement``) and the records
+(``typing.NamedTuple``: ``Block``, ``Violation``, ``DescendingRun``,
+``Interval``, ``LabeledChain``, ``Barring``) keep their ``repr``, their
+``hash`` (that of the field tuple) and their ``==``, refuse assignment,
+and pickle.  No module of the package imports ``dataclasses``.
+"""
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from shardorder.lattice import interval_lattice
+from shardorder.perms import Permutation, all_permutations, descending_runs
+from shardorder.preorders import Block, Preorder, axiom_violations, blocks, mu
+from shardorder.shards import Shard, ShardIntersection
+from shardorder.shelling import increasing_chain
+from shardorder.sortable import CoxeterElement, barring_of, linear_coxeter
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _values():
+    """(object, literal repr, field tuple) of each converted class."""
+    q = Preorder.discrete(2)
+    chain = increasing_chain(q, Preorder.complete(2))
+    interval = interval_lattice(q, q).interval(q, q)
+    return [
+        (q, "Preorder(n=2, bits=9)", (2, 9)),
+        (Permutation((2, 1)), "Permutation(word=(2, 1))", ((2, 1),)),
+        (Shard(4, 1, 4, (1, -1)), "Shard(n=4, i=1, j=4, eps=(1, -1))", (4, 1, 4, (1, -1))),
+        (ShardIntersection(2, (0, 0)), "ShardIntersection(n=2, rows=(1, 2))", (2, (1, 2))),
+        (linear_coxeter(3), "CoxeterElement(n=3, word=(1, 2))", (3, (1, 2))),
+        (Block.of(0b101), "B[1,3]{1,3}", (1, 3, 5)),
+        (
+            axiom_violations(Preorder.from_rows(3, [0b100, 0, 0]))[0],
+            "Violation(axiom='P2', first=B[1,1]{1}, second=B[3,3]{3})",
+            ("P2", Block.of(1), Block.of(4)),
+        ),
+        (descending_runs(Permutation((1, 3, 2)))[1], "DescendingRun(values=(3, 2), start=1, end=2)", ((3, 2), 1, 2)),
+        (
+            interval,
+            "Interval(bottom=Preorder(n=2, bits=9), top=Preorder(n=2, bits=9), "
+            "members=(Preorder(n=2, bits=9),), edges=())",
+            (q, q, (q,), ()),
+        ),
+        (
+            chain,
+            "LabeledChain(elements=(Preorder(n=2, bits=9), Preorder(n=2, bits=15)), labels=(2,))",
+            ((q, Preorder.complete(2)), (2,)),
+        ),
+        (
+            barring_of(CoxeterElement(4, (2, 1, 3))),
+            "Barring(n=4, lower=frozenset({3}), upper=frozenset({2}), cycle=(1, 3, 4, 2), "
+            "upper_mask=2, positions=(1, 8, 2, 4))",
+            (4, frozenset({3}), frozenset({2}), (1, 3, 4, 2), 2, (1, 8, 2, 4)),
+        ),
+    ]
+
+
+VALUES = _values()
+IDS = [type(x).__name__ for x, _, _ in VALUES]
+
+
+@pytest.mark.parametrize("x, text, fields", VALUES, ids=IDS)
+def test_repr_hash_and_equality_are_those_of_the_fields(x, text, fields):
+    assert repr(x) == text
+    assert hash(x) == hash(fields)
+    twin = type(x)(*fields)
+    assert twin == x and not twin != x and hash(twin) == hash(x) and repr(twin) == text
+    assert x != object() and x is not None
+
+
+@pytest.mark.parametrize("x, text, fields", VALUES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(x, text, fields):
+    name = (x._fields if isinstance(x, tuple) else x.__slots__)[0]
+    with pytest.raises(AttributeError):
+        setattr(x, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.extra = 0
+    assert repr(x) == text
+
+
+@pytest.mark.parametrize("x, text, fields", VALUES, ids=IDS)
+def test_values_survive_pickle_and_copy(x, text, fields):
+    for back in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert back == x and type(back) is type(x) and repr(back) == text
+
+
+def test_classes_of_different_kinds_are_unequal():
+    # a slots class equals only its own class; a record equals the plain
+    # tuple of its fields, which a dataclass did not
+    q = Preorder.discrete(2)
+    assert q != (2, 9) and Permutation((2, 1)) != ((2, 1),)
+    assert Shard(3, 1, 2, ()) != ShardIntersection(3, (0, 0, 0))
+    assert Block.of(0b101) == (1, 3, 5)
+
+
+def test_permutations_order_by_word():
+    words = [(3, 1, 2), (1, 2, 3), (2, 3, 1), (1, 3, 2)]
+    assert [p.word for p in sorted(map(Permutation, words))] == sorted(words)
+    assert list(all_permutations(4)) == sorted(Permutation(p.word) for p in all_permutations(4))
+    p, q = Permutation((1, 2)), Permutation((2, 1))
+    assert p < q and p <= q and q > p and q >= p and p <= p and not p < p
+    with pytest.raises(TypeError):
+        p < (2, 1)
+
+
+def test_unchecked_words_are_plain_permutations():
+    # all_permutations skips the check its words cannot fail
+    for p in all_permutations(4):
+        assert p == Permutation(p.word) and hash(p) == hash((p.word,)) and p.n == 4
+
+
+def test_a_fresh_preorder_carries_no_state():
+    q = mu(Permutation((2, 1, 3)))
+    assert Preorder(q.n, q.bits)._state is None
+    assert q._state is None and Preorder.from_rows(3, q.rows())._state is None
+    with pytest.raises(AttributeError):
+        q._state = ()
+    assert [b.min for b in blocks(q)] == [1, 3]
+
+
+def test_the_package_imports_neither_dataclasses_nor_inspect():
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, shardorder.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60
+    )
+    assert out.returncode == 0 and out.stdout.strip() == "[]", out.stderr
