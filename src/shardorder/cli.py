@@ -189,7 +189,7 @@ def cmd_noncrossing(args) -> int:
             raise ValueError("--n disagrees with the partition JSON")
         c = CoxeterElement(n, tuple(data["coxeter"]))
         given = data["blocks"]
-        q = noncrossing_order_of_partition([set(b) for b in given], c)
+        q = noncrossing_order_of_partition(given, c)
         for i, j in data.get("less", []):
             if not q.leq(given[i][0], given[j][0]):
                 raise ValueError(

@@ -33,12 +33,12 @@ one constructive path to covers, and it yields each with its lam word.  Its
 search runs on the m blocks of a ``block_masks`` state, not on the n rows:
 each merge or orientation is one ``relate_blocks`` step (O(m) mask ORs in
 place of Warshall's closure) and is checked by ``block_violations``; a
-cover's word and bits are written in one pass over its ``lam_order``
-(``lam_packed``), and the cover carries the state it was checked on
-(``preorders.checked_state``).  The search starts from a valid state and
-only orients overlapping pairs, which cannot break (P2), so each state is
-scanned only for (P1) on the pairs holding the merged block, up to its
-first failure.
+cover's word and bits are written in one walk over its run order
+(``lam_packed``, on the slot pass ``lam_order`` reads too), and the cover
+carries the state it was checked on (``preorders.checked_state``).  The
+search starts from a valid state and only orients overlapping pairs, which
+cannot break (P2), so each state is scanned only for (P1) on the pairs
+holding the merged block, up to its first failure.
 
 A cover below top merges two combinable blocks inside one block of top;
 ``combinable_slots`` is the one test of that, on a block state, reading

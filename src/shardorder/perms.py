@@ -81,6 +81,7 @@ class Permutation(Frozen):
         return self.word.index(value)
 
 
+_new = object.__new__
 _set_word = Permutation.word.__set__
 
 
@@ -93,12 +94,16 @@ def reversal(n: int) -> Permutation:
     return Permutation(tuple(range(n, 0, -1)))
 
 
+def _of_word(word: tuple[int, ...]) -> Permutation:
+    """Wrap a tuple already known to be a permutation word, skipping the check."""
+    p = _new(Permutation)
+    _set_word(p, word)
+    return p
+
+
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic word order (the words need no check)."""
-    for word in itertools.permutations(range(1, n + 1)):
-        p = object.__new__(Permutation)
-        _set_word(p, word)
-        yield p
+    return map(_of_word, itertools.permutations(range(1, n + 1)))
 
 
 def inversions(p: Permutation) -> set[tuple[int, int]]:

@@ -25,10 +25,11 @@ inverse.  ``mu`` packs its bits straight from the word's ``run_masks``
 (``Preorder._of_runs``), so a caller holding the runs can keep them.
 ``lam`` writes the blocks as descending runs in the order ``lam_order``
 gives: a block's run is preceded by the blocks below it and by the
-incomparable blocks to its numeric left, a mask per block.
-Sorted by popcount, those masks must be the nested prefixes of the order,
-which one O(m) pass checks (m blocks); a pre-order whose blocks admit no
-such order is rejected.
+incomparable blocks to its numeric left, its before-set.  Those masks
+must be the nested prefixes of the order, so their sizes are distinct:
+one slot pass (``_run_slots``) places each block at the popcount of its
+before-set and checks the prefixes in one walk over the slots, O(n)
+with no sort; a pre-order whose blocks admit no such order is rejected.
 
 The one working form of the blocks is the state ``block_masks`` reads in
 one pass: the block masks sorted by min, with the up-set and down-set of
@@ -68,7 +69,7 @@ index pairs and returns their closure's block state directly, by
 Warshall's algorithm on the m blocks (O(m^2) mask ORs) instead of on the
 n rows, with no packed relation read back, or None when the closure would
 merge given blocks.  ``lam_packed`` then writes a state's lam word and its
-``bits`` in one pass over ``lam_order``.
+``bits`` in one walk over the slot pass that ``lam_order`` reads too.
 """
 from __future__ import annotations
 
@@ -384,8 +385,9 @@ def close_blocks(masks: Sequence[int], less) -> tuple[list[int], list[int], list
             for k, bk in enumerate(masks):
                 if up & bk:
                     downs[k] |= b
-    if any(u & d != b for b, u, d in zip(masks, ups, downs)):
-        return None
+    for b, u, d in zip(masks, ups, downs):
+        if u & d != b:
+            return None
     mins = [b & -b for b in masks]
     if mins != sorted(mins):
         order = sorted(range(len(masks)), key=mins.__getitem__)
@@ -453,21 +455,26 @@ def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[i
                 first, second = (bk, bi) if k < merged else (bi, bk)
                 yield Violation("P1", Block.of(first), Block.of(second))
         return
-    spans = [(1 << b.bit_length()) - (b & -b) for b in masks]  # span(b)
-    unrelated = [~(u | d) for u, d in zip(ups, downs)]
     # of two overlapping blocks, one has a value inside the other's interval,
     # so (P1) fails only if some block's interval holds a value unrelated to it
-    if any(s & free for s, free in zip(spans, unrelated)):
+    spans, unrelated, p1 = [], [], False
+    for b, u, d in zip(masks, ups, downs):
+        si, free = (1 << b.bit_length()) - (b & -b), ~(u | d)  # span(b)
+        spans.append(si)
+        unrelated.append(free)
+        if si & free:
+            p1 = True
+    if p1:
         for i, (si, free) in enumerate(zip(spans, unrelated)):
             for j in range(i + 1, len(masks)):
                 if masks[j] & free and si & spans[j]:
                     yield Violation("P1", Block.of(masks[i]), Block.of(masks[j]))
     if covers is None:
         covers = cover_masks(masks, ups)
-    for b, cover in zip(masks, covers):
-        below, upto = (b & -b) - 1, (1 << b.bit_length()) - 1
+    for b, si, cover in zip(masks, spans, covers):
         # a covering block with all its values inside b's interval overlaps it
-        if cover & (below | ~upto):
+        if cover & ~si:
+            below, upto = (b & -b) - 1, (1 << b.bit_length()) - 1
             for c in masks:
                 if cover & c and not (c & ~below and c & upto):
                     yield Violation("P2", Block.of(b), Block.of(c))
@@ -540,27 +547,57 @@ def mu(p: Permutation) -> Preorder:
     return Preorder._of_runs(p.n, run_masks(p.word))
 
 
+def _run_slots(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> list[tuple[int, int]]:
+    """(block mask, up-set) of each block of a pre-order q's ``block_masks``
+    state, in the left-to-right order their runs take in lam(q).
+
+    The values before a block's run are its before-set: those below it plus
+    those under its min and not above it.  In a run order the before-sets
+    are the nested prefixes of the order, so their sizes are distinct, and
+    each block is placed in the slot of its before-set's size.  One walk
+    over the slots in size order then checks that each before-set is the
+    union of the blocks placed so far and that no second block shares the
+    slot.  It fails at the block where a walk over the blocks sorted stably
+    by before-set size would, and raises InvalidPreorderError naming it: no
+    run order exists.
+    """
+    slots = [None] * max(masks).bit_length()  # a before-set has fewer than n values
+    shared = {}  # the first block whose before-set size is already taken, per size
+    for b, up, down in zip(masks, ups, downs):
+        before = (down | ((b & -b) - 1)) & ~up
+        k = before.bit_count()
+        if slots[k] is None:
+            slots[k] = (before, b, up)
+        else:
+            shared.setdefault(k, b)
+    order, placed = [], 0
+    for k, slot in enumerate(slots):
+        if slot is not None:
+            before, b, up = slot
+            if before != placed:
+                raise _unorderable(masks, b)
+            if k in shared:
+                raise _unorderable(masks, shared[k])
+            placed |= b
+            order.append((b, up))
+    return order
+
+
+def _unorderable(masks: Sequence[int], b: int) -> InvalidPreorderError:
+    """The error for blocks with no run order, naming the block b where it fails."""
+    return InvalidPreorderError(f"blocks {[Block.of(m) for m in masks]} are not totally orderable at {Block.of(b)}")
+
+
 def lam_order(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> list[int]:
     """Block masks of a pre-order q in the left-to-right order their runs take in lam(q).
 
     ``masks``, ``ups`` and ``downs`` are q's blocks as ``block_masks`` gives them.
     Comparable blocks follow the block order; incomparable blocks (whose
-    intervals are disjoint, by (P1)) follow numeric interval position.  So
-    the values before a block are those below it plus those under its min
-    and not above it.  Sorted by size, these masks must be the prefixes of
-    the order; otherwise no such order exists and this raises rather than
-    returning a bogus word.
+    intervals are disjoint, by (P1)) follow numeric interval position.  The
+    order is read from one slot pass (``_run_slots``), which raises rather
+    than returning a bogus word when no such order exists.
     """
-    keyed = [((down | ((b & -b) - 1)) & ~up, b) for b, up, down in zip(masks, ups, downs)]
-    keyed.sort(key=lambda kb: kb[0].bit_count())
-    placed = 0
-    for before, b in keyed:
-        if before != placed:
-            raise InvalidPreorderError(
-                f"blocks {[Block.of(m) for m in masks]} are not totally orderable at {Block.of(b)}"
-            )
-        placed |= b
-    return [b for _, b in keyed]
+    return [b for b, _ in _run_slots(masks, ups, downs)]
 
 
 def runs_word(masks) -> tuple[int, ...]:
@@ -580,14 +617,12 @@ def lam_word(q: Preorder) -> tuple[int, ...]:
 
 
 def lam_packed(n: int, masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]):
-    """(lam word, pre-order) of a closed ``block_masks`` state on [n], in one pass
-    over its ``lam_order`` (which raises if the blocks have no run order):
-    each block writes its run and shifts its up-set into the row of each
-    of its values, as ``Preorder._of_blocks`` does."""
-    up_of = dict(zip(masks, ups))
+    """(lam word, pre-order) of a closed ``block_masks`` state on [n], in one
+    walk over the slot pass of ``lam_order`` (which raises if the blocks have
+    no run order): each block writes its run and shifts its up-set into the
+    row of each of its values, as ``Preorder._of_blocks`` does."""
     word, bits = [], 0
-    for b in lam_order(masks, ups, downs):
-        up = up_of[b]
+    for b, up in _run_slots(masks, ups, downs):
         while b:
             v = b.bit_length() - 1
             word.append(v + 1)

@@ -17,9 +17,11 @@ witness.  Each noncrossing partition of the cycle is the block partition
 of exactly one of them, so they are built from those partitions.  Neither
 construction passes over S_n.
 
-The orientation rule is one mask function (``_orientation``): the members
-of each block strictly inside the other's interval, split by the mask of
-upper-barred values, say which directions a pair demands.  Each element
+The orientation rule is one mask function (``_demands``): the members of
+each block strictly inside the other's interval, split by the mask of
+upper-barred values, say which directions a pair demands.  It reads each
+block's span, strictly-inside mask and upper- and lower-barred members,
+computed once per state, so a pair costs four mask tests.  Each element
 is built from its blocks alone: its demands are computed once, and its
 blocks are closed once on the block state (``close_blocks``: O(m^2) mask
 ORs on the m blocks, no rows and no packed relation read back).  Every
@@ -44,6 +46,7 @@ from .frozen import Frozen
 from .perms import (
     BarredPattern,
     Permutation,
+    _of_word,
     all_permutations,
     contains_barred_pattern,
 )
@@ -166,14 +169,16 @@ def sortable_permutations(c: CoxeterElement) -> list[Permutation]:
     when it raises the length: the prefix is multiplied by s on the right,
     which swaps positions s and s+1, and s moves to the end of the word.
     Each branch that has dropped every letter is one element, so the cost
-    is Catalan(n) leaves, not n! filter tests.
+    is Catalan(n) leaves, not n! filter tests.  The leaves are permutation
+    words by construction (products of transpositions of the identity),
+    so they are sorted as tuples and wrapped without a second check.
     """
     found = []
     u = list(range(1, c.n + 1))
 
     def search(word: tuple[int, ...]) -> None:
         if not word:
-            found.append(Permutation(tuple(u)))
+            found.append(tuple(u))
             return
         s, rest = word[0], word[1:]
         search(rest)
@@ -183,7 +188,8 @@ def sortable_permutations(c: CoxeterElement) -> list[Permutation]:
             u[s - 1], u[s] = u[s], u[s - 1]
 
     search(c.word)
-    return sorted(found)
+    found.sort()
+    return list(map(_of_word, found))
 
 
 def _crosses(a: int, b: int) -> bool:
@@ -221,33 +227,34 @@ def _places_noncrossing(places) -> bool:
     return not any(_crosses(a, b) for a, b in itertools.combinations(places, 2))
 
 
-def _strictly_inside(mask: int) -> int:
-    """Mask of the values strictly between the least and greatest member of a nonempty mask."""
-    return ((1 << (mask.bit_length() - 1)) - 1) & -((mask & -mask) << 1)
+def _demands(masks, bar: Barring) -> list[tuple[int, int, bool, bool]]:
+    """(i, j, i below j demanded, i above j demanded) for each overlapping
+    pair i < j of the disjoint value masks: the orientation rule.
 
-
-def _orientation(b1: int, b2: int, upper: int) -> tuple[bool, bool]:
-    """(b1 below b2 demanded, b1 above b2 demanded) for two disjoint value masks.
-
-    ``upper`` is the value mask of the upper-barred values.  A witness is a
-    member of one block strictly inside the other's interval, and its bar
-    fixes the direction: an upper-barred member of b2 inside b1 puts b1
-    below b2, a lower-barred one puts it above, and a member of b1 inside b2
-    demands the opposite.  Witnesses are never 1 or n, so each is barred and
-    ``~upper`` reads as the lower bars.  Overlapping blocks always have a
-    witness; a pair is oriented consistently iff exactly one is demanded.
+    A witness is a member of one block strictly inside the other's
+    interval, and its bar fixes the direction: an upper-barred member of
+    block j inside block i puts i below j, a lower-barred one puts it
+    above, and a member of i inside j demands the opposite.  Witnesses are
+    never 1 or n, so each is barred and the complement of the upper-barred
+    mask reads as the lower bars.  Each block's span, strictly-inside mask
+    and upper- and lower-barred members are computed once, so a pair costs
+    four mask tests.  Overlapping blocks always have a witness; a pair is
+    oriented consistently iff exactly one direction is demanded.
     """
-    w2 = b2 & _strictly_inside(b1)
-    w1 = b1 & _strictly_inside(b2)
-    return bool(w2 & upper or w1 & ~upper), bool(w2 & ~upper or w1 & upper)
-
-
-def _demands(masks, bar: Barring):
-    """(i, j, below demanded, above demanded) for each overlapping pair i < j of the masks."""
-    spans = [(1 << b.bit_length()) - (b & -b) for b in masks]  # span(b)
-    for i, j in itertools.combinations(range(len(masks)), 2):
-        if spans[i] & spans[j]:
-            yield i, j, *_orientation(masks[i], masks[j], bar.upper_mask)
+    upper = bar.upper_mask
+    rows = []  # span, strictly-inside mask, upper- and lower-barred members
+    for b in masks:
+        low, top = b & -b, b.bit_length()
+        rows.append(((1 << top) - low, ((1 << (top - 1)) - 1) & -(low << 1), b & upper, b & ~upper))
+    demands = []
+    for i, (span_i, inside_i, upper_i, lower_i) in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            span_j, inside_j, upper_j, lower_j = rows[j]
+            if span_i & span_j:
+                below = upper_j & inside_i or lower_i & inside_j
+                above = lower_j & inside_i or upper_i & inside_j
+                demands.append((i, j, below != 0, above != 0))
+    return demands
 
 
 def _misoriented(masks, ups, demands) -> bool:
@@ -321,13 +328,13 @@ def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...]
 
     The masks must be noncrossing on the cycle; both callers make sure of
     it.  Each overlapping pair is oriented by the mask rule
-    ``_orientation``; conflicting demands would mean the partition admits
+    ``_demands``; conflicting demands would mean the partition admits
     no such pre-order, which the theory rules out for noncrossing input, so
     that case is fatal.  The blocks are closed on their own
     (``close_blocks``, no rows), and every later check runs once on that
     block state: the closure kept the given blocks, (P1)/(P2) hold, and the
-    blocks have a run order (``lam_order``, whose word is the sort key,
-    written in one pass with the packed bits).  The pre-order carries the
+    blocks have a run order (the slot pass of ``lam_order``, whose word is
+    the sort key, written in the same walk as the packed bits).  The pre-order carries the
     checked state (``checked_state``).
 
     No pair ends up oriented against its demand, so the orientation half
@@ -339,9 +346,8 @@ def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...]
     """
     # in the state's min order, so the demands' indices are the state's
     masks = sorted(masks, key=lambda b: b & -b)
-    demands = list(_demands(masks, bar))
     less = []
-    for i, j, below, above in demands:
+    for i, j, below, above in _demands(masks, bar):
         if below == above:
             raise InvariantError(
                 f"witnesses disagree on the orientation of {Block.of(masks[i])} vs {Block.of(masks[j])}"

@@ -194,9 +194,9 @@ def test_each_call_reads_the_block_state_once(monkeypatch):
 
 
 def test_each_cover_is_written_in_one_pass(monkeypatch):
-    # the word rule (lam_order) runs on every cover found, and the cover's
-    # word and bits come from that one pass, not from a packing and a
-    # runs_word pass of their own
+    # the word rule's slot pass (_run_slots) runs once on every cover found,
+    # and the cover's word and bits come from that one pass, not from
+    # lam_order, a packing or a runs_word pass of their own
     import shardorder.preorders as preorders
 
     calls = Counter()
@@ -208,7 +208,7 @@ def test_each_cover_is_written_in_one_pass(monkeypatch):
 
         return counted
 
-    for name in ("lam_order", "runs_word"):
+    for name in ("_run_slots", "lam_order", "runs_word"):
         real = getattr(preorders, name)
         for module in list(sys.modules.values()):
             if module.__name__.split(".")[0] == "shardorder" and getattr(module, name, None) is real:
@@ -217,7 +217,7 @@ def test_each_cover_is_written_in_one_pass(monkeypatch):
     for p in (P("1"), P("26314758"), P("231978456"), P("987654321")):
         calls.clear()
         covers = covers_up(mu(p))
-        assert calls == Counter(lam_order=len(covers)), p
+        assert calls == Counter(_run_slots=len(covers)), p
 
 
 def test_interval_walk_merges_only_inside_blocks_of_top(monkeypatch):

@@ -314,6 +314,64 @@ def test_ordered_blocks_matches_tournament():
         assert got == tournament_order(q), q
 
 
+def first_unorderable_block(masks, ups, downs):
+    """The block the word rule names for an unorderable state: the first whose
+    before-set is not the union of the blocks before it, with the blocks taken
+    by the size of their before-sets, ties in min order; None if there is none."""
+    keyed = sorted(
+        (((d | ((b & -b) - 1)) & ~u).bit_count(), k, (d | ((b & -b) - 1)) & ~u, b)
+        for k, (b, u, d) in enumerate(zip(masks, ups, downs))
+    )
+    placed = 0
+    for _, _, before, b in keyed:
+        if before != placed:
+            return b
+        placed |= b
+    return None
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        # before-sets {2,4}, {} and {1,2}: {1} follows {2,4}, and {3}, whose
+        # before-set has the size of {1}'s, fails
+        ([0b0001, 0b1011, 0b0100, 0b1011], "B[3,3]{3}"),
+        # before-sets {3}, {1} and {2}: none is empty, so the first of the
+        # three in size order fails
+        ([0b0001, 0b1010, 0b0101, 0b1010], "B[1,1]{1}"),
+        # before-sets {} and {1}: one value short of the prefix {1,4}
+        ([0b1001, 0b0110, 0b0110, 0b1001], "B[2,3]{2,3}"),
+        # before-sets {}, {1,4,6}, {1,2,5} and {1,2,4}: {2} follows
+        # {1,4,6}, and of the two blocks sharing its size the first fails
+        ([0b101011, 0b000010, 0b000100, 0b101011, 0b010100, 0b101011], "B[3,3]{3}"),
+    ],
+    ids=["same_size", "prefix_mismatch", "short_prefix", "two_share_a_size"],
+)
+def test_unorderable_state_error_text(rows, named):
+    masks, ups, downs = block_masks(Preorder.from_rows(len(rows), rows))
+    listed = ", ".join(map(repr, map(Block.of, masks)))
+    with pytest.raises(InvalidPreorderError) as info:
+        lam_order(masks, ups, downs)
+    assert str(info.value) == f"blocks [{listed}] are not totally orderable at {named}"
+
+
+def test_unorderable_block_is_the_first_in_size_order():
+    # every pre-order on [n], n <= 4: the word rule names the block the
+    # stable size-order walk fails at, or accepts when that walk does
+    for n in range(1, 5):
+        pairs = list(itertools.permutations(range(1, n + 1), 2))
+        relations = itertools.product((False, True), repeat=len(pairs))
+        for q in {Preorder.from_pairs(n, itertools.compress(pairs, keep)) for keep in relations}:
+            state = block_masks(q)
+            named = first_unorderable_block(*state)
+            try:
+                lam_order(*state)
+            except InvalidPreorderError as exc:
+                assert named is not None and str(exc).endswith(f" at {Block.of(named)!r}"), q
+            else:
+                assert named is None, q
+
+
 def pairwise_violations(q):
     """(axiom, i, j) failures in the order axiom_violations gives, by testing every pair."""
     bs = blocks(q)

@@ -17,7 +17,6 @@ from shardorder.sortable import (
     _demands,
     _misoriented,
     _noncrossing_partitions,
-    _orientation,
     _places,
     _places_noncrossing,
     all_coxeter_elements,
@@ -99,6 +98,20 @@ def test_construction_matches_the_pattern_filter():
                 reference[bar] = pattern_sortable_permutations(bar)
             assert sortable_permutations(c) == reference[bar], c
         assert len(reference) == 2 ** max(n - 2, 0)
+
+
+def test_sortable_list_holds_exact_permutations():
+    # the words are sorted as tuples and wrapped unchecked: each element is
+    # a plain Permutation on a tuple word, equal to and hashing like the
+    # checked one, and the list increases strictly by word
+    for n in range(1, 7):
+        for c in all_coxeter_elements(n):
+            found = sortable_permutations(c)
+            for p in found:
+                checked = Permutation(p.word)
+                assert type(p) is Permutation and type(p.word) is tuple, (c, p)
+                assert p == checked and hash(p) == hash(checked) and not p < checked, (c, p)
+            assert all(p.word < q.word for p, q in zip(found, found[1:])), c
 
 
 def test_sortable_does_not_touch_s_n(monkeypatch):
@@ -269,7 +282,7 @@ def _orientation_demands(b1: Block, b2: Block, bar):
 
     Yields +1 for b1 below b2 and -1 for b1 above b2: a member of one
     block strictly inside the other's interval demands a direction by its
-    bar.  The reference for the mask rule ``sortable._orientation``.
+    bar.  The reference for the mask rule of ``sortable._demands``.
     """
     for outer, witnesses, sign in ((b1, b2, 1), (b2, b1, -1)):
         for v in sorted(witnesses.members):
@@ -292,7 +305,9 @@ def test_orientation_witnesses_agree():
 
 
 def test_mask_orientation_rule_matches_witnesses():
-    # every ordered pair of disjoint, overlapping value masks, every barring
+    # every ordered pair of disjoint value masks, every barring: an
+    # overlapping pair gets one demand, read witness by witness, and a pair
+    # that does not overlap gets none
     for n in range(1, 7):
         full = (1 << n) - 1
         for bar in {barring_of(c) for c in all_coxeter_elements(n)}:
@@ -301,9 +316,11 @@ def test_mask_orientation_rule_matches_witnesses():
                 m2 = rest
                 while m2:
                     b1, b2 = Block.of(m1), Block.of(m2)
+                    expected = []
                     if b1.overlaps(b2):
                         demands = set(_orientation_demands(b1, b2, bar))
-                        assert _orientation(m1, m2, bar.upper_mask) == (1 in demands, -1 in demands)
+                        expected = [(0, 1, 1 in demands, -1 in demands)]
+                    assert _demands([m1, m2], bar) == expected, (bar.cycle, b1, b2)
                     m2 = (m2 - 1) & rest
 
 
@@ -377,7 +394,7 @@ def test_generated_elements_are_oriented_as_demanded():
             for part in _noncrossing_partitions([1 << (v - 1) for v in bar.cycle]):
                 q = shardorder.sortable._order_of_partition(part, bar)[1]
                 masks, ups, _ = block_masks(q)
-                assert not _misoriented(masks, ups, list(_demands(masks, bar))), (bar.cycle, part)
+                assert not _misoriented(masks, ups, _demands(masks, bar)), (bar.cycle, part)
 
 
 def test_conflicting_witnesses_are_fatal():
