@@ -188,6 +188,8 @@ def cmd_noncrossing(args) -> int:
         if args.n is not None and args.n != n:
             raise ValueError("--n disagrees with the partition JSON")
         c = CoxeterElement(n, tuple(data["coxeter"]))
+        if args.coxeter is not None and CoxeterElement.parse(args.coxeter, n) != c:
+            raise ValueError("--coxeter disagrees with the partition JSON")
         given = data["blocks"]
         q = noncrossing_order_of_partition(given, c)
         for i, j in data.get("less", []):

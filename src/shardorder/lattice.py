@@ -32,13 +32,16 @@ candidates that are valid elements with exactly one block fewer; it is the
 one constructive path to covers, and it yields each with its lam word.  Its
 search runs on the m blocks of a ``block_masks`` state, not on the n rows:
 each merge or orientation is one ``relate_blocks`` step (O(m) mask ORs in
-place of Warshall's closure) and is checked by ``block_violations``; a
-cover's word and bits are written in one walk over its run order
-(``lam_packed``, on the slot pass ``lam_order`` reads too), and the cover
-carries the state it was checked on (``preorders.checked_state``).  The
-search starts from a valid state and only orients overlapping pairs, which
-cannot break (P2), so each state is scanned only for (P1) on the pairs
-holding the merged block, up to its first failure.
+place of Warshall's closure); a cover's word and bits are written in one
+walk over its run order (``lam_packed``, on the slot pass ``lam_order``
+reads too), and the cover carries the state it was checked on
+(``preorders.checked_state``).  The search starts from a valid state and
+only orients overlapping pairs, which cannot break (P2), so each state is
+checked by a restricted scan (``_restricted_scan``): only for (P1), on
+the pairs holding the merged block, up to its first failure.  No step of
+the search can break anything else, and that scan's docstring has the
+proof; every other check in the package runs the full scan
+(``preorders.block_violations``).
 
 A cover below top merges two combinable blocks inside one block of top;
 ``combinable_slots`` is the one test of that, on a block state, reading
@@ -67,17 +70,11 @@ from .preorders import (
     Block,
     Preorder,
     block_masks,
-    block_violations,
-    _carried,
-    _carry,
     checked_state,
     cover_masks,
     lam,
     lam_packed,
-    lam_word,
     relate_blocks,
-    require_block_axioms,
-    require_permutation_preorder,
     run_masks,
 )
 
@@ -101,8 +98,8 @@ def join(a: Preorder, b: Preorder) -> Preorder:
     """
     if a.n != b.n:
         raise ValueError("elements live on different ground sets")
-    require_permutation_preorder(a)
-    require_permutation_preorder(b)
+    checked_state(a)
+    checked_state(b)
     rows = [ra | rb for ra, rb in zip(a.rows(), b.rows())]
     out = Preorder.from_rows(a.n, rows)
     try:
@@ -110,6 +107,47 @@ def join(a: Preorder, b: Preorder) -> Preorder:
     except InvalidPreorderError as exc:
         raise InvariantError(f"join fell outside the lattice: {out}") from exc
     return out
+
+
+def _restricted_scan(masks, ups, downs, merged: int):
+    """Yield (first mask, second mask) for each (P1)/(P2) failure of a state
+    the cover search reaches, lazily and in the order of ``block_violations``'
+    full scan, building no ``Block`` or ``Violation``.
+
+    ``merged = i`` restricts the scan to what a step of the cover search
+    (``_merge_candidates``) can break: the (P1) pairs holding slot
+    i.  That search starts from a valid state w, merges two of its blocks
+    into slot i (the base state), and then only orients (P1) failures, each
+    an overlapping incomparable pair related one way without collapsing
+    blocks.  So every block but slot i keeps its values:
+
+    - (P1) can fail only on pairs holding slot i: any other pair keeps its
+      intervals, and was comparable in w if they overlap.
+    - (P2) never fails.  The base state has no failure: the merge relates
+      two blocks only through slot i, so a cover a < c there comes from a
+      chain of covers in w from a part of a up to a part of c.  A block
+      strictly inside that chain would lie strictly between a and c unless
+      it is merged into one of them, so some step of the chain goes from a
+      part of a to a part of c; that pair overlaps, and so do a and c.
+      Orienting x < y in a state with no (P2) failure adds down(x) x up(y),
+      and ``relate_blocks`` returns None if that would collapse blocks.  A
+      pair a < c that is new and a cover must be (x, y): if a != x, x lies
+      strictly between a and c, and if c != y, y does (x = c or y = a would
+      make x and y comparable before the step).  Relations are only added,
+      so an old cover stays a cover or stops being one, and a pair with a
+      block between stays so.  The covers grow at most by (x, y), which
+      overlaps because it was a (P1) failure.
+
+    So the restricted scan yields the full scan's failures, in the same
+    order; in particular the same first one, or none.
+    """
+    bi = masks[merged]
+    free = ~(ups[merged] | downs[merged])
+    below, upto = (bi & -bi) - 1, (1 << bi.bit_length()) - 1
+    for k, bk in enumerate(masks):
+        # bk overlaps bi iff it has a value above bi's min and one below its max
+        if bk & free and bk & ~below and bk & upto:
+            yield (bk, bi) if k < merged else (bi, bk)
 
 
 def _merge_candidates(n: int, state, i: int, j: int):
@@ -121,8 +159,8 @@ def _merge_candidates(n: int, state, i: int, j: int):
     jump by more than one.  A state with no (P1)/(P2) failure is a cover,
     and the cover carries it (``checked_state``).
     Each state is scanned only where its steps can break the axioms
-    (``block_violations`` restricted to (P1) on the merged slot; no step
-    can break (P2)), and only up to its first failure.  The overlapping
+    (``_restricted_scan``: (P1) on the merged slot; no step can break
+    (P2)), and only up to its first failure.  The overlapping
     incomparable pair of that failure is oriented both ways, each a new
     state.  No state is reached twice: the two branches order their pair
     oppositely, and a state that related it both ways would have collapsed.
@@ -140,33 +178,30 @@ def _merge_candidates(n: int, state, i: int, j: int):
     stack = [base]
     while stack:
         ups, downs = stack.pop()
-        bad = next(block_violations(masks, ups, downs, i), None)
+        bad = next(_restricted_scan(masks, ups, downs, i), None)
         if bad is None:
-            word, cover = lam_packed(n, masks, ups, downs)
-            yield word, _carry(cover, masks, ups, downs)
+            yield lam_packed(n, masks, ups, downs)
         else:
             # orient the first overlapping incomparable pair both ways
-            cx, cy = bad.first.mask, bad.second.mask
+            cx, cy = bad
             for lower, upper in ((cx, cy), (cy, cx)):
                 oriented = relate_blocks(masks, ups, downs, lower, upper)
                 if oriented is not None:
                     stack.append(oriented)
 
 
-def combinable_slots(state, top: Preorder, covers=None):
+def combinable_slots(state, top: Preorder, covers):
     """Yield the slot pairs i < j of a ``block_masks`` state whose blocks lie
     inside one block of top and are incomparable or a cover: the merges
     that can start a maximal chain from the state's pre-order below top.
+    ``covers`` is the state's ``cover_masks``.
 
     The state's pre-order must lie below top, so each of its blocks lies
     inside one block of top: two blocks share one iff each meets the row
     of top at the other's min.  So top is read a row per block, and its
-    blocks are never formed.  The state's ``cover_masks`` may be passed as
-    ``covers``.
+    blocks are never formed.
     """
     masks, ups, _ = state
-    if covers is None:
-        covers = cover_masks(masks, ups)
     n, row = top.n, (1 << top.n) - 1
     top_ups = [top.bits >> n * ((b & -b).bit_length() - 1) & row for b in masks]
     for i, bi in enumerate(masks):
@@ -183,33 +218,22 @@ def combinable_pairs(w: Preorder, top: Preorder) -> list[tuple[Block, Block]]:
     if not leq(w, top):
         raise IncomparableError("w is not below top")
     state = block_masks(w)
-    return [(Block.of(state[0][i]), Block.of(state[0][j])) for i, j in combinable_slots(state, top)]
-
-
-def checked_covers(w: Preorder):
-    """(checked state, ``cover_masks``) of w, built once: a w that carries no
-    state is checked on those covers, as ``checked_state`` does, and carries it."""
-    carried = _carried(w)
-    state = carried or block_masks(w)
-    covers = cover_masks(state[0], state[1])
-    if carried is None:
-        require_block_axioms(*state, covers)
-        _carry(w, *state)
-    return state, covers
+    slots = combinable_slots(state, top, cover_masks(state[0], state[1]))
+    return [(Block.of(state[0][i]), Block.of(state[0][j])) for i, j in slots]
 
 
 def covers_below(w: Preorder, top: Preorder):
     """Yield (lam word, cover) for the covers of w below top, each once: a
     cover's blocks name the one pair of ``combinable_slots`` it merged.
 
-    w's checked state and block covers are built once (``checked_covers``).
-    Each cover carries its state too, so a walk from cover to cover reads
-    no packed relation and checks nothing twice.
+    w's block covers are built once, from its checked state.  Each cover
+    carries its state too, so a walk from cover to cover reads no packed
+    relation and checks nothing twice.
     """
     if not leq(w, top):
         raise IncomparableError("w is not below top")
-    state, covers = checked_covers(w)
-    for i, j in combinable_slots(state, top, covers):
+    state = checked_state(w)
+    for i, j in combinable_slots(state, top, cover_masks(state[0], state[1])):
         for word, cand in _merge_candidates(w.n, state, i, j):
             if cand <= top:
                 yield word, cand
@@ -451,11 +475,10 @@ def interval_lattice(bottom: Preorder, top: Preorder) -> OmegaLattice:
     built by merging two blocks that share a block of top, so the walk
     follows the interval: no n! enumeration and no size cap is involved.
     """
-    require_permutation_preorder(bottom)
-    require_permutation_preorder(top)
+    seen = {bottom: lam(bottom).word}
+    checked_state(top)
     if not leq(bottom, top):
         raise IncomparableError("bottom is not below top")
-    seen = {bottom: lam_word(bottom)}
     stack = [bottom]
     while stack:
         for word, c in covers_below(stack.pop(), top):

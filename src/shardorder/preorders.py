@@ -38,38 +38,36 @@ each.  The axiom check (``block_violations``), the word rule
 that state, and ``relate_blocks`` adds relations to it, keeping it closed
 in O(m) mask ORs with no Warshall pass.  Each function here that takes a
 ``Preorder`` reads its state once and runs all its checks on it.
-``block_violations`` yields its failures lazily, so a caller can stop at
-the first.  Given the merged slot of the cover search, it scans only the
-(P1) pairs holding that slot: no step of that search can break anything
-else, and its docstring has the proof.  Every other caller gets the full
-scan.  States the search accepts, mu's images, and the bottom and top
-elements are packed into ``bits`` directly, with no closure pass.
+``block_violations`` scans the whole state and yields its failures
+lazily, so a caller can stop at the first.  States the cover search
+accepts, mu's images, and the bottom and top elements are packed into
+``bits`` directly, with no closure pass.
 
 Each element is checked against (P1)/(P2) once.  ``checked_state`` reads
 an object's state and runs the full scan the first time it sees it, then
 carries the state on the object as one flat tuple, in the private slot
 ``_state``, which ``==``, ``hash`` and ``repr`` ignore.  Code that has
-just checked a state carries it from the start: the cover search
-(``lattice._merge_candidates``, after its restricted scan),
-``preorder_from_json``, ``lattice.join``'s result and the noncrossing
-constructor (``sortable._order_of_partition``).  ``lam``,
-``preorder_to_json``, ``placements``, ``require_permutation_preorder``
-(``join``, ``interval_lattice``), ``is_noncrossing_preorder`` and
-``shelling.edge_label`` go through ``checked_state``;
-``lattice.checked_covers`` (``covers_below``, the greedy chain) runs the
-same check on the block covers it builds anyway.  ``mu``,
+just checked a state carries it from the start: ``lam_packed``, which
+the cover search (``lattice._merge_candidates``, after its restricted
+scan) and the noncrossing constructor (``sortable._order_of_partition``)
+call, and ``preorder_from_json``.  ``lam``, ``preorder_to_json``,
+``placements``, ``is_noncrossing_preorder``, ``lattice.join`` (its
+arguments and its result), ``lattice.interval_lattice``,
+``lattice.covers_below`` and ``shelling``'s greedy chain and
+``edge_label`` go through ``checked_state``.  ``mu``,
 ``Preorder(n, bits)`` and ``from_rows`` carry nothing, so whatever a user
 builds is checked on its first use.  ``axiom_violations`` always runs the
 full scan: it is the oracle.  No cache is kept: a state lives and dies
 with its object.
 
 Pre-orders built from given blocks (JSON input, noncrossing elements) are
-closed on the blocks too: ``close_blocks`` takes disjoint value masks and
-index pairs and returns their closure's block state directly, by
-Warshall's algorithm on the m blocks (O(m^2) mask ORs) instead of on the
-n rows, with no packed relation read back, or None when the closure would
-merge given blocks.  ``lam_packed`` then writes a state's lam word and its
-``bits`` in one walk over the slot pass that ``lam_order`` reads too.
+closed on the blocks too: ``close_blocks`` takes disjoint value masks in
+min order and index pairs and returns their closure's block state
+directly, by Warshall's algorithm on the m blocks (O(m^2) mask ORs)
+instead of on the n rows, with no packed relation read back, or None when
+the closure would merge given blocks.  ``lam_packed`` then writes a
+state's lam word and its ``bits`` in one walk over the slot pass that
+``lam_order`` reads too.
 """
 from __future__ import annotations
 
@@ -132,6 +130,8 @@ class Preorder(Frozen):
         _set_state(self, None)
         if n < 1:
             raise ValueError("ground set must be nonempty")
+        if bits < 0 or bits >> (n * n):
+            raise ValueError(f"relation bits reach beyond [1,{n}]")
         rows = self.rows()
         for a in range(n):
             if not rows[a] >> a & 1:
@@ -362,7 +362,8 @@ def relate_blocks(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]
 def close_blocks(masks: Sequence[int], less) -> tuple[list[int], list[int], list[int]] | None:
     """The ``block_masks`` state of the closure of disjoint value masks taken as
     classes, masks[i] below masks[j] for each index pair (i, j) in ``less``;
-    None if the closure would merge given blocks.
+    None if the closure would merge given blocks.  The masks must arrive in
+    min order, the order of the state.
 
     Every generator relates whole blocks, so every up-set is a union of
     blocks and block a reaches block k iff a's up-set meets k.  Warshall's
@@ -388,10 +389,6 @@ def close_blocks(masks: Sequence[int], less) -> tuple[list[int], list[int], list
     for b, u, d in zip(masks, ups, downs):
         if u & d != b:
             return None
-    mins = [b & -b for b in masks]
-    if mins != sorted(mins):
-        order = sorted(range(len(masks)), key=mins.__getitem__)
-        masks, ups, downs = ([s[a] for a in order] for s in (masks, ups, downs))
     return list(masks), ups, downs
 
 
@@ -410,51 +407,13 @@ def cover_masks(masks: Sequence[int], ups: Sequence[int]) -> list[int]:
     return covers
 
 
-def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], merged=None, covers=None):
+def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]):
     """Yield the (P1)/(P2) failures of a pre-order given by its blocks, lazily,
     P1 first and pairs in block order, so a caller can stop at the first.
 
     The arguments are a ``block_masks`` state: block value masks sorted by
-    min, and the up-set and down-set of each block.  A caller that already
-    holds the state's ``cover_masks`` may pass them as ``covers``.
-
-    ``merged = i`` restricts the scan to what a step of the cover search
-    (``lattice._merge_candidates``) can break: the (P1) pairs holding slot
-    i.  That search starts from a valid state w, merges two of its blocks
-    into slot i (the base state), and then only orients (P1) failures, each
-    an overlapping incomparable pair related one way without collapsing
-    blocks.  So every block but slot i keeps its values:
-
-    - (P1) can fail only on pairs holding slot i: any other pair keeps its
-      intervals, and was comparable in w if they overlap.
-    - (P2) never fails.  The base state has no failure: the merge relates
-      two blocks only through slot i, so a cover a < c there comes from a
-      chain of covers in w from a part of a up to a part of c.  A block
-      strictly inside that chain would lie strictly between a and c unless
-      it is merged into one of them, so some step of the chain goes from a
-      part of a to a part of c; that pair overlaps, and so do a and c.
-      Orienting x < y in a state with no (P2) failure adds down(x) x up(y),
-      and ``relate_blocks`` returns None if that would collapse blocks.  A
-      pair a < c that is new and a cover must be (x, y): if a != x, x lies
-      strictly between a and c, and if c != y, y does (x = c or y = a would
-      make x and y comparable before the step).  Relations are only added,
-      so an old cover stays a cover or stops being one, and a pair with a
-      block between stays so.  The covers grow at most by (x, y), which
-      overlaps because it was a (P1) failure.
-
-    So the restricted scan yields the full scan's failures, in the same
-    order; in particular the same first one, or none.
+    min, and the up-set and down-set of each block.
     """
-    if merged is not None:
-        bi = masks[merged]
-        free = ~(ups[merged] | downs[merged])
-        below, upto = (bi & -bi) - 1, (1 << bi.bit_length()) - 1
-        for k, bk in enumerate(masks):
-            # bk overlaps bi iff it has a value above bi's min and one below its max
-            if bk & free and bk & ~below and bk & upto:
-                first, second = (bk, bi) if k < merged else (bi, bk)
-                yield Violation("P1", Block.of(first), Block.of(second))
-        return
     # of two overlapping blocks, one has a value inside the other's interval,
     # so (P1) fails only if some block's interval holds a value unrelated to it
     spans, unrelated, p1 = [], [], False
@@ -469,9 +428,7 @@ def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[i
             for j in range(i + 1, len(masks)):
                 if masks[j] & free and si & spans[j]:
                     yield Violation("P1", Block.of(masks[i]), Block.of(masks[j]))
-    if covers is None:
-        covers = cover_masks(masks, ups)
-    for b, si, cover in zip(masks, spans, covers):
+    for b, si, cover in zip(masks, spans, cover_masks(masks, ups)):
         # a covering block with all its values inside b's interval overlaps it
         if cover & ~si:
             below, upto = (b & -b) - 1, (1 << b.bit_length()) - 1
@@ -489,10 +446,9 @@ def is_permutation_preorder(q: Preorder) -> bool:
     return not axiom_violations(q)
 
 
-def require_block_axioms(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], covers=None) -> None:
-    """Raise InvalidPreorderError naming every (P1)/(P2) failure of a ``block_masks``
-    state (its ``cover_masks`` may be passed as ``covers``)."""
-    bad = list(block_violations(masks, ups, downs, None, covers))
+def require_block_axioms(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> None:
+    """Raise InvalidPreorderError naming every (P1)/(P2) failure of a ``block_masks`` state."""
+    bad = list(block_violations(masks, ups, downs))
     if bad:
         raise InvalidPreorderError("; ".join(str(v) for v in bad))
 
@@ -529,11 +485,6 @@ def checked_state(q: Preorder) -> tuple[tuple[int, ...], tuple[int, ...], tuple[
         require_block_axioms(*state)
         _carry(q, *state)
     return state
-
-
-def require_permutation_preorder(q: Preorder) -> Preorder:
-    checked_state(q)
-    return q
 
 
 def mu(p: Permutation) -> Preorder:
@@ -611,16 +562,13 @@ def runs_word(masks) -> tuple[int, ...]:
     return tuple(word)
 
 
-def lam_word(q: Preorder) -> tuple[int, ...]:
-    """The word of lam(q) for a q already checked against (P1)/(P2)."""
-    return runs_word(lam_order(*(_carried(q) or block_masks(q))))
-
-
 def lam_packed(n: int, masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]):
-    """(lam word, pre-order) of a closed ``block_masks`` state on [n], in one
-    walk over the slot pass of ``lam_order`` (which raises if the blocks have
-    no run order): each block writes its run and shifts its up-set into the
-    row of each of its values, as ``Preorder._of_blocks`` does."""
+    """(lam word, pre-order) of a closed ``block_masks`` state on [n] that its
+    caller has just checked against (P1)/(P2), in one walk over the slot
+    pass of ``lam_order`` (which raises if the blocks have no run order):
+    each block writes its run and shifts its up-set into the row of each of
+    its values, as ``Preorder._of_blocks`` does.  The pre-order carries the
+    state (``checked_state``)."""
     word, bits = [], 0
     for b, up in _run_slots(masks, ups, downs):
         while b:
@@ -628,7 +576,7 @@ def lam_packed(n: int, masks: Sequence[int], ups: Sequence[int], downs: Sequence
             word.append(v + 1)
             bits |= up << (n * v)
             b ^= 1 << v
-    return tuple(word), Preorder._unchecked(n, bits)
+    return tuple(word), _carry(Preorder._unchecked(n, bits), masks, ups, downs)
 
 
 def lam(q: Preorder) -> Permutation:
@@ -714,7 +662,10 @@ def partition_masks(block_sets, n: int) -> list[int]:
 def preorder_from_json(data: dict) -> Preorder:
     """Rebuild a pre-order from its JSON form and validate (P1)/(P2)."""
     n = check_json_shape(data)
-    state = close_blocks(partition_masks(data["blocks"], n), data.get("less", []))
+    masks = partition_masks(data["blocks"], n)
+    order = sorted(range(len(masks)), key=lambda k: masks[k] & -masks[k])
+    slot = {k: i for i, k in enumerate(order)}
+    state = close_blocks([masks[k] for k in order], [(slot[i], slot[j]) for i, j in data.get("less", [])])
     if state is None:
         raise ValueError("order relations collapse the given blocks")
     require_block_axioms(*state)

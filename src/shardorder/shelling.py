@@ -8,12 +8,11 @@ the pairs that can be combined on the way to the top
 (``lattice.combinable_slots``), merge the one whose larger placement is
 smallest; exactly one of the covers ``lattice`` builds for that merge lies
 below top.  Each step reads its element's checked state and builds its
-block covers once (``lattice.checked_covers``), for the (P1)/(P2) check
-and the combinable pairs alike; every element after the first is a cover
-that carries its state, so a chain runs one scan, for its bottom.  The number of
-strictly decreasing maximal chains gives the Moebius number up to sign;
-the classical recursion is run alongside as an independent check and
-disagreement is fatal.
+block covers once, for the combinable pairs; every element after the
+first is a cover that carries its state, so a chain runs one scan, for
+its bottom.  The number of strictly decreasing maximal chains gives the
+Moebius number up to sign; the classical recursion is run alongside as an
+independent check and disagreement is fatal.
 
 Whole-interval counts run on an indexed lattice (``OmegaLattice``): the
 interval [b, t] is the mask ``up_mask[b] & down_mask[t]`` and its edges are
@@ -41,9 +40,9 @@ import operator
 from typing import NamedTuple
 
 from .errors import IncomparableError, InvariantError
-from .lattice import OmegaLattice, _merge_candidates, checked_covers, combinable_slots
+from .lattice import OmegaLattice, _merge_candidates, combinable_slots
 from .lattice import interval_lattice, iter_bits, leq
-from .preorders import Block, Preorder, block_masks, checked_state, lam, mask_placements
+from .preorders import Block, Preorder, block_masks, checked_state, cover_masks, lam, mask_placements
 
 
 def _merged_masks(lower: Preorder, upper: Preorder, lower_masks) -> list[int]:
@@ -94,11 +93,10 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
     chain, labels = [bottom], []
     while chain[-1] != top:
         cur = chain[-1]
-        state, covers = checked_covers(cur)
+        state = checked_state(cur)
         masks, place = state[0], mask_placements(state)
-        label = {
-            (i, j): max(place[masks[i]], place[masks[j]]) for i, j in combinable_slots(state, top, covers)
-        }
+        slots = combinable_slots(state, top, cover_masks(masks, state[1]))
+        label = {(i, j): max(place[masks[i]], place[masks[j]]) for i, j in slots}
         ranked = sorted(label, key=label.get)
         if not ranked:
             raise InvariantError("strictly ordered interval must have a combinable pair")

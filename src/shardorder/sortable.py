@@ -53,7 +53,6 @@ from .perms import (
 from .preorders import (
     Block,
     Preorder,
-    _carry,
     checked_state,
     close_blocks,
     lam_packed,
@@ -262,19 +261,13 @@ def _misoriented(masks, ups, demands) -> bool:
     return any(above if ups[i] & masks[j] else below for i, j, below, above in demands)
 
 
-def _noncrossing(masks, ups, bar: Barring) -> bool:
-    """The closing check on a pre-order's ``block_masks`` (value masks, up-sets):
-    the blocks are noncrossing on the cycle, and no overlapping pair is
-    oriented against its demand."""
-    return _places_noncrossing(_places(masks, bar)) and not _misoriented(masks, ups, _demands(masks, bar))
-
-
 def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
     """Blocks noncrossing on the cycle and every overlap oriented by its bar."""
     if w.n != c.n:
         raise ValueError("pre-order and Coxeter element sizes differ")
     masks, ups, _ = checked_state(w)
-    return _noncrossing(masks, ups, barring_of(c))
+    bar = barring_of(c)
+    return _places_noncrossing(_places(masks, bar)) and not _misoriented(masks, ups, _demands(masks, bar))
 
 
 def _noncrossing_partitions(cells: list[int]):
@@ -344,7 +337,7 @@ def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...]
     when no given blocks merged, so the pair is not related the other way
     too.
     """
-    # in the state's min order, so the demands' indices are the state's
+    # in min order, as close_blocks takes them, so the demands' indices are the state's
     masks = sorted(masks, key=lambda b: b & -b)
     less = []
     for i, j, below, above in _demands(masks, bar):
@@ -357,5 +350,4 @@ def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...]
     if state is None:
         raise InvariantError("orientation closure collapsed the given blocks")
     require_block_axioms(*state)
-    word, q = lam_packed(bar.n, *state)
-    return word, _carry(q, *state)
+    return lam_packed(bar.n, *state)

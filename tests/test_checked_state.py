@@ -50,10 +50,9 @@ def test_each_element_reads_and_checks_its_state_three_times(monkeypatch):
     reads, scans = [], []
     real_masks = _bind_everywhere(monkeypatch, "block_masks", lambda q: reads.append(q) or real_masks(q))
 
-    def scan(masks, ups, downs, merged=None, covers=None):
-        if merged is None:
-            scans.append(masks)
-        return real_violations(masks, ups, downs, merged, covers)
+    def scan(masks, ups, downs):
+        scans.append(masks)
+        return real_violations(masks, ups, downs)
 
     real_violations = _bind_everywhere(monkeypatch, "block_violations", scan)
     rng = random.Random(20261018)
@@ -122,10 +121,9 @@ def test_noncrossing_elements_are_scanned_once_through_json(monkeypatch):
     # so preorder_to_json reads it back instead of scanning again
     scans = []
 
-    def scan(masks, ups, downs, merged=None, covers=None):
-        if merged is None:
-            scans.append(masks)
-        return real_violations(masks, ups, downs, merged, covers)
+    def scan(masks, ups, downs):
+        scans.append(masks)
+        return real_violations(masks, ups, downs)
 
     real_violations = _bind_everywhere(monkeypatch, "block_violations", scan)
     elements = noncrossing_preorders(CoxeterElement(6, (2, 1, 4, 3, 5)))

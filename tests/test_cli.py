@@ -87,6 +87,7 @@ def test_unmap_reports_axiom_violation(capsys):
         ("noncrossing", '{"n":4,"coxeter":["1",2,3],"blocks":[[1,4],[2,3]]}'),
         ("noncrossing", '{"n":4,"coxeter":[1,2,3],"blocks":[[1,4],[2,3],[2]]}'),
         ("noncrossing", '{"n":3,"coxeter":[1,2],"blocks":[[1,1],[2,3]]}'),
+        ("noncrossing", '{"n":3,"coxeter":[1,2],"blocks":[[1,3],[2]]}', "--coxeter", "2,1"),
         ("unmap", '{"n":' + "[" * 100_000),
         ("unmap", "[]"),
         ("noncrossing", '  [{"n":4}]'),

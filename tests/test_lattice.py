@@ -20,6 +20,7 @@ from shardorder.errors import (
 from shardorder.lattice import (
     OmegaLattice,
     _merge_candidates,
+    _restricted_scan,
     build_lattice,
     combinable_pairs,
     combinable_slots,
@@ -39,8 +40,8 @@ from shardorder.preorders import (
     block_masks,
     block_violations,
     blocks,
+    cover_masks,
     lam,
-    lam_word,
     mask_values,
     mu,
     placements,
@@ -121,7 +122,7 @@ def test_covers_below_are_the_covers_up_below_top(lattice):
             got = [c for _, c in found]
             assert len(set(got)) == len(got), (lat.words[i], lat.words[j])
             assert set(got) == {c for c in covers_up(w) if leq(c, top)}, (lat.words[i], lat.words[j])
-            assert all(word == lam_word(c) for word, c in found), (lat.words[i], lat.words[j])
+            assert all(word == lam(c).word for word, c in found), (lat.words[i], lat.words[j])
 
 
 def _pairwise_combinable(w, top):
@@ -152,7 +153,8 @@ def test_combinable_slots_match_pairwise(lattice):
         for i, w in enumerate(lat.elements):
             tops = [lat.elements[j] for j in iter_bits(lat.up_mask[i])] if n <= 4 else [complete]
             for top in tops:
-                got = list(combinable_slots(block_masks(w), top))
+                state = block_masks(w)
+                got = list(combinable_slots(state, top, cover_masks(state[0], state[1])))
                 assert got == _pairwise_combinable(w, top), (lat.words[i], lam(top))
                 bs = blocks(w)
                 assert combinable_pairs(w, top) == [(bs[a], bs[b]) for a, b in got]
@@ -273,28 +275,28 @@ def _relation_merge_candidates(w, bi, bj):
 
 @contextlib.contextmanager
 def _restricted_scans_checked():
-    """Check each restricted ``block_violations`` scan the cover search makes
-    against the full scan of the same state: the same failures in the same
-    order, so the same first one, or none.  Yields the full scans' failures,
-    one list per scanned state."""
-    real = lattice_module.block_violations
+    """Check each restricted scan the cover search makes (``_restricted_scan``)
+    against the full scan of the same state: the same failing pairs in the
+    same order, so the same first one, or none.  Yields the full scans'
+    failures, one list per scanned state."""
+    real = lattice_module._restricted_scan
     fulls = []
 
-    def checked(masks, ups, downs, merged=None):
-        if merged is not None:
-            full = list(real(masks, ups, downs))
-            assert list(real(masks, ups, downs, merged)) == full, (masks, ups, downs, merged)
-            fulls.append(full)
+    def checked(masks, ups, downs, merged):
+        full = list(block_violations(masks, ups, downs))
+        pairs = [(v.first.mask, v.second.mask) for v in full]
+        assert list(real(masks, ups, downs, merged)) == pairs, (masks, ups, downs, merged)
+        fulls.append(full)
         return real(masks, ups, downs, merged)
 
-    with mock.patch.object(lattice_module, "block_violations", checked):
+    with mock.patch.object(lattice_module, "_restricted_scan", checked):
         yield fulls
 
 
 def test_restricted_scan_matches_the_full_scan_in_the_search():
     # every state the search visits from every combinable pair at n <= 7:
     # each is a cover or a (P1) branch, and none fails (P2), as the proof
-    # in block_violations' docstring says
+    # in _restricted_scan's docstring says
     with _restricted_scans_checked() as fulls:
         for n in range(1, 8):
             for p in all_permutations(n):
@@ -337,7 +339,8 @@ def test_restricted_scan_matches_the_full_scan_after_any_merge():
         for p in all_permutations(n):
             for masks, ups, downs, i in _states_after_a_merge(mu(p)):
                 full = list(block_violations(masks, ups, downs))
-                assert list(block_violations(masks, ups, downs, i)) == full, (p, masks, ups)
+                pairs = [(v.first.mask, v.second.mask) for v in full]
+                assert list(_restricted_scan(masks, ups, downs, i)) == pairs, (p, masks, ups)
                 for v in full:
                     assert v.axiom == "P1" and masks[i] in (v.first.mask, v.second.mask), (p, v)
                 failing[bool(full)] += 1
@@ -352,7 +355,7 @@ def test_relating_a_non_overlapping_pair_can_fail_p2():
     ups, downs = relate_blocks(masks, ups, downs, 0b0001, 0b1000)
     full = list(block_violations(masks, ups, downs))
     assert [(v.axiom, v.first.mask, v.second.mask) for v in full] == [("P2", 0b0001, 0b1000)]
-    assert list(block_violations(masks, ups, downs, 1)) == []
+    assert list(_restricted_scan(masks, ups, downs, 1)) == []
 
 
 def test_lower_covers_follow_the_runs():
@@ -370,7 +373,7 @@ def test_lower_covers_follow_the_runs():
 
 def _check_block_search(w):
     state = block_masks(w)
-    for i, j in combinable_slots(state, Preorder.complete(w.n)):
+    for i, j in combinable_slots(state, Preorder.complete(w.n), cover_masks(state[0], state[1])):
         bi, bj = Block.of(state[0][i]), Block.of(state[0][j])
         with _restricted_scans_checked():
             found = list(_merge_candidates(w.n, state, i, j))
@@ -379,7 +382,7 @@ def _check_block_search(w):
         for word, c in found:
             # reflexive and transitively closed, checked from the packed bits
             assert Preorder(c.n, c.bits) == c
-            assert word == lam_word(c)
+            assert word == lam(c).word
 
 
 def test_block_search_matches_relation_search(lattice):
@@ -712,7 +715,7 @@ def _check_placement_proposition(lower, upper):
     # element's block state, top = complete putting no bound on the pairs
     def combinable(q):
         state = block_masks(q)
-        pairs = set(combinable_slots(state, Preorder.complete(q.n)))
+        pairs = set(combinable_slots(state, Preorder.complete(q.n), cover_masks(state[0], state[1])))
         return lambda x, y: tuple(sorted((state[0].index(x.mask), state[0].index(y.mask)))) in pairs
 
     combinable_up, combinable_low = combinable(upper), combinable(lower)
@@ -788,12 +791,9 @@ def test_hasse_text_is_the_indented_json_dump(lattice):
 def test_join_membership_failure_raises(lattice, monkeypatch):
     lat = lattice(3)
     a, b = lat.elements[1], lat.elements[2]
-    # join checks its arguments through preorders and its result through the
-    # checked_state name bound in lattice; only the result check fails here
-    def reject(q):
-        raise InvalidPreorderError("forced")
-
-    monkeypatch.setattr(lattice_module, "checked_state", reject)
+    # the closure of the union comes out as a real non-element (its blocks
+    # {1,3} and {2} overlap but are incomparable), so only the result check fails
+    monkeypatch.setattr(Preorder, "from_rows", staticmethod(lambda n, rows: Preorder(3, 0b101010101)))
     with pytest.raises(InvariantError, match="outside the lattice"):
         join(a, b)
     monkeypatch.setattr(lattice_module, "join", lambda x, y: Preorder.discrete(4))

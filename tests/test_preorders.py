@@ -513,3 +513,13 @@ def test_preorder_rejects_unclosed_bits():
         Preorder(3, unclosed)
     with pytest.raises(ValueError):
         Preorder(3, 0)  # not reflexive
+
+
+def test_preorder_rejects_bits_outside_the_square():
+    # a relation on [n] has n*n bits; a stray high bit or a negative int
+    # would otherwise make two equal relations compare unequal
+    with pytest.raises(ValueError, match=r"reach beyond \[1,2\]"):
+        Preorder(2, 15 | 1 << 10)
+    with pytest.raises(ValueError, match=r"reach beyond \[1,2\]"):
+        Preorder(2, -1)
+    assert Preorder(2, 15) == Preorder.complete(2)

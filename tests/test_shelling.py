@@ -349,8 +349,9 @@ def test_whole_lattice_reads_each_word_once(monkeypatch):
 
 
 def test_greedy_chain_builds_the_block_covers_once_per_step(monkeypatch):
-    # each step's (P1)/(P2) check and its combinable pairs share one
-    # cover_masks of the step's block state
+    # each step builds one cover_masks of its block state, for its
+    # combinable pairs; a bottom that carries no state adds one more, for
+    # its (P1)/(P2) scan, and a bottom checked before adds none
     real, calls = preorders.cover_masks, []
 
     def counted(*state):
@@ -360,8 +361,12 @@ def test_greedy_chain_builds_the_block_covers_once_per_step(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "shardorder" and getattr(module, "cover_masks", None) is real:
             monkeypatch.setattr(module, "cover_masks", counted)
-    chain = increasing_chain(Preorder.discrete(7), Preorder.complete(7))
+    bottom = Preorder.discrete(7)
+    chain = increasing_chain(bottom, Preorder.complete(7))
     assert len(chain.labels) == 6
+    assert len(calls) == 7
+    calls.clear()
+    assert increasing_chain(bottom, Preorder.complete(7)) == chain
     assert len(calls) == 6
 
 
@@ -371,10 +376,9 @@ def test_greedy_chain_runs_one_full_scan(monkeypatch):
     # for its bottom, and an edge label read off the chain runs none
     real, scans = preorders.block_violations, []
 
-    def counted(masks, ups, downs, merged=None, covers=None):
-        if merged is None:
-            scans.append(masks)
-        return real(masks, ups, downs, merged, covers)
+    def counted(masks, ups, downs):
+        scans.append(masks)
+        return real(masks, ups, downs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "shardorder" and getattr(module, "block_violations", None) is real:
