@@ -69,7 +69,6 @@ from .perms import Permutation, all_permutations
 from .preorders import (
     Block,
     Preorder,
-    block_masks,
     checked_state,
     cover_masks,
     lam,
@@ -190,11 +189,11 @@ def _merge_candidates(n: int, state, i: int, j: int):
                     stack.append(oriented)
 
 
-def combinable_slots(state, top: Preorder, covers):
+def combinable_slots(state, top: Preorder):
     """Yield the slot pairs i < j of a ``block_masks`` state whose blocks lie
     inside one block of top and are incomparable or a cover: the merges
     that can start a maximal chain from the state's pre-order below top.
-    ``covers`` is the state's ``cover_masks``.
+    The covers among the blocks are built once (``cover_masks``).
 
     The state's pre-order must lie below top, so each of its blocks lies
     inside one block of top: two blocks share one iff each meets the row
@@ -202,6 +201,7 @@ def combinable_slots(state, top: Preorder, covers):
     blocks are never formed.
     """
     masks, ups, _ = state
+    covers = cover_masks(masks, ups)
     n, row = top.n, (1 << top.n) - 1
     top_ups = [top.bits >> n * ((b & -b).bit_length() - 1) & row for b in masks]
     for i, bi in enumerate(masks):
@@ -214,12 +214,12 @@ def combinable_slots(state, top: Preorder, covers):
 
 
 def combinable_pairs(w: Preorder, top: Preorder) -> list[tuple[Block, Block]]:
-    """The pairs of blocks of w that ``combinable_slots`` gives for top."""
+    """The pairs of blocks of w, an element (``checked_state``), that
+    ``combinable_slots`` gives for top."""
     if not leq(w, top):
         raise IncomparableError("w is not below top")
-    state = block_masks(w)
-    slots = combinable_slots(state, top, cover_masks(state[0], state[1]))
-    return [(Block.of(state[0][i]), Block.of(state[0][j])) for i, j in slots]
+    state = checked_state(w)
+    return [(Block.of(state[0][i]), Block.of(state[0][j])) for i, j in combinable_slots(state, top)]
 
 
 def covers_below(w: Preorder, top: Preorder):
@@ -233,7 +233,7 @@ def covers_below(w: Preorder, top: Preorder):
     if not leq(w, top):
         raise IncomparableError("w is not below top")
     state = checked_state(w)
-    for i, j in combinable_slots(state, top, cover_masks(state[0], state[1])):
+    for i, j in combinable_slots(state, top):
         for word, cand in _merge_candidates(w.n, state, i, j):
             if cand <= top:
                 yield word, cand

@@ -6,9 +6,10 @@ A permutation is stored as the tuple (p(1), ..., p(n)); all values are
 the comma-separated form "2,6,3,1,4,7,5,8" otherwise; both are accepted by
 :func:`Permutation.parse`.
 
-The descending-run decomposition defined here is the backbone of the whole
-package: runs become the blocks of the pre-order associated to a
-permutation.
+The descending runs of a word become the blocks of the pre-order of a
+permutation.  ``descending_runs`` lists them as records with their
+positions, the public view; ``preorders.mu`` packs from the value masks
+of ``preorders.run_masks`` instead.
 """
 from __future__ import annotations
 

@@ -43,13 +43,14 @@ lazily, so a caller can stop at the first.  States the cover search
 accepts, mu's images, and the bottom and top elements are packed into
 ``bits`` directly, with no closure pass.
 
-Each element is checked against (P1)/(P2) once.  ``checked_state`` reads
-an object's state and runs the full scan the first time it sees it, then
-carries the state on the object as one flat tuple, in the private slot
-``_state``, which ``==``, ``hash`` and ``repr`` ignore.  Code that has
-just checked a state carries it from the start: ``lam_packed``, which
-the cover search (``lattice._merge_candidates``, after its restricted
-scan) and the noncrossing constructor (``sortable._order_of_partition``)
+Each element is checked against (P1)/(P2) at most once.  ``checked_state``
+reads an object's state and runs the full scan the first time it sees it,
+then carries the state on the object as one flat tuple, in the private
+slot ``_state``, which ``==``, ``hash`` and ``repr`` ignore.  Code that
+has just checked a state, or proved it valid, carries it from the start:
+``lam_packed``, which the cover search (``lattice._merge_candidates``,
+after its restricted scan) and the noncrossing constructor
+(``sortable._order_of_partition``, whose closure makes (P1)/(P2) true)
 call, and ``preorder_from_json``.  ``lam``, ``preorder_to_json``,
 ``placements``, ``is_noncrossing_preorder``, ``lattice.join`` (its
 arguments and its result), ``lattice.interval_lattice``,
@@ -97,11 +98,6 @@ def mask_values(mask: int) -> list[int]:
         out.append(low.bit_length())
         mask ^= low
     return out
-
-
-def span(mask: int) -> int:
-    """Mask of the values from the least to the greatest member of a nonempty mask."""
-    return (1 << mask.bit_length()) - (mask & -mask)
 
 
 def run_masks(word: Sequence[int]) -> tuple[int, ...]:
@@ -191,7 +187,7 @@ class Preorder(Frozen):
         bits = 0
         done = []  # (span, up-set) of the runs to the right
         for mask in reversed(runs):
-            run_span, up = (1 << mask.bit_length()) - (mask & -mask), mask  # span(mask)
+            run_span, up = (1 << mask.bit_length()) - (mask & -mask), mask  # its interval
             for right_span, right_up in done:
                 if run_span & right_span:
                     up |= right_up
@@ -418,7 +414,7 @@ def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[i
     # so (P1) fails only if some block's interval holds a value unrelated to it
     spans, unrelated, p1 = [], [], False
     for b, u, d in zip(masks, ups, downs):
-        si, free = (1 << b.bit_length()) - (b & -b), ~(u | d)  # span(b)
+        si, free = (1 << b.bit_length()) - (b & -b), ~(u | d)  # b's interval
         spans.append(si)
         unrelated.append(free)
         if si & free:
@@ -454,8 +450,8 @@ def require_block_axioms(masks: Sequence[int], ups: Sequence[int], downs: Sequen
 
 
 def _carry(q: Preorder, masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> Preorder:
-    """Attach to q the ``block_masks`` state its caller has just checked
-    against (P1)/(P2), as one flat tuple (the masks, then the up-sets, then
+    """Attach to q the ``block_masks`` state its caller has just checked (or
+    proved) to satisfy (P1)/(P2), as one flat tuple (the masks, then the up-sets, then
     the down-sets: one object per element, not four); returns q."""
     _set_state(q, (*masks, *ups, *downs))
     return q
@@ -564,7 +560,7 @@ def runs_word(masks) -> tuple[int, ...]:
 
 def lam_packed(n: int, masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]):
     """(lam word, pre-order) of a closed ``block_masks`` state on [n] that its
-    caller has just checked against (P1)/(P2), in one walk over the slot
+    caller has just checked (or proved) to satisfy (P1)/(P2), in one walk over the slot
     pass of ``lam_order`` (which raises if the blocks have no run order):
     each block writes its run and shifts its up-set into the row of each of
     its values, as ``Preorder._of_blocks`` does.  The pre-order carries the

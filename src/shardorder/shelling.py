@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .errors import IncomparableError, InvariantError
 from .lattice import OmegaLattice, _merge_candidates, combinable_slots
 from .lattice import interval_lattice, iter_bits, leq
-from .preorders import Block, Preorder, block_masks, checked_state, cover_masks, lam, mask_placements
+from .preorders import Block, Preorder, block_masks, checked_state, lam, mask_placements
 
 
 def _merged_masks(lower: Preorder, upper: Preorder, lower_masks) -> list[int]:
@@ -59,8 +59,9 @@ def _merged_masks(lower: Preorder, upper: Preorder, lower_masks) -> list[int]:
 
 
 def merged_pair(lower: Preorder, upper: Preorder) -> tuple[Block, Block]:
-    """The two blocks of ``lower`` that were combined to form ``upper``."""
-    b1, b2 = _merged_masks(lower, upper, block_masks(lower)[0])
+    """The two blocks of ``lower``, an element (``checked_state``), that
+    were combined to form ``upper``."""
+    b1, b2 = _merged_masks(lower, upper, checked_state(lower)[0])
     return Block.of(b1), Block.of(b2)
 
 
@@ -95,7 +96,7 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
         cur = chain[-1]
         state = checked_state(cur)
         masks, place = state[0], mask_placements(state)
-        slots = combinable_slots(state, top, cover_masks(masks, state[1]))
+        slots = combinable_slots(state, top)
         label = {(i, j): max(place[masks[i]], place[masks[j]]) for i, j in slots}
         ranked = sorted(label, key=label.get)
         if not ranked:

@@ -17,23 +17,23 @@ witness.  Each noncrossing partition of the cycle is the block partition
 of exactly one of them, so they are built from those partitions.  Neither
 construction passes over S_n.
 
-The orientation rule is one mask function (``_demands``): the members of
+One mask function (``_demands``) decides noncrossing: the members of
 each block strictly inside the other's interval, split by the mask of
-upper-barred values, say which directions a pair demands.  It reads each
-block's span, strictly-inside mask and upper- and lower-barred members,
-computed once per state, so a pair costs four mask tests.  Each element
-is built from its blocks alone: its demands are computed once, and its
-blocks are closed once on the block state (``close_blocks``: O(m^2) mask
-ORs on the m blocks, no rows and no packed relation read back).  Every
-check then runs once on that state: no witness conflict, the closure kept
-the blocks, (P1)/(P2), and the run order whose lam word is the sort key,
-written with the packed bits (``lam_packed``); the element carries that
-state.  The closure orients every pair as demanded, so the orientation
-is not checked again (``_order_of_partition`` has the argument).  The
-partitions are noncrossing by construction, so the
-crossing test (on cycle positions read from the masks) runs only where
-it can fail: up front on a user's partition (``CrossingPartitionError``),
-and in ``is_noncrossing_preorder``, which adds it to the orientation.
+upper-barred values, say which directions a pair demands, and a pair
+demanded both ways is exactly a pair that crosses on the cycle (the
+lemma in its docstring).  It reads each block's span, strictly-inside
+mask and upper- and lower-barred members, computed once per state, so a
+pair costs four mask tests.  Each element is built from its blocks
+alone: its demands are computed once, a crossing pair raises
+``CrossingPartitionError``, and the blocks are closed once on the block
+state (``close_blocks``: O(m^2) mask ORs on the m blocks, no rows and no
+packed relation read back).  Two checks then run on that state: the
+closure kept the blocks, and the run order whose lam word is the sort
+key, written with the packed bits (``lam_packed``); the element carries
+that state.  The closure orients every pair as demanded and makes
+(P1)/(P2) true, so neither is checked again (``_order_of_partition`` has
+the argument), and ``is_noncrossing_preorder`` is the orientation test
+alone.
 """
 from __future__ import annotations
 
@@ -50,16 +50,7 @@ from .perms import (
     all_permutations,
     contains_barred_pattern,
 )
-from .preorders import (
-    Block,
-    Preorder,
-    checked_state,
-    close_blocks,
-    lam_packed,
-    partition_masks,
-    require_block_axioms,
-    span,
-)
+from .preorders import Preorder, checked_state, close_blocks, lam_packed, partition_masks
 
 
 class CoxeterElement(Frozen):
@@ -105,11 +96,8 @@ def all_coxeter_elements(n: int) -> Iterator[CoxeterElement]:
 
 class Barring(NamedTuple):
     """Upper/lower bars on the values 2..n-1 (1 and n are unbarred), and the
-    circular order on [n] they induce, starting at 1.
-
-    ``upper_mask`` is the value mask of ``upper``, and ``positions[v - 1]``
-    the bit of value v's position on the cycle: the forms the mask-level
-    checks read.
+    circular order on [n] they induce, starting at 1.  ``upper_mask`` is
+    the value mask of ``upper``, the form the orientation rule reads.
     """
 
     n: int
@@ -117,7 +105,6 @@ class Barring(NamedTuple):
     upper: frozenset[int]
     cycle: tuple[int, ...]
     upper_mask: int
-    positions: tuple[int, ...]
 
 
 def barring_of(c: CoxeterElement) -> Barring:
@@ -126,11 +113,7 @@ def barring_of(c: CoxeterElement) -> Barring:
     upper = frozenset(range(2, c.n)) - lower
     top = (c.n,) if c.n > 1 else ()
     cycle = (1, *sorted(lower), *top, *sorted(upper, reverse=True))
-    positions = [0] * c.n
-    for k, v in enumerate(cycle):
-        positions[v - 1] = 1 << k
-    upper_mask = sum(1 << (v - 1) for v in upper)
-    return Barring(c.n, lower, upper, cycle, upper_mask, tuple(positions))
+    return Barring(c.n, lower, upper, cycle, sum(1 << (v - 1) for v in upper))
 
 
 def cycle_of(c: CoxeterElement) -> tuple[int, ...]:
@@ -191,41 +174,6 @@ def sortable_permutations(c: CoxeterElement) -> list[Permutation]:
     return list(map(_of_word, found))
 
 
-def _crosses(a: int, b: int) -> bool:
-    """Do two disjoint, nonempty position masks interleave on the circle?
-
-    They do not iff b misses the span of a, or lies in one gap between
-    consecutive members of a.
-    """
-    inside = b & span(a)
-    if not inside:
-        return False
-    low = inside & -inside
-    after = a & -(low << 1)  # members of a past low
-    before = a & (low - 1)
-    gap = ((after & -after) - 1) & -(1 << before.bit_length())
-    return bool(b & ~gap)
-
-
-def _places(masks, bar: Barring) -> list[int]:
-    """The cycle-position mask of each value mask."""
-    positions = bar.positions
-    places = []
-    for mask in masks:
-        place = 0
-        while mask:
-            v = mask.bit_length() - 1
-            place |= positions[v]
-            mask ^= 1 << v
-        places.append(place)
-    return places
-
-
-def _places_noncrossing(places) -> bool:
-    """No two of the disjoint position masks interleave on the circle."""
-    return not any(_crosses(a, b) for a, b in itertools.combinations(places, 2))
-
-
 def _demands(masks, bar: Barring) -> list[tuple[int, int, bool, bool]]:
     """(i, j, i below j demanded, i above j demanded) for each overlapping
     pair i < j of the disjoint value masks: the orientation rule.
@@ -237,8 +185,31 @@ def _demands(masks, bar: Barring) -> list[tuple[int, int, bool, bool]]:
     never 1 or n, so each is barred and the complement of the upper-barred
     mask reads as the lower bars.  Each block's span, strictly-inside mask
     and upper- and lower-barred members are computed once, so a pair costs
-    four mask tests.  Overlapping blocks always have a witness; a pair is
-    oriented consistently iff exactly one direction is demanded.
+    four mask tests.
+
+    This is also the crossing test.  Lemma: two disjoint blocks cross on
+    the cycle (two values of each alternate on it) iff their intervals
+    overlap and their witnesses demand both directions.  Proof: the cycle
+    climbs from 1 to n through the lower-barred values and descends through
+    the upper-barred ones, so for 1 < x <= y < n it is four arcs in turn:
+    the values below x, the lower-barred values of [x, y], the values above
+    y, the upper-barred values of [x, y].  Blocks with disjoint intervals
+    lie in the values up to some k and those above k: complementary arcs.
+    Otherwise let x be the larger min and y the smaller max.  As the blocks
+    are disjoint, the witnesses are their values in [x, y], x among them.
+    If every witness demands i below j, i's values there are lower-barred
+    and j's upper-barred, and the values below x (above y) all lie in one
+    block, so each block lies in its own arc of [x, y] and the outer arcs
+    it holds: disjoint arcs, no crossing.  The direction i above j is the
+    mirror image.  Conversely, let both directions be demanded.  If one
+    block has witnesses with both bars, they lie on both arcs between the
+    other block's min and max (take x and y just inside those), so the
+    blocks cross.  Otherwise a witness of each block has the same bar, say
+    upper (lower is the mirror image): u in j, v in i and u > v, swapping
+    i and j if needed.  Then max i > u > v > min j alternate on the cycle:
+    it descends from n through u, then v, meets max i before u (on the
+    climb or the descent), and min j after v or, on the climb, before
+    max i.
     """
     upper = bar.upper_mask
     rows = []  # span, strictly-inside mask, upper- and lower-barred members
@@ -262,12 +233,15 @@ def _misoriented(masks, ups, demands) -> bool:
 
 
 def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
-    """Blocks noncrossing on the cycle and every overlap oriented by its bar."""
+    """Blocks noncrossing on the cycle and every overlap oriented by its bar.
+
+    One test decides both: a crossing pair is demanded both ways
+    (``_demands``), so whichever way w relates it, it is misoriented.
+    """
     if w.n != c.n:
         raise ValueError("pre-order and Coxeter element sizes differ")
     masks, ups, _ = checked_state(w)
-    bar = barring_of(c)
-    return _places_noncrossing(_places(masks, bar)) and not _misoriented(masks, ups, _demands(masks, bar))
+    return not _misoriented(masks, ups, _demands(masks, barring_of(c)))
 
 
 def _noncrossing_partitions(cells: list[int]):
@@ -308,46 +282,41 @@ def noncrossing_preorders(c: CoxeterElement) -> list[Preorder]:
 
 
 def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
-    """The unique noncrossing pre-order with the given noncrossing blocks."""
-    bar = barring_of(c)
-    masks = partition_masks(block_sets, c.n)
-    if not _places_noncrossing(_places(masks, bar)):
-        raise CrossingPartitionError("blocks interleave on the cycle of c")
-    return _order_of_partition(masks, bar)[1]
+    """The unique noncrossing pre-order with the given noncrossing blocks.
+
+    Crossing blocks raise ``CrossingPartitionError`` (``_order_of_partition``).
+    """
+    return _order_of_partition(partition_masks(block_sets, c.n), barring_of(c))[1]
 
 
 def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...], Preorder]:
     """(lam word, pre-order) of the noncrossing pre-order whose blocks are the value masks.
 
-    The masks must be noncrossing on the cycle; both callers make sure of
-    it.  Each overlapping pair is oriented by the mask rule
-    ``_demands``; conflicting demands would mean the partition admits
-    no such pre-order, which the theory rules out for noncrossing input, so
-    that case is fatal.  The blocks are closed on their own
-    (``close_blocks``, no rows), and every later check runs once on that
-    block state: the closure kept the given blocks, (P1)/(P2) hold, and the
-    blocks have a run order (the slot pass of ``lam_order``, whose word is
-    the sort key, written in the same walk as the packed bits).  The pre-order carries the
-    checked state (``checked_state``).
+    Each overlapping pair is oriented by the mask rule ``_demands``; a pair
+    demanded both ways crosses (the lemma there), which raises
+    ``CrossingPartitionError``, so the generated partitions and a user's
+    partition get the one test.  The blocks are closed on their own
+    (``close_blocks``, no rows), and two checks run on that block state:
+    the closure kept the given blocks, and they have a run order (the slot
+    pass of ``lam_order``, whose word is the sort key, written in the same
+    walk as the packed bits).  The pre-order carries the state
+    (``checked_state``), which needs no scan:
 
-    No pair ends up oriented against its demand, so the orientation half
-    of ``is_noncrossing_preorder``'s check is not run here: each demanded
-    direction is one of the generators ``close_blocks`` closes, so the
-    pair is related that way, and ``close_blocks`` returns a state only
-    when no given blocks merged, so the pair is not related the other way
-    too.
+    - No pair is oriented against its demand: each demanded direction is a
+      generator of the closure, and no given blocks merged.
+    - (P1): every overlapping pair is such a generator, so it is related.
+    - (P2): a cover a < c of the closure is a generator.  A longer chain of
+      generators from a to c would pass through a block strictly between
+      them, strictly because no blocks merged.  Every generator overlaps.
     """
     # in min order, as close_blocks takes them, so the demands' indices are the state's
     masks = sorted(masks, key=lambda b: b & -b)
     less = []
     for i, j, below, above in _demands(masks, bar):
-        if below == above:
-            raise InvariantError(
-                f"witnesses disagree on the orientation of {Block.of(masks[i])} vs {Block.of(masks[j])}"
-            )
+        if below and above:
+            raise CrossingPartitionError("blocks interleave on the cycle of c")
         less.append((i, j) if below else (j, i))
     state = close_blocks(masks, less)
     if state is None:
         raise InvariantError("orientation closure collapsed the given blocks")
-    require_block_axioms(*state)
     return lam_packed(bar.n, *state)

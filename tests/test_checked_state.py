@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shardorder.errors import InvalidPreorderError
-from shardorder.lattice import covers_up, interval_lattice, join
+from shardorder.lattice import combinable_pairs, covers_up, interval_lattice, join
 from shardorder.perms import Permutation
 from shardorder.preorders import Preorder, _carried, block_masks, lam, mu, preorder_from_json, preorder_to_json
 from shardorder.shards import intersect, lower_shards, to_preorder
+from shardorder.shelling import merged_pair
 from shardorder.sortable import (
     CoxeterElement,
     barring_of,
@@ -94,6 +95,8 @@ def test_a_non_element_is_rejected_on_every_call(bad):
         lambda: join(good, bad),
         lambda: interval_lattice(bad, Preorder.complete(n)),
         lambda: interval_lattice(good, bad),
+        lambda: combinable_pairs(bad, Preorder.complete(n)),
+        lambda: merged_pair(bad, Preorder.complete(n)),
     ]
     for call in calls:
         for _ in range(2):
@@ -116,9 +119,22 @@ def test_only_checking_code_carries_a_state():
         assert _carried(x) == tuple(map(tuple, block_masks(x))), x
 
 
+def test_combinable_pairs_and_merged_pair_reject_a_non_element():
+    # {1} < {4} is a cover that does not overlap, so (P2) fails, and any
+    # block pairs read off it would mean nothing (the upper element here
+    # looks like {1} and {2} merged)
+    bad = Preorder.from_rows(4, [1 << 3, 0, 0, 0])
+    with pytest.raises(InvalidPreorderError, match="P2"):
+        combinable_pairs(bad, Preorder.complete(4))
+    with pytest.raises(InvalidPreorderError, match="P2"):
+        merged_pair(bad, Preorder.from_rows(4, [0b1010, 0b0001, 0, 0]))
+    assert bad._state is None
+
+
 def test_noncrossing_elements_are_scanned_once_through_json(monkeypatch):
-    # the constructor runs the full (P1)/(P2) scan and carries the state,
-    # so preorder_to_json reads it back instead of scanning again
+    # the constructor carries a state its closure makes valid, with no
+    # scan (the proof is in _order_of_partition's docstring), and
+    # preorder_to_json reads it back: no element is ever scanned
     scans = []
 
     def scan(masks, ups, downs):
@@ -129,7 +145,7 @@ def test_noncrossing_elements_are_scanned_once_through_json(monkeypatch):
     elements = noncrossing_preorders(CoxeterElement(6, (2, 1, 4, 3, 5)))
     for q in elements:
         preorder_to_json(q)
-    assert len(scans) == len(elements) == 132
+    assert len(elements) == 132 and scans == []
 
 
 def _noncrossing_blocks(labels):

@@ -40,7 +40,6 @@ from shardorder.preorders import (
     block_masks,
     block_violations,
     blocks,
-    cover_masks,
     lam,
     mask_values,
     mu,
@@ -154,7 +153,7 @@ def test_combinable_slots_match_pairwise(lattice):
             tops = [lat.elements[j] for j in iter_bits(lat.up_mask[i])] if n <= 4 else [complete]
             for top in tops:
                 state = block_masks(w)
-                got = list(combinable_slots(state, top, cover_masks(state[0], state[1])))
+                got = list(combinable_slots(state, top))
                 assert got == _pairwise_combinable(w, top), (lat.words[i], lam(top))
                 bs = blocks(w)
                 assert combinable_pairs(w, top) == [(bs[a], bs[b]) for a, b in got]
@@ -170,8 +169,8 @@ def test_each_call_reads_the_block_state_once(monkeypatch):
         calls.append(q)
         return real(q)
 
+    # lattice reads block states only through preorders.checked_state
     monkeypatch.setattr(preorders, "block_masks", spied)
-    monkeypatch.setattr(lattice_module, "block_masks", spied)
     for p in (P("1"), P("26314758"), P("231978456"), P("987654321")):
         # a fresh pre-order (mu carries no state) is read once per call;
         # preorder_from_json closes the given blocks itself (close_blocks),
@@ -373,7 +372,7 @@ def test_lower_covers_follow_the_runs():
 
 def _check_block_search(w):
     state = block_masks(w)
-    for i, j in combinable_slots(state, Preorder.complete(w.n), cover_masks(state[0], state[1])):
+    for i, j in combinable_slots(state, Preorder.complete(w.n)):
         bi, bj = Block.of(state[0][i]), Block.of(state[0][j])
         with _restricted_scans_checked():
             found = list(_merge_candidates(w.n, state, i, j))
@@ -715,7 +714,7 @@ def _check_placement_proposition(lower, upper):
     # element's block state, top = complete putting no bound on the pairs
     def combinable(q):
         state = block_masks(q)
-        pairs = set(combinable_slots(state, Preorder.complete(q.n), cover_masks(state[0], state[1])))
+        pairs = set(combinable_slots(state, Preorder.complete(q.n)))
         return lambda x, y: tuple(sorted((state[0].index(x.mask), state[0].index(y.mask)))) in pairs
 
     combinable_up, combinable_low = combinable(upper), combinable(lower)

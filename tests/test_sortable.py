@@ -11,14 +11,12 @@ import shardorder.preorders
 import shardorder.sortable
 from shardorder.errors import CrossingPartitionError, InvalidPreorderError, InvariantError
 from shardorder.perms import Permutation, all_permutations, identity
-from shardorder.preorders import Block, Preorder, block_masks, blocks, lam, mask_values, mu
+from shardorder.preorders import Block, Preorder, block_masks, block_violations, blocks, lam, mask_values, mu
 from shardorder.sortable import (
     CoxeterElement,
     _demands,
     _misoriented,
     _noncrossing_partitions,
-    _places,
-    _places_noncrossing,
     all_coxeter_elements,
     barring_of,
     cycle_of,
@@ -145,7 +143,8 @@ def test_sortable_maps_onto_noncrossing_beyond_the_exhaustive_range(c):
 
 def test_filters_match_the_public_predicates():
     # reference: each permutation and element tested on its own through the
-    # public predicates, which derive the barring again every time
+    # public predicates, which derive the barring again every time; the
+    # noncrossing filter also runs at n = 6, one word per barring
     for n in range(1, 6):
         perms = list(all_permutations(n))
         for c in all_coxeter_elements(n):
@@ -153,6 +152,10 @@ def test_filters_match_the_public_predicates():
             assert noncrossing_preorders(c) == [
                 q for q in map(mu, perms) if is_noncrossing_preorder(q, c)
             ]
+    elements = list(map(mu, all_permutations(6)))
+    words = {barring_of(c): c for c in all_coxeter_elements(6)}
+    for c in words.values():
+        assert noncrossing_preorders(c) == [q for q in elements if is_noncrossing_preorder(q, c)], c
 
 
 def test_generation_does_not_touch_s_n(monkeypatch):
@@ -213,11 +216,9 @@ def test_one_barring_per_call(monkeypatch, call, barrings):
 
 
 CALLS_PER_ELEMENT = {
-    "_places": 0,
-    "_places_noncrossing": 0,
     "_demands": 1,
     "close_blocks": 1,
-    "block_violations": 1,
+    "block_violations": 0,
     "block_masks": 0,
     "close_rows": 0,
 }
@@ -226,11 +227,11 @@ CALLS_PER_ELEMENT = {
 @pytest.mark.parametrize("name", list(CALLS_PER_ELEMENT))
 def test_one_pass_per_noncrossing_element(monkeypatch, name):
     # each element closes its blocks once on the block state (no rows, no
-    # packed state read back), computes its demands once, and runs the
-    # (P1)/(P2) check once; its partition is noncrossing by construction,
-    # so the crossing test never runs (test_generated_partitions_are_
-    # noncrossing checks that instead); every namespace binding the
-    # function is counted, so a call through another module shows too
+    # packed state read back) and computes its demands once, which are also
+    # its crossing test; the closure makes (P1)/(P2) true, so no scan runs
+    # (test_generated_elements_satisfy_the_axioms checks that instead); every
+    # namespace binding the function is counted, so a call through another
+    # module shows too
     real = getattr(shardorder.sortable, name, None) or getattr(shardorder.preorders, name)
     calls = []
 
@@ -247,16 +248,80 @@ def test_one_pass_per_noncrossing_element(monkeypatch, name):
         assert len(calls) == CALLS_PER_ELEMENT[name] * CATALAN[n]
 
 
+def _cross(m1: int, m2: int, cycle) -> bool:
+    """Do two disjoint value masks interleave on the cycle?  The definition
+    read literally: two values of each alternate in cycle order."""
+    a = [k for k, v in enumerate(cycle) if m1 >> (v - 1) & 1]
+    b = [k for k, v in enumerate(cycle) if m2 >> (v - 1) & 1]
+    return any(
+        w < x < y < z or x < w < z < y
+        for w, y in itertools.combinations(a, 2)
+        for x, z in itertools.combinations(b, 2)
+    )
+
+
+def _crossing_free(masks, cycle) -> bool:
+    return not any(_cross(m1, m2, cycle) for m1, m2 in itertools.combinations(masks, 2))
+
+
+def test_demanded_both_ways_is_crossing():
+    # the lemma in _demands' docstring, on every pair of disjoint blocks for
+    # every barring at n <= 7: a pair crosses on the cycle iff the blocks
+    # overlap and their witnesses demand both directions, and every
+    # overlapping pair has a witness
+    for n in range(1, 8):
+        full = (1 << n) - 1
+        for bar in {barring_of(c) for c in all_coxeter_elements(n)}:
+            for m1 in range(1, full + 1):
+                rest = full & ~m1
+                m2 = rest
+                while m2 > m1:  # each unordered pair once
+                    demands = _demands([m1, m2], bar)
+                    both = bool(demands) and demands[0][2] and demands[0][3]
+                    assert _cross(m1, m2, bar.cycle) == both, (bar.cycle, Block.of(m1), Block.of(m2))
+                    assert all(below or above for _, _, below, above in demands), (bar.cycle, m1, m2)
+                    m2 = (m2 - 1) & rest
+
+
+def _set_partitions(values):
+    """Every set partition of the list ``values``, as lists of value masks."""
+    if not values:
+        yield []
+        return
+    first = 1 << (values[0] - 1)
+    for part in _set_partitions(values[1:]):
+        yield [first, *part]
+        for k in range(len(part)):
+            yield [*part[:k], part[k] | first, *part[k + 1 :]]
+
+
+def test_only_crossing_partitions_are_rejected():
+    # every set partition of [n] for every barring at n <= 6: the demands
+    # reject exactly the crossing ones, with the one error line the CLI
+    # prints, and build every noncrossing one
+    for n in range(1, 7):
+        for c in {barring_of(c): c for c in all_coxeter_elements(n)}.values():
+            cycle = barring_of(c).cycle
+            for part in _set_partitions(list(range(1, n + 1))):
+                sets = [mask_values(m) for m in part]
+                if _crossing_free(part, cycle):
+                    q = noncrossing_order_of_partition(sets, c)
+                    assert sorted(b.mask for b in blocks(q)) == sorted(part), (cycle, sets)
+                else:
+                    with pytest.raises(CrossingPartitionError, match="^blocks interleave on the cycle of c$"):
+                        noncrossing_order_of_partition(sets, c)
+
+
 def test_generated_partitions_are_noncrossing():
-    # the crossing test the constructor no longer runs, on every partition
-    # _noncrossing_partitions yields for every barring at n <= 6: each is
-    # noncrossing, and they are the Catalan(n) distinct partitions of [n]
+    # every partition _noncrossing_partitions yields for every barring at
+    # n <= 6 is noncrossing by the definition, and they are the Catalan(n)
+    # distinct partitions of [n]
     for n in range(1, 7):
         for bar in {barring_of(c) for c in all_coxeter_elements(n)}:
             cells = [1 << (v - 1) for v in bar.cycle]
             parts = list(_noncrossing_partitions(cells))
             for part in parts:
-                assert _places_noncrossing(_places(part, bar)), (bar.cycle, part)
+                assert _crossing_free(part, bar.cycle), (bar.cycle, part)
                 # nonempty, disjoint (their sum is their union) and covering [n]
                 assert all(part) and sum(part) == reduce(or_, part) == (1 << n) - 1, part
             assert len({frozenset(part) for part in parts}) == len(parts) == CATALAN[n], bar.cycle
@@ -367,22 +432,29 @@ def _build_with(transform):
 
 
 @pytest.mark.parametrize(
-    "transform, skip_axioms, error, match",
+    "transform, error, match",
     [
-        (lambda less: [(0, 1), (1, 0)], False, InvariantError, "collapsed"),
-        (lambda less: [], False, InvalidPreorderError, "P1"),
-        (lambda less: [], True, InvalidPreorderError, "not totally orderable"),
+        (lambda less: [(0, 1), (1, 0)], InvariantError, "collapsed"),
+        (lambda less: [], InvalidPreorderError, "not totally orderable"),
     ],
-    ids=["closure_collapse", "axioms", "word_prefix_rule"],
+    ids=["closure_collapse", "word_prefix_rule"],
 )
-def test_construction_checks_fire(monkeypatch, transform, skip_axioms, error, match):
+def test_construction_checks_fire(monkeypatch, transform, error, match):
     # each check after the closure reads the one block state and raises (no
     # assert), so a construction gone wrong stops there under python -O too
     monkeypatch.setattr(shardorder.sortable, "close_blocks", _build_with(transform))
-    if skip_axioms:
-        monkeypatch.setattr(shardorder.preorders, "block_violations", lambda *state: [])
     with pytest.raises(error, match=match):
         noncrossing_order_of_partition([{1, 4}, {2, 3}], linear_coxeter(4))
+
+
+def test_generated_elements_satisfy_the_axioms():
+    # the (P1)/(P2) scan the constructor does not run (its closure makes
+    # them true), on every element of every barring at n <= 6
+    for n in range(1, 7):
+        for bar in {barring_of(c) for c in all_coxeter_elements(n)}:
+            for part in _noncrossing_partitions([1 << (v - 1) for v in bar.cycle]):
+                q = shardorder.sortable._order_of_partition(part, bar)[1]
+                assert not list(block_violations(*block_masks(q))), (bar.cycle, part)
 
 
 def test_generated_elements_are_oriented_as_demanded():
@@ -397,23 +469,14 @@ def test_generated_elements_are_oriented_as_demanded():
                 assert not _misoriented(masks, ups, _demands(masks, bar)), (bar.cycle, part)
 
 
-def test_conflicting_witnesses_are_fatal():
-    # crossing blocks whose witnesses disagree: the demands are checked
-    # before the closure
+def test_conflicting_witnesses_are_fatal(monkeypatch):
+    # crossing blocks, whose witnesses disagree: the demands are checked
+    # before the closure, which never runs
+    monkeypatch.setattr(shardorder.sortable, "close_blocks", None)
     bar = barring_of(linear_coxeter(4))
     masks = [0b0101, 0b1010]
-    with pytest.raises(InvariantError, match="disagree"):
+    with pytest.raises(CrossingPartitionError, match="interleave"):
         shardorder.sortable._order_of_partition(masks, bar)
-
-
-def test_closing_check_tests_crossing_on_its_own(monkeypatch):
-    # with no demand to meet, blocks that interleave on the cycle 1 2 3 4
-    # still fail the closing check of is_noncrossing_preorder, and nested
-    # ones pass
-    monkeypatch.setattr(shardorder.sortable, "_demands", lambda masks, bar: [])
-    c = linear_coxeter(4)
-    assert not is_noncrossing_preorder(Preorder.from_pairs(4, [(1, 3), (3, 1), (2, 4), (4, 2), (1, 2)]), c)
-    assert is_noncrossing_preorder(Preorder.from_pairs(4, [(1, 4), (4, 1), (2, 3), (3, 2), (2, 1)]), c)
 
 
 def test_partition_rejects_crossing_and_bad_input():
