@@ -14,16 +14,10 @@ from .errors import (
 )
 from .perms import (
     BarredPattern,
-    DescendingRun,
     Permutation,
     all_permutations,
     contains_barred_pattern,
-    descending_runs,
-    descents,
-    identity,
-    inversions,
     is_indecomposable,
-    reversal,
 )
 from .preorders import (
     Block,
@@ -31,7 +25,6 @@ from .preorders import (
     Violation,
     axiom_violations,
     blocks,
-    is_permutation_preorder,
     lam,
     mu,
     placements,
@@ -44,17 +37,15 @@ from .shards import (
     enumerate_shards,
     intersect,
     lower_shards,
-    parse_shard,
     to_preorder,
 )
-from .lattice import Interval, OmegaLattice, build_lattice, combinable_pairs, covers_up, join, leq
+from .lattice import OmegaLattice, build_lattice, covers_up, join, leq
 from .shelling import (
     LabeledChain,
     chain_report,
     count_decreasing_chains,
     edge_label,
     increasing_chain,
-    merged_pair,
     mobius,
 )
 from .sortable import (
@@ -62,13 +53,10 @@ from .sortable import (
     CoxeterElement,
     all_coxeter_elements,
     barring_of,
-    cycle_of,
     is_c_sortable,
     is_noncrossing_preorder,
-    linear_coxeter,
     noncrossing_order_of_partition,
     noncrossing_preorders,
-    reversed_coxeter,
     sortable_permutations,
 )
 
@@ -78,9 +66,7 @@ __all__ = [
     "Block",
     "CoxeterElement",
     "CrossingPartitionError",
-    "DescendingRun",
     "IncomparableError",
-    "Interval",
     "InvalidPreorderError",
     "InvariantError",
     "LabeledChain",
@@ -99,39 +85,27 @@ __all__ = [
     "blocks",
     "build_lattice",
     "chain_report",
-    "combinable_pairs",
     "contains_barred_pattern",
     "count_decreasing_chains",
     "covers_up",
-    "cycle_of",
-    "descending_runs",
-    "descents",
     "edge_label",
     "enumerate_shards",
-    "identity",
     "increasing_chain",
     "intersect",
-    "inversions",
     "is_c_sortable",
     "is_indecomposable",
     "is_noncrossing_preorder",
-    "is_permutation_preorder",
     "join",
     "lam",
     "leq",
-    "linear_coxeter",
     "lower_shards",
-    "merged_pair",
     "mobius",
     "mu",
     "noncrossing_order_of_partition",
     "noncrossing_preorders",
-    "parse_shard",
     "placements",
     "preorder_from_json",
     "preorder_to_json",
-    "reversal",
-    "reversed_coxeter",
     "sortable_permutations",
     "to_preorder",
 ]

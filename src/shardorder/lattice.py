@@ -45,8 +45,9 @@ proof; every other check in the package runs the full scan
 
 A cover below top merges two combinable blocks inside one block of top;
 ``combinable_slots`` is the one test of that, on a block state, reading
-top one row per block.  ``covers_below`` reads w's checked state and
-builds the covers among its blocks once, and merges only those pairs.
+top one row per block: two blocks are combinable iff no block lies
+strictly between them, read off their up- and down-sets.  ``covers_below``
+reads w's checked state and merges only those pairs.
 ``covers_up`` (the kernel's oracle in the tests and in ``verify --suite
 covers``) is its case top = complete, ``interval_lattice`` walks it, and
 the greedy chain of ``shelling`` merges the one pair it chose.  A walk
@@ -62,20 +63,9 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import and_, itemgetter, or_
-from typing import NamedTuple
-
 from .errors import IncomparableError, InvalidPreorderError, InvariantError, ResourceLimitError
 from .perms import Permutation, all_permutations
-from .preorders import (
-    Block,
-    Preorder,
-    checked_state,
-    cover_masks,
-    lam,
-    lam_packed,
-    relate_blocks,
-    run_masks,
-)
+from .preorders import Preorder, checked_state, lam, lam_packed, relate_blocks, run_masks
 
 LATTICE_SIZE_CAP = 7
 
@@ -193,42 +183,36 @@ def combinable_slots(state, top: Preorder):
     """Yield the slot pairs i < j of a ``block_masks`` state whose blocks lie
     inside one block of top and are incomparable or a cover: the merges
     that can start a maximal chain from the state's pre-order below top.
-    The covers among the blocks are built once (``cover_masks``).
+
+    Blocks i and j are incomparable or a cover iff no block lies strictly
+    between them: ``ups[i] & downs[j]`` is the interval from block i up to
+    block j (empty unless i is below j), and the pair is a cover iff that
+    interval is the two blocks alone; the mirror reads j below i.
 
     The state's pre-order must lie below top, so each of its blocks lies
     inside one block of top: two blocks share one iff each meets the row
     of top at the other's min.  So top is read a row per block, and its
     blocks are never formed.
     """
-    masks, ups, _ = state
-    covers = cover_masks(masks, ups)
+    masks, ups, downs = state
     n, row = top.n, (1 << top.n) - 1
     top_ups = [top.bits >> n * ((b & -b).bit_length() - 1) & row for b in masks]
     for i, bi in enumerate(masks):
         for j in range(i + 1, len(masks)):
             bj = masks[j]
-            if bj & top_ups[i] and bi & top_ups[j] and (
-                not (ups[i] & bj or ups[j] & bi) or covers[i] & bj or covers[j] & bi
+            if bj & top_ups[i] and bi & top_ups[j] and not (
+                (ups[i] & downs[j] | ups[j] & downs[i]) & ~(bi | bj)
             ):
                 yield i, j
-
-
-def combinable_pairs(w: Preorder, top: Preorder) -> list[tuple[Block, Block]]:
-    """The pairs of blocks of w, an element (``checked_state``), that
-    ``combinable_slots`` gives for top."""
-    if not leq(w, top):
-        raise IncomparableError("w is not below top")
-    state = checked_state(w)
-    return [(Block.of(state[0][i]), Block.of(state[0][j])) for i, j in combinable_slots(state, top)]
 
 
 def covers_below(w: Preorder, top: Preorder):
     """Yield (lam word, cover) for the covers of w below top, each once: a
     cover's blocks name the one pair of ``combinable_slots`` it merged.
 
-    w's block covers are built once, from its checked state.  Each cover
-    carries its state too, so a walk from cover to cover reads no packed
-    relation and checks nothing twice.
+    The pairs are read from w's checked state.  Each cover carries its
+    state too, so a walk from cover to cover reads no packed relation and
+    checks nothing twice.
     """
     if not leq(w, top):
         raise IncomparableError("w is not below top")
@@ -242,15 +226,6 @@ def covers_below(w: Preorder, top: Preorder):
 def covers_up(w: Preorder) -> list[Preorder]:
     """Elements covering w, constructed by combining blocks, in lam-word order."""
     return [c for _, c in sorted(covers_below(w, Preorder.complete(w.n)), key=itemgetter(0))]
-
-
-class Interval(NamedTuple):
-    """A closed interval of the lattice with its induced cover edges."""
-
-    bottom: Preorder
-    top: Preorder
-    members: tuple[Preorder, ...]
-    edges: tuple[tuple[int, int], ...]  # indices into members
 
 
 class OmegaLattice:
@@ -309,21 +284,6 @@ class OmegaLattice:
         if out not in self.index:
             raise InvariantError(f"join is not an element of this lattice: {out}")
         return out
-
-    def interval(self, bottom: Preorder, top: Preorder) -> Interval:
-        i, j = self.index_of(bottom), self.index_of(top)
-        if not self.leq_idx(i, j):
-            raise IncomparableError(f"{lam(bottom)} is not below {lam(top)}")
-        inside = self.up_mask[i] & self.down_mask[j]
-        ids = list(iter_bits(inside))
-        local = {k: pos for pos, k in enumerate(ids)}
-        edges = tuple(
-            (local[k], local[c])
-            for k in ids
-            for c in self.covers[k]
-            if inside >> c & 1
-        )
-        return Interval(bottom, top, tuple(self.elements[k] for k in ids), edges)
 
     def to_json(self) -> dict:
         """Nodes are the words in index order, edges the covers (i, j) in order of i then j."""

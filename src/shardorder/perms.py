@@ -7,15 +7,14 @@ the comma-separated form "2,6,3,1,4,7,5,8" otherwise; both are accepted by
 :func:`Permutation.parse`.
 
 The descending runs of a word become the blocks of the pre-order of a
-permutation.  ``descending_runs`` lists them as records with their
-positions, the public view; ``preorders.mu`` packs from the value masks
-of ``preorders.run_masks`` instead.
+permutation; ``preorders.run_masks`` reads them as value masks, and
+``preorders.mu`` packs from those.
 """
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .frozen import Frozen
 
@@ -77,22 +76,9 @@ class Permutation(Frozen):
             return "".join(str(v) for v in self.word)
         return ",".join(str(v) for v in self.word)
 
-    def position(self, value: int) -> int:
-        """0-based position of a value in the word."""
-        return self.word.index(value)
-
 
 _new = object.__new__
 _set_word = Permutation.word.__set__
-
-
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
-def reversal(n: int) -> Permutation:
-    """The word n, n-1, ..., 1 (maximal element of the lattice under mu)."""
-    return Permutation(tuple(range(n, 0, -1)))
 
 
 def _of_word(word: tuple[int, ...]) -> Permutation:
@@ -105,67 +91,6 @@ def _of_word(word: tuple[int, ...]) -> Permutation:
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic word order (the words need no check)."""
     return map(_of_word, itertools.permutations(range(1, n + 1)))
-
-
-def inversions(p: Permutation) -> set[tuple[int, int]]:
-    """Value pairs (a, b) with a before b in the word and a > b.
-
-    >>> sorted(inversions(Permutation.parse("4312")))
-    [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
-    """
-    w = p.word
-    return {(w[i], w[j]) for i in range(p.n) for j in range(i + 1, p.n) if w[i] > w[j]}
-
-
-def descents(p: Permutation) -> set[tuple[int, int]]:
-    """Adjacent pairs (p_i, p_{i+1}) with p_i > p_{i+1}.
-
-    >>> sorted(descents(Permutation.parse("4312")))
-    [(3, 1), (4, 3)]
-    """
-    w = p.word
-    return {(w[i], w[i + 1]) for i in range(p.n - 1) if w[i] > w[i + 1]}
-
-
-class DescendingRun(NamedTuple):
-    """A maximal strictly decreasing contiguous factor of a word.
-
-    ``start``/``end`` are 0-based inclusive positions; ``values`` keeps the
-    word order, so values[0] is the largest member and values[-1] the
-    smallest.
-    """
-
-    values: tuple[int, ...]
-    start: int
-    end: int
-
-    @property
-    def min(self) -> int:
-        return self.values[-1]
-
-    @property
-    def max(self) -> int:
-        return self.values[0]
-
-    @property
-    def interval(self) -> tuple[int, int]:
-        return (self.min, self.max)
-
-
-def descending_runs(p: Permutation) -> list[DescendingRun]:
-    """Left-to-right decomposition into maximal descending runs.
-
-    >>> [run.values for run in descending_runs(Permutation.parse("1642735"))]
-    [(1,), (6, 4, 2), (7, 3), (5,)]
-    """
-    w = p.word
-    runs = []
-    start = 0
-    for i in range(p.n):
-        if i + 1 == p.n or w[i] < w[i + 1]:
-            runs.append(DescendingRun(w[start : i + 1], start, i))
-            start = i + 1
-    return runs
 
 
 class BarredPattern(Enum):

@@ -55,7 +55,7 @@ call, and ``preorder_from_json``.  ``lam``, ``preorder_to_json``,
 ``placements``, ``is_noncrossing_preorder``, ``lattice.join`` (its
 arguments and its result), ``lattice.interval_lattice``,
 ``lattice.covers_below`` and ``shelling``'s greedy chain and
-``edge_label`` go through ``checked_state``.  ``mu``,
+``edge_label`` (both their elements) go through ``checked_state``.  ``mu``,
 ``Preorder(n, bits)`` and ``from_rows`` carry nothing, so whatever a user
 builds is checked on its first use.  ``axiom_violations`` always runs the
 full scan: it is the oracle.  No cache is kept: a state lives and dies
@@ -237,9 +237,6 @@ class Preorder(Frozen):
     def leq(self, a: int, b: int) -> bool:
         """a below b (1-based values)."""
         return bool(self.bits >> ((a - 1) * self.n + (b - 1)) & 1)
-
-    def equiv(self, a: int, b: int) -> bool:
-        return self.leq(a, b) and self.leq(b, a)
 
     # Containment of relations is the lattice order on these objects.
     def __le__(self, other: "Preorder") -> bool:
@@ -436,10 +433,6 @@ def block_violations(masks: Sequence[int], ups: Sequence[int], downs: Sequence[i
 def axiom_violations(q: Preorder) -> list[Violation]:
     """All (P1)/(P2) failures; empty list means q is a lattice element."""
     return list(block_violations(*block_masks(q)))
-
-
-def is_permutation_preorder(q: Preorder) -> bool:
-    return not axiom_violations(q)
 
 
 def require_block_axioms(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> None:

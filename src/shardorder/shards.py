@@ -21,7 +21,6 @@ Text form is "H(i,j)[+-...]" with one sign per k = i+1 .. j-1.
 from __future__ import annotations
 
 import itertools
-import re
 
 from .frozen import Frozen
 from .perms import Permutation
@@ -52,18 +51,6 @@ class Shard(Frozen):
     def __str__(self):
         signs = "".join("+" if e > 0 else "-" for e in self.eps)
         return f"H({self.i},{self.j})[{signs}]"
-
-
-_SHARD_RE = re.compile(r"H\((\d+),(\d+)\)\[([+-]*)\]")
-
-
-def parse_shard(text: str, n: int) -> Shard:
-    m = _SHARD_RE.fullmatch(text.strip())
-    if not m:
-        raise ValueError(f"cannot parse shard from {text!r}")
-    i, j = int(m.group(1)), int(m.group(2))
-    eps = tuple(1 if ch == "+" else -1 for ch in m.group(3))
-    return Shard(n, i, j, eps)
 
 
 def enumerate_shards(n: int) -> list[Shard]:

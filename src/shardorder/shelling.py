@@ -7,10 +7,10 @@ maximal chain with a weakly increasing label word, found greedily: among
 the pairs that can be combined on the way to the top
 (``lattice.combinable_slots``), merge the one whose larger placement is
 smallest; exactly one of the covers ``lattice`` builds for that merge lies
-below top.  Each step reads its element's checked state and builds its
-block covers once, for the combinable pairs; every element after the
-first is a cover that carries its state, so a chain runs one scan, for
-its bottom.  The number of strictly decreasing maximal chains gives the
+below top.  Each step reads its element's checked state and tests its
+pairs of blocks on it; top is read through ``checked_state`` too, and
+every element after the first is a cover that carries its state, so a
+chain runs at most two scans, for its top and its bottom.  The number of strictly decreasing maximal chains gives the
 Moebius number up to sign; the classical recursion is run alongside as an
 independent check and disagreement is fatal.
 
@@ -42,35 +42,25 @@ from typing import NamedTuple
 from .errors import IncomparableError, InvariantError
 from .lattice import OmegaLattice, _merge_candidates, combinable_slots
 from .lattice import interval_lattice, iter_bits, leq
-from .preorders import Block, Preorder, block_masks, checked_state, lam, mask_placements
-
-
-def _merged_masks(lower: Preorder, upper: Preorder, lower_masks) -> list[int]:
-    """The two of ``lower_masks`` (lower's block masks, in min order) that upper merges."""
-    if not (leq(lower, upper) and lower != upper):
-        raise ValueError("not a cover: elements are not strictly ordered")
-    upper_masks = block_masks(upper)[0]
-    if len(lower_masks) != len(upper_masks) + 1:
-        raise ValueError("not a cover: rank difference is not one")
-    merged = [b for b in lower_masks if b not in upper_masks]
-    if len(merged) != 2:
-        raise ValueError("not a cover: block partitions differ by more than a merge")
-    return merged
-
-
-def merged_pair(lower: Preorder, upper: Preorder) -> tuple[Block, Block]:
-    """The two blocks of ``lower``, an element (``checked_state``), that
-    were combined to form ``upper``."""
-    b1, b2 = _merged_masks(lower, upper, checked_state(lower)[0])
-    return Block.of(b1), Block.of(b2)
+from .preorders import Preorder, checked_state, lam, mask_placements
 
 
 def edge_label(lower: Preorder, upper: Preorder) -> int:
-    """Larger placement (in ``lower``) of the two blocks the cover merges."""
+    """Larger placement (in ``lower``) of the two blocks the cover merges.
+
+    Both elements are read through ``checked_state``.
+    """
     state = checked_state(lower)
+    if not (leq(lower, upper) and lower != upper):
+        raise ValueError("not a cover: elements are not strictly ordered")
+    upper_masks = checked_state(upper)[0]
+    if len(state[0]) != len(upper_masks) + 1:
+        raise ValueError("not a cover: rank difference is not one")
+    merged = [b for b in state[0] if b not in upper_masks]
+    if len(merged) != 2:
+        raise ValueError("not a cover: block partitions differ by more than a merge")
     place = mask_placements(state)
-    b1, b2 = _merged_masks(lower, upper, state[0])
-    label = max(place[b1], place[b2])
+    label = max(place[b] for b in merged)
     if not 2 <= label <= len(state[0]):
         raise InvariantError(f"edge label {label} out of range on {lam(lower)} -> {lam(upper)}")
     return label
@@ -88,7 +78,9 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
 
     Greedy construction: repeatedly merge the combinable pair whose larger
     placement is minimal; exactly one cover below top performs each merge.
+    Both ends are read through ``checked_state``.
     """
+    checked_state(top)
     if not leq(bottom, top):
         raise IncomparableError("bottom is not below top")
     chain, labels = [bottom], []

@@ -79,16 +79,6 @@ class CoxeterElement(Frozen):
         return ",".join(str(i) for i in self.word)
 
 
-def linear_coxeter(n: int) -> CoxeterElement:
-    """s_1 s_2 ... s_{n-1}: every value lower-barred."""
-    return CoxeterElement(n, tuple(range(1, n)))
-
-
-def reversed_coxeter(n: int) -> CoxeterElement:
-    """s_{n-1} ... s_1: every value upper-barred."""
-    return CoxeterElement(n, tuple(range(n - 1, 0, -1)))
-
-
 def all_coxeter_elements(n: int) -> Iterator[CoxeterElement]:
     for word in itertools.permutations(range(1, n)):
         yield CoxeterElement(n, word)
@@ -114,10 +104,6 @@ def barring_of(c: CoxeterElement) -> Barring:
     top = (c.n,) if c.n > 1 else ()
     cycle = (1, *sorted(lower), *top, *sorted(upper, reverse=True))
     return Barring(c.n, lower, upper, cycle, sum(1 << (v - 1) for v in upper))
-
-
-def cycle_of(c: CoxeterElement) -> tuple[int, ...]:
-    return barring_of(c).cycle
 
 
 def _sortable(p: Permutation, bar: Barring) -> bool:

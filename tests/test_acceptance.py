@@ -17,13 +17,9 @@ from shardorder.shelling import (
     increasing_chain,
     mobius,
 )
-from shardorder.sortable import (
-    all_coxeter_elements,
-    linear_coxeter,
-    noncrossing_preorders,
-    reversed_coxeter,
-    sortable_permutations,
-)
+from shardorder.sortable import all_coxeter_elements, noncrossing_preorders, sortable_permutations
+
+from oracles import linear_coxeter, reversed_coxeter
 
 P = Permutation.parse
 

@@ -15,19 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shardorder.errors import InvalidPreorderError
-from shardorder.lattice import combinable_pairs, covers_up, interval_lattice, join
+from shardorder.lattice import covers_up, interval_lattice, join
 from shardorder.perms import Permutation
 from shardorder.preorders import Preorder, _carried, block_masks, lam, mu, preorder_from_json, preorder_to_json
 from shardorder.shards import intersect, lower_shards, to_preorder
-from shardorder.shelling import merged_pair
+from shardorder.shelling import chain_report, edge_label, increasing_chain
 from shardorder.sortable import (
     CoxeterElement,
     barring_of,
     is_noncrossing_preorder,
-    linear_coxeter,
     noncrossing_order_of_partition,
     noncrossing_preorders,
 )
+
+from oracles import linear_coxeter
 
 
 def _bind_everywhere(monkeypatch, name, replacement):
@@ -95,8 +96,8 @@ def test_a_non_element_is_rejected_on_every_call(bad):
         lambda: join(good, bad),
         lambda: interval_lattice(bad, Preorder.complete(n)),
         lambda: interval_lattice(good, bad),
-        lambda: combinable_pairs(bad, Preorder.complete(n)),
-        lambda: merged_pair(bad, Preorder.complete(n)),
+        lambda: edge_label(bad, Preorder.complete(n)),
+        lambda: increasing_chain(bad, Preorder.complete(n)),
     ]
     for call in calls:
         for _ in range(2):
@@ -119,16 +120,23 @@ def test_only_checking_code_carries_a_state():
         assert _carried(x) == tuple(map(tuple, block_masks(x))), x
 
 
-def test_combinable_pairs_and_merged_pair_reject_a_non_element():
-    # {1} < {4} is a cover that does not overlap, so (P2) fails, and any
-    # block pairs read off it would mean nothing (the upper element here
-    # looks like {1} and {2} merged)
-    bad = Preorder.from_rows(4, [1 << 3, 0, 0, 0])
-    with pytest.raises(InvalidPreorderError, match="P2"):
-        combinable_pairs(bad, Preorder.complete(4))
-    with pytest.raises(InvalidPreorderError, match="P2"):
-        merged_pair(bad, Preorder.from_rows(4, [0b1010, 0b0001, 0, 0]))
-    assert bad._state is None
+@pytest.mark.parametrize(
+    "axiom, top",
+    [
+        ("P2", Preorder.from_pairs(4, [(1, 2), (2, 1), (1, 4)])),  # {1,2} < {4} a cover, no overlap
+        ("P1", Preorder.from_pairs(4, [(1, 3), (3, 1)])),  # {1,3} and {2} overlap, unrelated
+    ],
+    ids=["P2", "P1"],
+)
+def test_a_non_element_upper_end_is_rejected(axiom, top):
+    # the upper element of an edge label and the top of a chain are read
+    # through checked_state, like the lower ones: neither may pass as a
+    # cover or end a chain
+    bottom = Preorder.discrete(4)
+    for call in (edge_label, increasing_chain, chain_report):
+        with pytest.raises(InvalidPreorderError, match=axiom):
+            call(bottom, top)
+    assert top._state is None
 
 
 def test_noncrossing_elements_are_scanned_once_through_json(monkeypatch):

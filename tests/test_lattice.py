@@ -22,7 +22,6 @@ from shardorder.lattice import (
     _merge_candidates,
     _restricted_scan,
     build_lattice,
-    combinable_pairs,
     combinable_slots,
     covers_below,
     covers_up,
@@ -40,6 +39,7 @@ from shardorder.preorders import (
     block_masks,
     block_violations,
     blocks,
+    cover_masks,
     lam,
     mask_values,
     mu,
@@ -50,6 +50,11 @@ from shardorder.preorders import (
 from shardorder.shards import Shard, enumerate_shards, intersect, to_preorder
 
 P = Permutation.parse
+
+
+def _same_block(q, a, b):
+    """a and b (1-based values) lie in one block of q."""
+    return q.leq(a, b) and q.leq(b, a)
 
 
 def test_leq_examples():
@@ -135,11 +140,29 @@ def _pairwise_combinable(w, top):
     return [
         (i, j)
         for i, j in itertools.combinations(range(len(mins)), 2)
-        if top.equiv(mins[i], mins[j])
+        if _same_block(top, mins[i], mins[j])
         and (
             not (w.leq(mins[i], mins[j]) or w.leq(mins[j], mins[i]))
             or covers(mins[i], mins[j])
             or covers(mins[j], mins[i])
+        )
+    ]
+
+
+def _covers_combinable(state, top):
+    """Index pairs i < j of the blocks of a state inside one block of top
+    that are incomparable, or a cover by ``cover_masks``."""
+    masks, ups, _ = state
+    covers = cover_masks(masks, ups)
+    mins = [(b & -b).bit_length() for b in masks]
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(len(masks)), 2)
+        if _same_block(top, mins[i], mins[j])
+        and (
+            not (ups[i] & masks[j] or ups[j] & masks[i])
+            or covers[i] & masks[j]
+            or covers[j] & masks[i]
         )
     ]
 
@@ -155,8 +178,7 @@ def test_combinable_slots_match_pairwise(lattice):
                 state = block_masks(w)
                 got = list(combinable_slots(state, top))
                 assert got == _pairwise_combinable(w, top), (lat.words[i], lam(top))
-                bs = blocks(w)
-                assert combinable_pairs(w, top) == [(bs[a], bs[b]) for a, b in got]
+                assert got == _covers_combinable(state, top), (lat.words[i], lam(top))
 
 
 def test_each_call_reads_the_block_state_once(monkeypatch):
@@ -233,7 +255,7 @@ def test_interval_walk_merges_only_inside_blocks_of_top(monkeypatch):
 
     monkeypatch.setattr(lattice_module, "_merge_candidates", spied)
     assert len(interval_lattice(Preorder.discrete(9), top)) == 24
-    assert merged and all(top.equiv(bi.min, bj.min) for bi, bj in merged)
+    assert merged and all(_same_block(top, bi.min, bj.min) for bi, bj in merged)
 
 
 def _relation_merge_candidates(w, bi, bj):
@@ -593,22 +615,32 @@ def test_atomic_coatomic_n4(lattice):
         assert acc == q
 
 
+def _interval(lat, bottom, top):
+    """(members, edges) of [bottom, top] read from the kernel: the members
+    are the mask ``up_mask[i] & down_mask[j]`` in index order, the edges
+    the kernel's covers inside it, as positions in members."""
+    i, j = lat.index_of(bottom), lat.index_of(top)
+    ids = iter_bits(lat.up_mask[i] & lat.down_mask[j])
+    local = {k: pos for pos, k in enumerate(ids)}
+    edges = tuple((local[k], local[c]) for k in ids for c in lat.covers[k] if c in local)
+    return tuple(lat.elements[k] for k in ids), edges
+
+
 def test_interval_basics(lattice):
     lat = lattice(4)
     q = mu(P("2314"))
-    assert lat.interval(q, q).members == (q,)
-    full = lat.interval(Preorder.discrete(4), Preorder.complete(4))
-    assert len(full.members) == 24
-    with pytest.raises(IncomparableError):
-        lat.interval(mu(P("2134")), mu(P("1324")))
+    assert _interval(lat, q, q) == ((q,), ())
+    members, edges = _interval(lat, Preorder.discrete(4), Preorder.complete(4))
+    assert len(members) == 24 and len(edges) == sum(map(len, lat.covers))
+    assert _interval(lat, mu(P("2134")), mu(P("1324"))) == ((), ())
 
 
 def test_interval_below_3214(lattice):
     # brute containment scan: identity, all four atoms merging inside
     # {1,2,3}, and the top itself
     lat = lattice(4)
-    iv = lat.interval(Preorder.discrete(4), mu(P("3214")))
-    got = sorted(str(lam(q)) for q in iv.members)
+    members, _ = _interval(lat, Preorder.discrete(4), mu(P("3214")))
+    got = sorted(str(lam(q)) for q in members)
     oracle = sorted(
         str(lam(q)) for q in lat.elements if leq(q, mu(P("3214")))
     )
@@ -623,14 +655,13 @@ def test_interval_lattice_matches_the_full_lattice(lattice):
                 with pytest.raises(IncomparableError):
                     interval_lattice(a, b)
                 continue
-            iv, sub = lat.interval(a, b), interval_lattice(a, b)
-            assert sub.elements == iv.members
+            (members, edges), sub = _interval(lat, a, b), interval_lattice(a, b)
+            assert sub.elements == members
             assert sub.elements[sub.bottom] == a and sub.elements[sub.top] == b
             assert [sub.rank[k] for k in range(len(sub))] == [
-                lat.rank[lat.index_of(q)] for q in iv.members
+                lat.rank[lat.index_of(q)] for q in members
             ]
-            edges = tuple((k, c) for k in range(len(sub)) for c in sub.covers[k])
-            assert edges == iv.edges
+            assert tuple((k, c) for k in range(len(sub)) for c in sub.covers[k]) == edges
 
 
 def test_interval_lattice_checks_both_endpoints():
@@ -650,13 +681,13 @@ def test_interval_lattice_stays_small_at_n8():
 
 def test_interval_edges_consistent(lattice):
     lat = lattice(4)
-    iv = lat.interval(mu(P("2134")), Preorder.complete(4))
-    for (a, b) in iv.edges:
-        assert leq(iv.members[a], iv.members[b])
+    members, edges = _interval(lat, mu(P("2134")), Preorder.complete(4))
+    for (a, b) in edges:
+        assert leq(members[a], members[b])
     # edges restricted from the global hasse diagram
     whole = {
-        (lat.index_of(iv.members[a]), lat.index_of(iv.members[b]))
-        for (a, b) in iv.edges
+        (lat.index_of(members[a]), lat.index_of(members[b]))
+        for (a, b) in edges
     }
     for (i, j) in whole:
         assert j in lat.covers[i]
@@ -750,13 +781,14 @@ def test_cover_reachability_lemma(lattice):
             if i == j or not lat.leq_idx(i, j):
                 continue
             w, top = lat.elements[i], lat.elements[j]
-            for b1, b2 in combinable_pairs(w, top):
+            bs = blocks(w)
+            for a, b in combinable_slots(block_masks(w), top):
                 hits = [
                     c
                     for c in covers_up(w)
-                    if leq(c, top) and c.equiv(b1.min, b2.min)
+                    if leq(c, top) and _same_block(c, bs[a].min, bs[b].min)
                 ]
-                assert hits, (lat.words[i], lat.words[j], b1, b2)
+                assert hits, (lat.words[i], lat.words[j], bs[a], bs[b])
 
 
 def test_hasse_exports(lattice):

@@ -9,14 +9,12 @@ from shardorder.perms import (
     all_permutations,
     barred_pattern_instances,
     contains_barred_pattern,
-    descending_runs,
-    descents,
-    identity,
-    inversions,
     is_indecomposable,
-    reversal,
 )
-from shardorder.sortable import CoxeterElement, all_coxeter_elements, barring_of, linear_coxeter
+from shardorder.preorders import mask_values, run_masks
+from shardorder.sortable import CoxeterElement, all_coxeter_elements, barring_of
+
+from oracles import descending_runs, identity, inversions, linear_coxeter, reversal
 
 P = Permutation.parse
 
@@ -73,51 +71,42 @@ def test_inversion_count_extremes():
             assert (count == n * (n - 1) // 2) == (p == reversal(n))
 
 
+def _runs(word):
+    """The runs ``run_masks`` reads, each as its values in word order."""
+    return [tuple(reversed(mask_values(m))) for m in run_masks(word)]
+
+
 def test_descending_runs_paper_examples():
-    assert [r.values for r in descending_runs(P("1642735"))] == [
+    assert _runs(P("1642735").word) == [
         (1,),
         (6, 4, 2),
         (7, 3),
         (5,),
     ]
-    assert [r.values for r in descending_runs(P("26314758"))] == [
+    assert _runs(P("26314758").word) == [
         (2,),
         (6, 3, 1),
         (4,),
         (7, 5),
         (8,),
     ]
-    assert all(len(r.values) == 1 for r in descending_runs(identity(6)))
-
-
-def test_run_fields():
-    run = descending_runs(P("1642735"))[1]
-    assert (run.start, run.end) == (1, 3)
-    assert run.interval == (2, 6)
-    assert run.min == 2 and run.max == 6
+    assert all(len(r) == 1 for r in _runs(identity(6).word))
 
 
 def test_runs_concatenate_to_word():
     for n in range(1, 7):
         for p in all_permutations(n):
-            flat = tuple(v for r in descending_runs(p) for v in r.values)
-            assert flat == p.word
-
-
-def test_descents():
-    assert descents(P("4312")) == {(4, 3), (3, 1)}
-    assert descents(identity(4)) == set()
-    assert descents(P("26314758")) == {(6, 3), (3, 1), (7, 5)}
+            runs = descending_runs(p)
+            assert tuple(v for r in runs for v in r) == p.word
+            assert _runs(p.word) == runs
 
 
 def test_descents_are_within_run_adjacencies():
     for p in all_permutations(5):
-        within = {
-            (r.values[i], r.values[i + 1])
-            for r in descending_runs(p)
-            for i in range(len(r.values) - 1)
-        }
-        assert descents(p) == within
+        w = p.word
+        descents = {(w[i], w[i + 1]) for i in range(p.n - 1) if w[i] > w[i + 1]}
+        within = {(r[i], r[i + 1]) for r in _runs(w) for i in range(len(r) - 1)}
+        assert descents == within
 
 
 def test_barred_patterns_example():

@@ -6,16 +6,15 @@ import pytest
 import shardorder.preorders as preorders
 import shardorder.shelling as shelling
 from shardorder.errors import IncomparableError, InvalidPreorderError, InvariantError
-from shardorder.lattice import OmegaLattice, build_lattice, combinable_pairs, covers_up, leq
+from shardorder.lattice import OmegaLattice, build_lattice, combinable_slots, covers_below, covers_up, leq
 from shardorder.perms import Permutation, all_permutations, is_indecomposable
-from shardorder.preorders import Preorder, blocks, lam, mu
+from shardorder.preorders import Preorder, block_masks, blocks, checked_state, lam, mu
 from shardorder.shelling import (
     chain_counts,
     chain_report,
     count_decreasing_chains,
     edge_label,
     increasing_chain,
-    merged_pair,
     mobius,
 )
 
@@ -46,7 +45,7 @@ def test_merged_pair_and_label_from_bottom(lattice):
     bot = lat.elements[lat.bottom]
     for j in lat.covers[lat.bottom]:
         atom = lat.elements[j]
-        b1, b2 = merged_pair(bot, atom)
+        b1, b2 = set(blocks(bot)) - set(blocks(atom))
         doubleton = next(b for b in blocks(atom) if len(b.members) == 2)
         assert b1.members | b2.members == doubleton.members
         # placements in the bottom element are the values themselves
@@ -94,17 +93,13 @@ def test_label_range(lattice, edge_labels):
 
 def test_combinable_pairs_trivial():
     bot, top = Preorder.discrete(4), Preorder.complete(4)
-    got = combinable_pairs(bot, top)
+    got = list(combinable_slots(block_masks(bot), top))
     assert len(got) == 6  # C(4,2) singleton pairs
-    assert combinable_pairs(top, top) == []
-    t = mu(P("3214"))
-    pairs = {
-        (tuple(sorted(x.members)), tuple(sorted(y.members)))
-        for x, y in combinable_pairs(bot, t)
-    }
-    assert pairs == {((1,), (2,)), ((1,), (3,)), ((2,), (3,))}
+    assert list(combinable_slots(block_masks(top), top)) == []
+    # the blocks of the bottom element are the singletons {1}, ..., {4}
+    assert list(combinable_slots(block_masks(bot), mu(P("3214")))) == [(0, 1), (0, 2), (1, 2)]
     with pytest.raises(IncomparableError):
-        combinable_pairs(mu(P("2134")), mu(P("1324")))
+        list(covers_below(mu(P("2134")), mu(P("1324"))))
 
 
 def test_increasing_chain_trivial():
@@ -349,9 +344,10 @@ def test_whole_lattice_reads_each_word_once(monkeypatch):
 
 
 def test_greedy_chain_builds_the_block_covers_once_per_step(monkeypatch):
-    # each step builds one cover_masks of its block state, for its
-    # combinable pairs; a bottom that carries no state adds one more, for
-    # its (P1)/(P2) scan, and a bottom checked before adds none
+    # the steps read their combinable pairs off the up- and down-sets, so
+    # only a (P1)/(P2) scan builds block covers: one for a bottom that
+    # carries no state, none for a bottom checked before (the top here is
+    # checked before counting starts)
     real, calls = preorders.cover_masks, []
 
     def counted(*state):
@@ -361,19 +357,22 @@ def test_greedy_chain_builds_the_block_covers_once_per_step(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "shardorder" and getattr(module, "cover_masks", None) is real:
             monkeypatch.setattr(module, "cover_masks", counted)
-    bottom = Preorder.discrete(7)
-    chain = increasing_chain(bottom, Preorder.complete(7))
-    assert len(chain.labels) == 6
-    assert len(calls) == 7
+    bottom, top = Preorder.discrete(7), Preorder.complete(7)
+    checked_state(top)
     calls.clear()
-    assert increasing_chain(bottom, Preorder.complete(7)) == chain
-    assert len(calls) == 6
+    chain = increasing_chain(bottom, top)
+    assert len(chain.labels) == 6
+    assert len(calls) == 1
+    calls.clear()
+    assert increasing_chain(bottom, top) == chain
+    assert len(calls) == 0
 
 
 def test_greedy_chain_runs_one_full_scan(monkeypatch):
     # every element after the bottom is a cover that carries its checked
-    # state, so a 6-step chain at n = 9 runs the full (P1)/(P2) scan once,
-    # for its bottom, and an edge label read off the chain runs none
+    # state, so a 6-step chain at n = 9 runs the full (P1)/(P2) scan once
+    # for each end that carries no state, top first, and an edge label
+    # read off the chain runs none
     real, scans = preorders.block_violations, []
 
     def counted(masks, ups, downs):
@@ -383,8 +382,10 @@ def test_greedy_chain_runs_one_full_scan(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "shardorder" and getattr(module, "block_violations", None) is real:
             monkeypatch.setattr(module, "block_violations", counted)
-    chain = increasing_chain(Preorder.discrete(9), mu(P("432187659")))
+    bottom, top = Preorder.discrete(9), mu(P("432187659"))
+    chain = increasing_chain(bottom, top)
     assert len(chain.labels) == 6
-    assert len(scans) == 1
+    assert scans == [block_masks(top)[0], block_masks(bottom)[0]]
     assert edge_label(chain.elements[1], chain.elements[2]) == chain.labels[1]
-    assert len(scans) == 1
+    assert increasing_chain(bottom, top) == chain
+    assert len(scans) == 2
