@@ -65,7 +65,7 @@ from functools import reduce
 from operator import and_, itemgetter, or_
 from .errors import IncomparableError, InvalidPreorderError, InvariantError, ResourceLimitError
 from .perms import Permutation, all_permutations
-from .preorders import Preorder, checked_state, lam, lam_packed, relate_blocks, run_masks
+from .preorders import Preorder, checked_state, lam, lam_packed, relate_blocks, run_masks, run_ups
 
 LATTICE_SIZE_CAP = 7
 
@@ -422,9 +422,10 @@ def build_lattice(n: int, force: bool = False) -> OmegaLattice:
             f"cap is {LATTICE_SIZE_CAP} (use force to override)"
         )
     words = list(all_permutations(n))
-    # each word's runs are read once: mu packs from them and the lattice keeps them
+    # each word's runs are read once: the element is packed from them, with
+    # no block state, and the lattice keeps them
     runs = [run_masks(p.word) for p in words]
-    elements = [Preorder._of_runs(n, r) for r in runs]
+    elements = [Preorder._of_blocks(n, r, run_ups(r)) for r in runs]
     return OmegaLattice(n, elements, words, runs=runs)
 
 

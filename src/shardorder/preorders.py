@@ -10,9 +10,9 @@ simplicity.  ``Preorder(n, bits)`` checks reflexivity and closure; the
 ``from_rows`` family closes the relation itself and skips that check.
 
 Blocks are the classes of mutual comparability.  Every set of values is a
-value mask (bit v-1 for value v), and a block is row(a) AND column(a) for
-any member a.  ``Block`` (min, max, mask) is only the public view of one,
-for results and error text.
+value mask (bit v-1 for value v), and a block is the set of values whose
+row equals row(a) for any member a.  ``Block`` (min, max, mask) is only
+the public view of one, for results and error text.
 
 The elements of the lattice are the pre-orders satisfying two axioms:
 
@@ -21,22 +21,25 @@ The elements of the lattice are the pre-orders satisfying two axioms:
 
 ``mu`` sends a permutation to such a pre-order (descending runs become
 blocks, overlapping runs are ordered left-below-right) and ``lam`` is its
-inverse.  ``mu`` packs its bits straight from the word's ``run_masks``
-(``Preorder._of_runs``), so a caller holding the runs can keep them.
-``lam`` writes the blocks as descending runs in the order ``lam_order``
-gives: a block's run is preceded by the blocks below it and by the
-incomparable blocks to its numeric left, its before-set.  Those masks
-must be the nested prefixes of the order, so their sizes are distinct:
-one slot pass (``_run_slots``) places each block at the popcount of its
-before-set and checks the prefixes in one walk over the slots, O(n)
-with no sort; a pre-order whose blocks admit no such order is rejected.
+inverse.  ``mu`` reads its state straight off the word's ``run_masks``
+(the up-sets from one pass from the right, ``run_ups``), so a caller
+holding the runs can keep them and pack from them.  ``lam`` writes the
+blocks as descending runs in the order ``lam_order`` gives: a block's
+run is preceded by the blocks below it and by the incomparable blocks to
+its numeric left, its before-set.  Those masks must be the nested
+prefixes of the order, so their sizes are distinct: one slot pass
+(``_run_slots``) places each block at the popcount of its before-set and
+checks the prefixes in one walk over the slots, O(n) with no sort; a
+pre-order whose blocks admit no such order is rejected.
 
 The one working form of the blocks is the state ``block_masks`` reads in
-one pass: the block masks sorted by min, with the up-set and down-set of
-each.  The axiom check (``block_violations``), the word rule
-(``lam_order``) and the covers of each block (``cover_masks``) read only
-that state, and ``relate_blocks`` adds relations to it, keeping it closed
-in O(m) mask ORs with no Warshall pass.  Each function here that takes a
+one pass over the rows: values with equal rows form one block, and the
+blocks come out sorted by min, each with its up-set (the row) and its
+down-set (the union of the blocks whose up-set meets it, ``down_sets``).
+The axiom check (``block_violations``), the word rule (``lam_order``)
+and the covers of each block (``cover_masks``) read only that state, and
+``relate_blocks`` adds relations to it, keeping it closed in O(m) mask
+ORs with no Warshall pass.  Each function here that takes a
 ``Preorder`` reads its state once and runs all its checks on it.
 ``block_violations`` scans the whole state and yields its failures
 lazily, so a caller can stop at the first.  States the cover search
@@ -48,18 +51,20 @@ reads an object's state and runs the full scan the first time it sees it,
 then carries the state on the object as one flat tuple, in the private
 slot ``_state``, which ``==``, ``hash`` and ``repr`` ignore.  Code that
 has just checked a state, or proved it valid, carries it from the start:
-``lam_packed``, which the cover search (``lattice._merge_candidates``,
-after its restricted scan) and the noncrossing constructor
-(``sortable._order_of_partition``, whose closure makes (P1)/(P2) true)
-call, and ``preorder_from_json``.  ``lam``, ``preorder_to_json``,
-``placements``, ``is_noncrossing_preorder``, ``lattice.join`` (its
-arguments and its result), ``lattice.interval_lattice``,
-``lattice.covers_below`` and ``shelling``'s greedy chain and
-``edge_label`` (both their elements) go through ``checked_state``.  ``mu``,
-``Preorder(n, bits)`` and ``from_rows`` carry nothing, so whatever a user
-builds is checked on its first use.  ``axiom_violations`` always runs the
-full scan: it is the oracle.  No cache is kept: a state lives and dies
-with its object.
+``mu`` (every image of a permutation is an element; the proof is in its
+docstring), ``lam_packed``, which the cover search
+(``lattice._merge_candidates``, after its restricted scan) and the
+noncrossing constructor (``sortable._order_of_partition``, whose closure
+makes (P1)/(P2) true) call, and ``preorder_from_json``.  ``lam``,
+``preorder_to_json``, ``placements``, ``is_noncrossing_preorder``,
+``lattice.join`` (its arguments and its result),
+``lattice.interval_lattice``, ``lattice.covers_below`` and
+``shelling``'s greedy chain and ``edge_label`` (both their elements) go
+through ``checked_state``.  ``Preorder(n, bits)`` and ``from_rows`` carry
+nothing, so whatever a user builds is checked on its first use.
+``axiom_violations`` always reads the state off the bits and runs the
+full scan: it is the oracle, for mu's images too.  No cache is kept: a
+state lives and dies with its object.
 
 Pre-orders built from given blocks (JSON input, noncrossing elements) are
 closed on the blocks too: ``close_blocks`` takes disjoint value masks in
@@ -72,11 +77,12 @@ state's lam word and its ``bits`` in one walk over the slot pass that
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidPreorderError
 from .frozen import Frozen
-from .perms import Permutation
+from .perms import Permutation, _of_word
 
 def close_rows(rows: list[int]) -> list[int]:
     """In-place Warshall transitive closure of row masks."""
@@ -111,6 +117,25 @@ def run_masks(word: Sequence[int]) -> tuple[int, ...]:
         prev = v
     masks.append(run)
     return tuple(masks)
+
+
+def run_ups(runs: Sequence[int]) -> list[int]:
+    """The up-set of each run of a word, given by its ``run_masks``, in the
+    pre-order of the word: runs are blocks, and of two runs with
+    intersecting value intervals the one further right is above.  Every
+    such generator points right, so a run's up-set is the run plus the
+    up-sets of the overlapping runs to its right: one pass from the right
+    closes the relation."""
+    ups, done = [], []  # done: (span, up-set) of the runs to the right
+    for mask in reversed(runs):
+        run_span, up = (1 << mask.bit_length()) - (mask & -mask), mask  # its interval
+        for right_span, right_up in done:
+            if run_span & right_span:
+                up |= right_up
+        done.append((run_span, up))
+        ups.append(up)
+    ups.reverse()
+    return ups
 
 
 class Preorder(Frozen):
@@ -177,28 +202,6 @@ class Preorder(Frozen):
         return Preorder._unchecked(n, bits)
 
     @staticmethod
-    def _of_runs(n: int, runs: Sequence[int]) -> "Preorder":
-        """Pack the pre-order of a word from its ``run_masks``: runs are blocks,
-        and of two runs with intersecting value intervals the one further
-        right is above.  Every such generator points right, so a run's up-set
-        is the run plus the up-sets of the overlapping runs to its right: one
-        pass from the right closes the relation, shifting each up-set into
-        the row of each of its run's values as ``_of_blocks`` does."""
-        bits = 0
-        done = []  # (span, up-set) of the runs to the right
-        for mask in reversed(runs):
-            run_span, up = (1 << mask.bit_length()) - (mask & -mask), mask  # its interval
-            for right_span, right_up in done:
-                if run_span & right_span:
-                    up |= right_up
-            done.append((run_span, up))
-            while mask:
-                v = mask.bit_length() - 1
-                bits |= up << (n * v)
-                mask ^= 1 << v
-        return Preorder._unchecked(n, bits)
-
-    @staticmethod
     def from_pairs(n: int, pairs) -> "Preorder":
         """Build from 1-based (a, b) pairs meaning a is below b."""
         rows = [0] * n
@@ -224,15 +227,6 @@ class Preorder(Frozen):
         """Up-set masks: bit b-1 of rows()[a-1] is set iff a is below b."""
         mask = (1 << self.n) - 1
         return [(self.bits >> (a * self.n)) & mask for a in range(self.n)]
-
-    def cols(self) -> list[int]:
-        """Down-set masks: bit a-1 of cols()[b-1] is set iff a is below b.
-
-        Column b is every n-th digit of the binary form of ``bits``.
-        """
-        n = self.n
-        digits = format(self.bits, f"0{n * n}b")
-        return [int(digits[n - 1 - b :: n], 2) for b in range(n)]
 
     def leq(self, a: int, b: int) -> bool:
         """a below b (1-based values)."""
@@ -310,20 +304,31 @@ class Violation(NamedTuple):
 def block_masks(q: Preorder) -> tuple[list[int], list[int], list[int]]:
     """Value masks of the blocks of q sorted by min, with the up-set and down-set of each.
 
-    A block's up-set is the row of its min and its down-set the column;
-    the block is their intersection.  One pass over the rows and columns
-    reads the whole state, with no ``Block`` objects and no cache.
+    A pre-order is reflexive and transitive, so two values are related
+    both ways iff their rows are equal: the values with equal rows form
+    one block, and that row is its up-set.  Grouping the rows in value
+    order gives the blocks in min order; their down-sets are read off the
+    up-sets (``down_sets``).  One pass over the rows reads the whole
+    state, with no ``Block`` objects and no cache.
     """
-    masks, ups, downs = [], [], []
-    seen = 0
-    for a, (up, down) in enumerate(zip(q.rows(), q.cols())):
-        if not seen >> a & 1:
-            mask = up & down
-            seen |= mask
-            masks.append(mask)
-            ups.append(up)
-            downs.append(down)
-    return masks, ups, downs
+    groups = {}  # row -> the values with that row, in value order
+    for a, up in enumerate(q.rows()):
+        groups[up] = groups.get(up, 0) | 1 << a
+    masks, ups = list(groups.values()), list(groups)
+    return masks, ups, down_sets(masks, ups)
+
+
+def down_sets(masks: Sequence[int], ups: Sequence[int]) -> list[int]:
+    """The down-set of each of the disjoint blocks ``masks`` whose closed
+    up-sets, unions of blocks, are ``ups``: the union of the blocks whose
+    up-set meets it."""
+    downs = list(masks)
+    for b, up in zip(masks, ups):
+        if up != b:  # else b is below nothing but itself
+            for k, bk in enumerate(masks):
+                if up & bk:
+                    downs[k] |= b
+    return downs
 
 
 def relate_blocks(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], low: int, high: int):
@@ -373,12 +378,7 @@ def close_blocks(masks: Sequence[int], less) -> tuple[list[int], list[int], list
             for a, ua in enumerate(ups):
                 if ua & bk:
                     ups[a] = ua | up
-    downs = list(masks)
-    for b, up in zip(masks, ups):
-        if up != b:
-            for k, bk in enumerate(masks):
-                if up & bk:
-                    downs[k] |= b
+    downs = down_sets(masks, ups)
     for b, u, d in zip(masks, ups, downs):
         if u & d != b:
             return None
@@ -481,10 +481,29 @@ def mu(p: Permutation) -> Preorder:
 
     Of two distinct runs with intersecting value intervals, the one further
     right in the word gives the greater block; the relation is the
-    transitive closure of these generators, packed by ``Preorder._of_runs``
-    from the word's ``run_masks``.
+    transitive closure of these generators.  Its state is read off the
+    word's ``run_masks``: the runs sorted by min are the blocks, each with
+    its up-set (``run_ups``) and its down-set (``down_sets``); the bits are
+    packed from it, and the element carries it (``checked_state``), with no
+    scan, for the image of every permutation is an element:
+
+    - No runs merge: every generator points right, so a run is below only
+      runs to its right, and two runs are never related both ways.
+    - (P1) holds: two overlapping blocks are two overlapping runs, a
+      generator, so they are comparable.
+    - (P2) holds: a cover of the closure is a chain of generators with no
+      block strictly between its ends, so it is one generator, and the
+      runs of a generator overlap.
     """
-    return Preorder._of_runs(p.n, run_masks(p.word))
+    runs = run_masks(p.word)
+    masks, ups = zip(*sorted(zip(runs, run_ups(runs)), key=_min_key))
+    downs = down_sets(masks, ups)
+    return _carry(Preorder._of_blocks(p.n, masks, ups), masks, ups, downs)
+
+
+def _min_key(block) -> int:
+    """Sort key of a (block mask, ...) tuple: its lowest value bit."""
+    return block[0] & -block[0]
 
 
 def _run_slots(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> list[tuple[int, int]]:
@@ -571,9 +590,10 @@ def lam_packed(n: int, masks: Sequence[int], ups: Sequence[int], downs: Sequence
 def lam(q: Preorder) -> Permutation:
     """Inverse of mu: each block becomes a descending run.
 
-    Raises InvalidPreorderError if q fails (P1)/(P2).
+    Raises InvalidPreorderError if q fails (P1)/(P2).  The blocks partition
+    [n], so the word is a permutation and is wrapped with no check.
     """
-    return Permutation(runs_word(lam_order(*checked_state(q))))
+    return _of_word(runs_word(lam_order(*checked_state(q))))
 
 
 def mask_placements(state) -> dict[int, int]:
@@ -599,6 +619,14 @@ def preorder_to_json(q: Preorder) -> dict:
     return {"n": q.n, "blocks": [mask_values(b) for b in order], "less": less}
 
 
+_INT = frozenset((int,))
+
+
+def _ints(x) -> bool:
+    """x is a list of plain ints (a bool is not one), tested at C level."""
+    return isinstance(x, list) and set(map(type, x)) <= _INT
+
+
 def check_json_shape(data, keys=("n", "blocks")) -> int:
     """Check the shape of pre-order or partition JSON before any work; returns n.
 
@@ -607,23 +635,24 @@ def check_json_shape(data, keys=("n", "blocks")) -> int:
     pair of distinct indices into ``blocks``.  Whether the blocks partition
     [n] is left to the builders.
     """
-
-    def ints(x) -> bool:
-        return isinstance(x, list) and all(type(v) is int for v in x)
-
     if not isinstance(data, dict) or any(k not in data for k in keys):
         raise ValueError(f"JSON input must be an object with keys {', '.join(keys)}")
     n, raw_blocks, less = data["n"], data["blocks"], data.get("less", [])
     if type(n) is not int or n < 1:
         raise ValueError(f'"n" must be a positive integer, got {n!r}')
-    if not (isinstance(raw_blocks, list) and all(ints(b) for b in raw_blocks)):
+    if not (
+        isinstance(raw_blocks, list)
+        and all(isinstance(b, list) for b in raw_blocks)
+        and set(map(type, chain.from_iterable(raw_blocks))) <= _INT
+    ):
         raise ValueError('"blocks" must be a list of lists of integers')
-    if not ints(data.get("coxeter", [])):
+    if not _ints(data.get("coxeter", [])):
         raise ValueError('"coxeter" must be a list of integers')
     if not isinstance(less, list):
         raise ValueError('"less" must be a list of index pairs')
+    m = len(raw_blocks)
     for pair in less:
-        if not (ints(pair) and len(pair) == 2 and all(0 <= i < len(raw_blocks) for i in pair)):
+        if not (_ints(pair) and len(pair) == 2 and 0 <= pair[0] < m and 0 <= pair[1] < m):
             raise ValueError(f'"less" entry {pair!r} is not a pair of indices into the blocks')
         if pair[0] == pair[1]:
             raise ValueError(f'"less" entry {pair!r} relates a block to itself')
@@ -631,14 +660,20 @@ def check_json_shape(data, keys=("n", "blocks")) -> int:
 
 
 def partition_masks(block_sets, n: int) -> list[int]:
-    """Value masks of blocks that partition [n]; raises ValueError otherwise."""
+    """Value masks of blocks that partition [n]; raises ValueError otherwise.
+
+    Each block is range-checked by its min and max before its mask is
+    built, and its mask shows a repeated value by a popcount short of its
+    length."""
     masks, ground = [], 0
     for b in map(list, block_sets):
         if not b:
             raise ValueError("empty block")
-        if not all(1 <= v <= n for v in b):
+        if min(b) < 1 or max(b) > n:
             raise ValueError(f"blocks do not partition [1,{n}]")
-        mask = sum(1 << (v - 1) for v in set(b))
+        mask = 0
+        for v in b:
+            mask |= 1 << (v - 1)
         if mask & ground or mask.bit_count() != len(b):
             raise ValueError("blocks are not disjoint")
         ground |= mask
@@ -650,7 +685,15 @@ def partition_masks(block_sets, n: int) -> list[int]:
 
 def preorder_from_json(data: dict) -> Preorder:
     """Rebuild a pre-order from its JSON form and validate (P1)/(P2)."""
-    n = check_json_shape(data)
+    check_json_shape(data)
+    return _preorder_of_json(data)
+
+
+def _preorder_of_json(data: dict) -> Preorder:
+    """``preorder_from_json`` on data whose shape ``check_json_shape`` has
+    passed: the blocks must partition [n], the ``less`` pairs must close
+    without merging blocks, and the closure must satisfy (P1)/(P2)."""
+    n = data["n"]
     masks = partition_masks(data["blocks"], n)
     order = sorted(range(len(masks)), key=lambda k: masks[k] & -masks[k])
     slot = {k: i for i, k in enumerate(order)}

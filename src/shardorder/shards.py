@@ -53,6 +53,20 @@ class Shard(Frozen):
         return f"H({self.i},{self.j})[{signs}]"
 
 
+_new = object.__new__
+_set_n, _set_i, _set_j, _set_eps = Shard.n.__set__, Shard.i.__set__, Shard.j.__set__, Shard.eps.__set__
+
+
+def _of_signs(n: int, i: int, j: int, eps: tuple[int, ...]) -> Shard:
+    """Wrap shard data already known valid, skipping ``Shard``'s check."""
+    s = _new(Shard)
+    _set_n(s, n)
+    _set_i(s, i)
+    _set_j(s, j)
+    _set_eps(s, eps)
+    return s
+
+
 def enumerate_shards(n: int) -> list[Shard]:
     """All shards of the arrangement on [n]; 2^(j-i-1) per hyperplane."""
     if n < 2:
@@ -71,18 +85,16 @@ def lower_shards(p: Permutation) -> list[Shard]:
     A descent ji (j > i adjacent in the word) selects the shard of H_ij on
     the same side as the region of every cutting hyperplane: eps_k is -1
     exactly when (k, i) is an inversion of the word, i.e. when k appears
-    before i.
+    before i.  The shards are built valid (i < j, one sign of +1 or -1
+    per k strictly between), so they skip ``Shard``'s check.
     """
-    w = p.word
-    pos = {v: idx for idx, v in enumerate(w)}
-    out = []
-    for idx in range(p.n - 1):
-        if w[idx] > w[idx + 1]:
-            j, i = w[idx], w[idx + 1]
-            eps = tuple(
-                -1 if pos[k] < pos[i] else 1 for k in range(i + 1, j)
-            )
-            out.append(Shard(p.n, i, j, eps))
+    w, n = p.word, p.n
+    out, seen = [], 0  # seen: the values up to and including j
+    for j, i in zip(w, w[1:]):
+        seen |= 1 << (j - 1)
+        if j > i:
+            eps = tuple([-1 if seen >> (k - 1) & 1 else 1 for k in range(i + 1, j)])
+            out.append(_of_signs(n, i, j, eps))
     return out
 
 
@@ -132,6 +144,9 @@ def intersect(shards, n: int | None = None) -> ShardIntersection:
     """Union the constraints of the given shards and close them.
 
     The empty intersection is the whole space and needs an explicit n.
+    The signs are read from ``eps`` in order: every ``Shard`` holds one
+    per index strictly between i and j, checked by its constructor or, in
+    ``lower_shards``, built so.
     """
     shards = list(shards)
     if shards:
@@ -146,13 +161,14 @@ def intersect(shards, n: int | None = None) -> ShardIntersection:
 
     rows = [0] * n
     for s in shards:
-        rows[s.i - 1] |= 1 << (s.j - 1)
-        rows[s.j - 1] |= 1 << (s.i - 1)
-        for k in range(s.i + 1, s.j):
-            if s.sign(k) > 0:  # x_i <= x_k
-                rows[s.i - 1] |= 1 << (k - 1)
+        i, j = s.i - 1, s.j - 1
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        for k, e in enumerate(s.eps, start=i + 1):  # 0-based, as i and j are
+            if e > 0:  # x_i <= x_k
+                rows[i] |= 1 << k
             else:  # x_k <= x_i
-                rows[k - 1] |= 1 << (s.i - 1)
+                rows[k] |= 1 << i
     return ShardIntersection(n, tuple(rows))
 
 

@@ -16,8 +16,17 @@ from hypothesis import strategies as st
 
 from shardorder.errors import InvalidPreorderError
 from shardorder.lattice import covers_up, interval_lattice, join
-from shardorder.perms import Permutation
-from shardorder.preorders import Preorder, _carried, block_masks, lam, mu, preorder_from_json, preorder_to_json
+from shardorder.perms import Permutation, all_permutations
+from shardorder.preorders import (
+    Preorder,
+    _carried,
+    axiom_violations,
+    block_masks,
+    lam,
+    mu,
+    preorder_from_json,
+    preorder_to_json,
+)
 from shardorder.shards import intersect, lower_shards, to_preorder
 from shardorder.shelling import chain_report, edge_label, increasing_chain
 from shardorder.sortable import (
@@ -44,11 +53,10 @@ def _bind_everywhere(monkeypatch, name, replacement):
 
 def test_each_element_reads_and_checks_its_state_three_times(monkeypatch):
     # the element stream of the benchmark: map, JSON, unmap, the shard
-    # oracle, covers_up, and join with the previous element.  mu carries no
-    # state, so preorder_to_json reads and checks it once, preorder_from_json
-    # checks the state it closed, covers_up reads the carried state, and
-    # join checks only its fresh result; the JSON result and the join
-    # arguments were checked before
+    # oracle, covers_up, and join with the previous element.  mu carries the
+    # state its runs prove valid, so preorder_to_json and covers_up read it
+    # back; preorder_from_json checks the state it closed, and join reads
+    # and checks only its fresh result: one read and two scans per element
     reads, scans = [], []
     real_masks = _bind_everywhere(monkeypatch, "block_masks", lambda q: reads.append(q) or real_masks(q))
 
@@ -70,7 +78,17 @@ def test_each_element_reads_and_checks_its_state_three_times(monkeypatch):
         covers_up(q)
         join(q, q if prev is None else prev)
         prev = q
-        assert (len(reads), len(scans)) == (2, 3), p
+        assert (len(reads), len(scans)) == (1, 2), p
+
+
+def test_mu_carries_the_state_of_its_bits():
+    # the carried state against the state read off the packed rows, and the
+    # image against the full (P1)/(P2) scan, which reads the rows too
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            q = mu(p)
+            assert _carried(q) == tuple(map(tuple, block_masks(q))), p
+            assert axiom_violations(q) == [], p
 
 
 def _non_elements():
@@ -107,9 +125,12 @@ def test_a_non_element_is_rejected_on_every_call(bad):
 
 
 def test_only_checking_code_carries_a_state():
+    # mu proves its image valid (see its docstring), so it carries the state
+    # of its bits; what a user builds from bits or rows carries nothing
     p = Permutation((2, 6, 3, 1, 4, 7, 5, 8))
     q = mu(p)
-    built = [q, Preorder(q.n, q.bits), Preorder.from_rows(q.n, q.rows()), Preorder.discrete(4)]
+    assert _carried(q) == tuple(map(tuple, block_masks(q)))
+    built = [Preorder(q.n, q.bits), Preorder.from_rows(q.n, q.rows()), Preorder.discrete(4)]
     assert [x._state for x in built] == [None] * len(built)
     for check in (lam, preorder_to_json):
         x = Preorder(q.n, q.bits)
@@ -177,9 +198,8 @@ def _noncrossing_blocks(labels):
 
 @st.composite
 def carried_elements(draw):
-    """Elements whose state was checked: covers, a JSON result, a join
-    result, a mu image after a checking reader (covers_up) and a
-    noncrossing element, which its constructor checked, at n = 8..10."""
+    """Elements whose state was checked or proved: covers, a mu image, a
+    JSON result, a join result and a noncrossing element, at n = 8..10."""
     n = draw(st.integers(8, 10))
     word = st.permutations(range(1, n + 1)).map(lambda w: Permutation(tuple(w)))
     a, b = mu(draw(word)), mu(draw(word))

@@ -1,5 +1,7 @@
 import contextlib
+import copy
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardorder.cli import SUITES, main
-from shardorder.perms import Permutation
-from shardorder.preorders import Preorder, mu, preorder_to_json
+from shardorder.cli import SUITES, _indecomposable_count, main
+from shardorder.perms import Permutation, all_permutations, is_indecomposable
+from shardorder.preorders import Preorder, lam, mu, preorder_from_json, preorder_to_json
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -101,6 +103,71 @@ def test_bad_json_input_is_one_error_line(capsys, argv):
     assert "No such file" not in err  # inline JSON is never read as a path
 
 
+def _set(key, value):
+    def edit(data):
+        data[key] = value
+
+    return edit
+
+
+def _set_block(k, block):
+    def edit(data):
+        data["blocks"][k] = block
+
+    return edit
+
+
+def _append(k, value):
+    def edit(data):
+        data["blocks"][k].append(value)
+
+    return edit
+
+
+# One fault each on a valid input, as (name, fields it conflicts on,
+# position in the order the checks run, edit, error message).  The shape
+# comes first, then the partition block by block (in a block: empty, then
+# a value out of range, then a repeated or overlapping value), then the
+# cover of [1,n], the closure and the axioms.
+_FAULTS = [
+    ("no n", {"n"}, (0,), lambda data: data.pop("n"), "JSON input must be an object with keys n, blocks"),
+    ("bad n", {"n"}, (1,), _set("n", 0), '"n" must be a positive integer, got 0'),
+    ("float in a later block", {"b4"}, (2,), _set_block(4, [6.0]), '"blocks" must be a list of lists of integers'),
+    ("bad coxeter", {"coxeter"}, (3,), _set("coxeter", ["1"]), '"coxeter" must be a list of integers'),
+    ("less not a list", {"less"}, (4,), _set("less", {"0": 1}), '"less" must be a list of index pairs'),
+    ("less out of range", {"less"}, (5,), _set("less", [[0, 1], [0, 5]]),
+     '"less" entry [0, 5] is not a pair of indices into the blocks'),
+    ("less self-pair", {"less"}, (5,), _set("less", [[0, 1], [2, 2]]), '"less" entry [2, 2] relates a block to itself'),
+    ("repeat in block 0", {"b0"}, (6, 0, 2), _append(0, 2), "blocks are not disjoint"),
+    ("overlap in block 1", {"b1"}, (6, 1, 2), _append(1, 2), "blocks are not disjoint"),
+    ("out of range in block 2", {"n"}, (6, 2, 1), _append(2, 7), "blocks do not partition [1,6]"),
+    ("repeat in block 2", set(), (6, 2, 2), _append(2, 4), "blocks are not disjoint"),
+    ("empty block 3", {"b3"}, (6, 3, 0), _set_block(3, []), "empty block"),
+    ("value missing", {"n"}, (7,), _set("n", 7), "blocks do not partition [1,7]"),
+    ("collapse", {"less"}, (8,), _set("less", [[0, 1], [1, 0]]), "order relations collapse the given blocks"),
+    ("P1", {"less"}, (9,), _set("less", []), "P1: blocks B[1,3]{1,3} and B[2,2]{2} overlap but are incomparable"),
+]
+
+
+def test_the_first_of_two_faults_is_reported(capsys):
+    # every pair of faults on separate fields of one valid input, whose
+    # blocks are {2} < {1,3} and the isolated {4}, {5}, {6}, reports the
+    # fault checked first, in the library and as the CLI's one error line
+    valid = {"n": 6, "blocks": [[2], [1, 3], [4], [5], [6]], "less": [[0, 1]]}
+    assert lam(preorder_from_json(copy.deepcopy(valid))) == Permutation.parse("231456")
+    for first, second in itertools.combinations(_FAULTS, 2):
+        if first[1] & second[1]:
+            continue
+        data = copy.deepcopy(valid)
+        first[3](data)
+        second[3](data)
+        want = min(first, second, key=lambda fault: fault[2])[4]
+        with pytest.raises(ValueError) as raised:
+            preorder_from_json(copy.deepcopy(data))
+        assert str(raised.value) == want, (first[0], second[0])
+        assert run(capsys, "unmap", json.dumps(data)) == (2, "", f"error: {want}\n"), (first[0], second[0])
+
+
 def test_unmap_checks_the_cap_before_building(capsys):
     # a malformed partition above the cap reports the cap, not the partition
     code, _, err = run(capsys, "unmap", '{"n":10,"blocks":[[1]],"less":[]}')
@@ -159,6 +226,12 @@ def test_mobius_command(capsys):
     code, out, _ = run(capsys, "mobius", "--n", "4", "--bottom", "1234", "--top", "3214")
     data = json.loads(out)
     assert data["mobius"] == 3  # four atoms between: 1 - 4 + ... = 3
+
+
+def test_indecomposable_recursion_matches_the_filter():
+    # the mobius suite's reference count, against the definition over S_n
+    for n in range(1, 8):
+        assert _indecomposable_count(n) == sum(map(is_indecomposable, all_permutations(n))), n
 
 
 def test_mobius_sub_interval_above_the_cap(capsys):
@@ -290,6 +363,25 @@ def test_verify_covers_suite(capsys, monkeypatch):
             "pass": False,
             "failed_at": "1234",
         }
+
+
+def test_verify_roundtrip_scans_the_bits_of_mu(capsys, monkeypatch):
+    # a mu whose carried state is right but whose bits are a non-element
+    # ({1} < {4} a cover with no overlap: (P2)) still inverts through lam,
+    # which reads the state; the full scan reads the bits and fails it
+    from shardorder import cli
+    from shardorder.preorders import _carry, checked_state
+
+    real = cli.mu
+
+    def broken(p):
+        bad = Preorder.from_rows(p.n, [1 << (p.n - 1)] + [0] * (p.n - 1))
+        return _carry(bad, *checked_state(real(p)))
+
+    monkeypatch.setattr(cli, "mu", broken)
+    code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "roundtrip")
+    assert code == 1
+    assert json.loads(out)["results"][0] == {"suite": "roundtrip", "n": 4, "pass": False, "failed_at": "1234"}
 
 
 def test_verify_builds_the_lattice_once(capsys, monkeypatch):

@@ -304,6 +304,24 @@ def test_block_order_masks_match_pairwise():
         assert (less_pairs(q), cover_pairs(q)) == pairwise_block_order(q), q
 
 
+def test_block_masks_match_the_relation():
+    # the state read off equal rows, against the relation read one pair at
+    # a time: the classes of mutual comparability in min order, each with
+    # the values above and below its min
+    def mask(vs):
+        return sum(1 << (v - 1) for v in vs)
+
+    elements = [mu(p) for n in range(1, 6) for p in all_permutations(n)]
+    for q in elements + list(random_preorders(6, 500, 5)):
+        values = range(1, q.n + 1)
+        mins = [a for a in values if not any(q.leq(a, b) and q.leq(b, a) for b in range(1, a))]
+        assert block_masks(q) == (
+            [mask(b for b in values if q.leq(a, b) and q.leq(b, a)) for a in mins],
+            [mask(b for b in values if q.leq(a, b)) for a in mins],
+            [mask(b for b in values if q.leq(b, a)) for a in mins],
+        ), q
+
+
 def test_ordered_blocks_matches_tournament():
     # the nested-prefix check accepts and rejects exactly as the tournament
     elements = [mu(p) for n in range(1, 6) for p in all_permutations(n)]

@@ -60,6 +60,20 @@ def test_lower_shards_4312():
     assert h13.sign(2) == 1  # (2,1) is not an inversion, so x1 <= x2
 
 
+def test_lower_shards_are_the_checked_shards():
+    # the unchecked shards of lower_shards, against Shard's own checks and
+    # the definition: one shard per descent ji, eps_k = -1 iff k is before i
+    for n in range(1, 7):
+        for p in all_permutations(n):
+            w = p.word
+            want = [
+                Shard(n, i, j, tuple(-1 if w.index(k) < w.index(i) else 1 for k in range(i + 1, j)))
+                for j, i in zip(w, w[1:])
+                if j > i
+            ]
+            assert lower_shards(p) == want, p
+
+
 def test_lower_shards_extremes():
     assert lower_shards(identity(5)) == []
     rev = lower_shards(reversal(5))

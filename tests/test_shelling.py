@@ -371,8 +371,9 @@ def test_greedy_chain_builds_the_block_covers_once_per_step(monkeypatch):
 def test_greedy_chain_runs_one_full_scan(monkeypatch):
     # every element after the bottom is a cover that carries its checked
     # state, so a 6-step chain at n = 9 runs the full (P1)/(P2) scan once
-    # for each end that carries no state, top first, and an edge label
-    # read off the chain runs none
+    # for each end that carries no state (top is built from bits, so it
+    # carries none, unlike mu's image), top first, and an edge label read
+    # off the chain runs none
     real, scans = preorders.block_violations, []
 
     def counted(masks, ups, downs):
@@ -382,7 +383,7 @@ def test_greedy_chain_runs_one_full_scan(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "shardorder" and getattr(module, "block_violations", None) is real:
             monkeypatch.setattr(module, "block_violations", counted)
-    bottom, top = Preorder.discrete(9), mu(P("432187659"))
+    bottom, top = Preorder.discrete(9), Preorder(9, mu(P("432187659")).bits)
     chain = increasing_chain(bottom, top)
     assert len(chain.labels) == 6
     assert scans == [block_masks(top)[0], block_masks(bottom)[0]]

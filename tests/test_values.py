@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from shardorder.perms import Permutation, all_permutations
-from shardorder.preorders import Block, Preorder, axiom_violations, blocks, mu
+from shardorder.preorders import Block, Preorder, axiom_violations, blocks, lam, mu
 from shardorder.shards import Shard, ShardIntersection
 from shardorder.shelling import increasing_chain
 from shardorder.sortable import CoxeterElement, barring_of
@@ -107,15 +107,17 @@ def test_permutations_order_by_word():
 
 
 def test_unchecked_words_are_plain_permutations():
-    # all_permutations skips the check its words cannot fail
+    # all_permutations and lam skip the check their words cannot fail
     for p in all_permutations(4):
         assert p == Permutation(p.word) and hash(p) == hash((p.word,)) and p.n == 4
+        back = lam(mu(p))
+        assert back == p and type(back.word) is tuple and hash(back) == hash(p)
 
 
 def test_a_fresh_preorder_carries_no_state():
     q = mu(Permutation((2, 1, 3)))
     assert Preorder(q.n, q.bits)._state is None
-    assert q._state is None and Preorder.from_rows(3, q.rows())._state is None
+    assert Preorder.from_rows(3, q.rows())._state is None
     with pytest.raises(AttributeError):
         q._state = ()
     assert [b.min for b in blocks(q)] == [1, 3]
