@@ -12,13 +12,7 @@ from .errors import (
     ResourceLimitError,
     ShardOrderError,
 )
-from .perms import (
-    BarredPattern,
-    Permutation,
-    all_permutations,
-    contains_barred_pattern,
-    is_indecomposable,
-)
+from .perms import Permutation, all_permutations, is_indecomposable
 from .preorders import (
     Block,
     Preorder,
@@ -61,7 +55,6 @@ from .sortable import (
 )
 
 __all__ = [
-    "BarredPattern",
     "Barring",
     "Block",
     "CoxeterElement",
@@ -85,7 +78,6 @@ __all__ = [
     "blocks",
     "build_lattice",
     "chain_report",
-    "contains_barred_pattern",
     "count_decreasing_chains",
     "covers_up",
     "edge_label",

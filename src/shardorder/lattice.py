@@ -64,7 +64,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import and_, itemgetter, or_
 from .errors import IncomparableError, InvalidPreorderError, InvariantError, ResourceLimitError
-from .perms import Permutation, all_permutations
+from .perms import Permutation, _of_word, all_permutations
 from .preorders import Preorder, checked_state, lam, lam_packed, relate_blocks, run_masks, run_ups
 
 LATTICE_SIZE_CAP = 7
@@ -447,4 +447,4 @@ def interval_lattice(bottom: Preorder, top: Preorder) -> OmegaLattice:
                 seen[c] = word
                 stack.append(c)
     keyed = sorted(seen.items(), key=itemgetter(1))
-    return OmegaLattice(bottom.n, [q for q, _ in keyed], [Permutation(w) for _, w in keyed])
+    return OmegaLattice(bottom.n, [q for q, _ in keyed], [_of_word(w) for _, w in keyed])

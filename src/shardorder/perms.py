@@ -6,14 +6,13 @@ A permutation is stored as the tuple (p(1), ..., p(n)); all values are
 the comma-separated form "2,6,3,1,4,7,5,8" otherwise; both are accepted by
 :func:`Permutation.parse`.
 
-The descending runs of a word become the blocks of the pre-order of a
-permutation; ``preorders.run_masks`` reads them as value masks, and
-``preorders.mu`` packs from those.
+The descending runs of a word become the blocks of its pre-order (read
+as value masks by ``preorders.run_masks``); the two barred patterns of
+c-sortability are decided on the word by ``sortable._sortable``.
 """
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 from typing import Iterator
 
 from .frozen import Frozen
@@ -91,42 +90,6 @@ def _of_word(word: tuple[int, ...]) -> Permutation:
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic word order (the words need no check)."""
     return map(_of_word, itertools.permutations(range(1, n + 1)))
-
-
-class BarredPattern(Enum):
-    """The two barred patterns used by the sortability criterion.
-
-    UPPER_231: an occurrence of 231 whose "2" value is upper-barred.
-    LOWER_312: an occurrence of 312 whose "2" value is lower-barred.
-    """
-
-    UPPER_231 = "2bar-31"
-    LOWER_312 = "31-2bar"
-
-
-def barred_pattern_instances(p, pattern, barring) -> Iterator[tuple[int, int, int]]:
-    """The value triples (left to right) realizing the barred pattern, lazily.
-
-    ``barring`` must expose frozensets ``upper`` and ``lower`` over the
-    values 2..n-1 (1 and n carry no bar, so they never fill the barred
-    role).  Search is brute force over the triples of the word; n stays
-    small.  An unknown pattern raises ``ValueError`` at the call, whatever
-    n is.
-    """
-    triples = itertools.combinations(p.word, 3)
-    if pattern is BarredPattern.UPPER_231:
-        # c < a < b, the "2" role is the first value a
-        upper = barring.upper
-        return ((a, b, c) for a, b, c in triples if c < a < b and a in upper)
-    if pattern is BarredPattern.LOWER_312:
-        # b < c < a, the "2" role is the last value c
-        lower = barring.lower
-        return ((a, b, c) for a, b, c in triples if b < c < a and c in lower)
-    raise ValueError(f"unknown pattern {pattern!r}")
-
-
-def contains_barred_pattern(p, pattern, barring) -> bool:
-    return next(barred_pattern_instances(p, pattern, barring), None) is not None
 
 
 def is_indecomposable(p: Permutation) -> bool:

@@ -174,6 +174,8 @@ class Preorder(Frozen):
         """Build from row masks; reflexivity is added and closure applied."""
         if n < 1:
             raise ValueError("ground set must be nonempty")
+        if len(rows) != n:
+            raise ValueError(f"expected {n} row masks, got {len(rows)}")
         work = [rows[a] | (1 << a) for a in range(n)]
         if any(r >> n for r in work):
             raise ValueError(f"row masks reach beyond [1,{n}]")
@@ -206,6 +208,8 @@ class Preorder(Frozen):
         """Build from 1-based (a, b) pairs meaning a is below b."""
         rows = [0] * n
         for a, b in pairs:
+            if not (0 < a <= n and 0 < b <= n):
+                raise ValueError(f"pair {(a, b)!r} is outside [1,{n}]")
             rows[a - 1] |= 1 << (b - 1)
         return Preorder.from_rows(n, rows)
 

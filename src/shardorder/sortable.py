@@ -6,16 +6,19 @@ exactly once.  It bars each value 2..n-1 (lower if s_{i-1} precedes s_i,
 upper otherwise) and induces a circular order on [n]: 1, the lower-barred
 values ascending, n, then the upper-barred values descending.
 
-A permutation is c-sortable iff it avoids both barred patterns; that is
-the defining predicate (``is_c_sortable``).  The elements themselves are
-built from their c-sorting words (Reading, arXiv:math/0507186): reduced
-subwords c_{K1} c_{K2} ... of c^infinity whose letter sets shrink, each
-K containing the next.  Under mu the c-sortable permutations are exactly
-the pre-orders whose blocks are noncrossing on the cycle and whose
-overlapping blocks are oriented by the bar of any strictly inside
-witness.  Each noncrossing partition of the cycle is the block partition
-of exactly one of them, so they are built from those partitions.  Neither
-construction passes over S_n.
+A permutation is c-sortable iff it avoids both barred patterns: a 231
+whose 2 is upper-barred and a 312 whose 2 is lower-barred.  That is the
+defining predicate (``is_c_sortable``); one left-to-right pass over the
+word decides it with three value masks (``_sortable``), and the filter
+over S_n (``pattern_sortable_permutations``) runs the same pass.  The
+elements themselves are built from their c-sorting words (Reading,
+arXiv:math/0507186): reduced subwords c_{K1} c_{K2} ... of c^infinity
+whose letter sets shrink, each K containing the next.  Under mu the
+c-sortable permutations are exactly the pre-orders whose blocks are
+noncrossing on the cycle and whose overlapping blocks are oriented by
+the bar of any strictly inside witness.  Each noncrossing partition of
+the cycle is the block partition of exactly one of them, so they are
+built from those partitions.  Neither construction passes over S_n.
 
 One mask function (``_demands``) decides noncrossing: the members of
 each block strictly inside the other's interval, split by the mask of
@@ -43,13 +46,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import CrossingPartitionError, InvariantError
 from .frozen import Frozen
-from .perms import (
-    BarredPattern,
-    Permutation,
-    _of_word,
-    all_permutations,
-    contains_barred_pattern,
-)
+from .perms import Permutation, _of_word, all_permutations
 from .preorders import Preorder, checked_state, close_blocks, lam_packed, partition_masks
 
 
@@ -59,6 +56,9 @@ class CoxeterElement(Frozen):
     __slots__ = ("n", "word")
 
     def __init__(self, n: int, word: tuple[int, ...]):
+        if n < 1:
+            raise ValueError("Coxeter element must have size n >= 1")
+        word = tuple(word)
         if sorted(word) != list(range(1, n)):
             raise ValueError(f"word must use each generator 1..{n - 1} once, got {word!r}")
         object.__setattr__(self, "n", n)
@@ -106,26 +106,55 @@ def barring_of(c: CoxeterElement) -> Barring:
     return Barring(c.n, lower, upper, cycle, sum(1 << (v - 1) for v in upper))
 
 
-def _sortable(p: Permutation, bar: Barring) -> bool:
-    return not contains_barred_pattern(
-        p, BarredPattern.UPPER_231, bar
-    ) and not contains_barred_pattern(p, BarredPattern.LOWER_312, bar)
+def _sortable(word: tuple[int, ...], upper_mask: int) -> bool:
+    """Does the word avoid both barred patterns?  One left-to-right pass.
+
+    The upper 231 is a, b, c in word order with c < a < b and a
+    upper-barred: ``armed`` holds the upper-barred values seen so far that
+    a later, larger value has followed, so v completes the pattern iff an
+    armed value exceeds it.  The lower 312 is a, b, c with b < c < a and c
+    lower-barred: ``covered`` holds each value strictly between an earlier
+    value and a later, smaller one, so v completes it iff v is covered and
+    lower-barred.  The barred role is never 1 or n, so lower-barred reads
+    as not in ``upper_mask``.
+    """
+    seen = armed = covered = top = 0
+    for v in word:
+        bit = 1 << (v - 1)
+        if armed >> v or covered & bit & ~upper_mask:
+            return False
+        armed |= seen & upper_mask & (bit - 1)
+        if v < top:
+            covered |= (1 << (top - 1)) - (bit << 1)  # the values v+1 .. top-1
+        else:
+            top = v
+        seen |= bit
+    return True
 
 
 def is_c_sortable(p: Permutation, c: CoxeterElement) -> bool:
-    """True iff p avoids both barred patterns for the barring of c."""
+    """True iff p avoids both barred patterns for the barring of c.
+
+    >>> c = CoxeterElement.parse("2,1,3,7,6,4,5,8", 9)
+    >>> is_c_sortable(Permutation.parse("163425897"), c)
+    False
+    >>> is_c_sortable(Permutation.parse("123456789"), c)
+    True
+    """
     if p.n != c.n:
         raise ValueError("permutation and Coxeter element sizes differ")
-    return _sortable(p, barring_of(c))
+    return _sortable(p.word, barring_of(c).upper_mask)
 
 
 def pattern_sortable_permutations(bar: Barring) -> list[Permutation]:
     """The permutations avoiding both barred patterns: a filter over S_n.
 
-    This is the definition read literally, the reference the sorting-word
-    construction is checked against.
+    This is the definition, one pass per word (``_sortable``), the
+    reference the sorting-word construction is checked against; it reads
+    only the word and the upper-barred mask.
     """
-    return [p for p in all_permutations(bar.n) if _sortable(p, bar)]
+    upper = bar.upper_mask
+    return [p for p in all_permutations(bar.n) if _sortable(p.word, upper)]
 
 
 def sortable_permutations(c: CoxeterElement) -> list[Permutation]:

@@ -2,8 +2,12 @@
 
 The extreme words of S_n, the inversion set (the order ``mu`` must
 respect), the descending runs as value tuples (what ``run_masks`` must
-read), and the two Coxeter words that bar every value one way.
+read), the two Coxeter words that bar every value one way, and the
+barred patterns found by the literal search over value triples (what
+``is_c_sortable`` must decide).
 """
+import itertools
+
 from shardorder.perms import Permutation
 from shardorder.sortable import CoxeterElement
 
@@ -42,3 +46,17 @@ def linear_coxeter(n: int) -> CoxeterElement:
 def reversed_coxeter(n: int) -> CoxeterElement:
     """s_{n-1} ... s_1: every value upper-barred."""
     return CoxeterElement(n, tuple(range(n - 1, 0, -1)))
+
+
+def upper_231(p: Permutation, bar) -> list[tuple[int, int, int]]:
+    """Value triples a, b, c in word order with c < a < b and a upper-barred."""
+    return [(a, b, c) for a, b, c in itertools.combinations(p.word, 3) if c < a < b and a in bar.upper]
+
+
+def lower_312(p: Permutation, bar) -> list[tuple[int, int, int]]:
+    """Value triples a, b, c in word order with b < c < a and c lower-barred."""
+    return [(a, b, c) for a, b, c in itertools.combinations(p.word, 3) if b < c < a and c in bar.lower]
+
+
+def avoids_barred_patterns(p: Permutation, bar) -> bool:
+    return not upper_231(p, bar) and not lower_312(p, bar)

@@ -3,18 +3,11 @@ import doctest
 import pytest
 
 import shardorder.perms
-from shardorder.perms import (
-    BarredPattern,
-    Permutation,
-    all_permutations,
-    barred_pattern_instances,
-    contains_barred_pattern,
-    is_indecomposable,
-)
+from shardorder.perms import Permutation, all_permutations, is_indecomposable
 from shardorder.preorders import mask_values, run_masks
-from shardorder.sortable import CoxeterElement, all_coxeter_elements, barring_of
+from shardorder.sortable import CoxeterElement, all_coxeter_elements, barring_of, is_c_sortable
 
-from oracles import descending_runs, identity, inversions, linear_coxeter, reversal
+from oracles import avoids_barred_patterns, descending_runs, identity, inversions, lower_312, reversal, upper_231
 
 P = Permutation.parse
 
@@ -102,38 +95,27 @@ def test_barred_patterns_example():
     c = CoxeterElement.parse("2,1,3,7,6,4,5,8", 9)
     bar = barring_of(c)
     p = P("163425897")
-    witnesses = barred_pattern_instances(p, BarredPattern.LOWER_312, bar)
-    assert set(witnesses) == {(6, 3, 4), (6, 3, 5), (6, 4, 5), (6, 2, 5)}
-    assert contains_barred_pattern(p, BarredPattern.LOWER_312, bar)
-    assert not contains_barred_pattern(p, BarredPattern.UPPER_231, bar)
+    assert set(lower_312(p, bar)) == {(6, 3, 4), (6, 3, 5), (6, 4, 5), (6, 2, 5)}
+    assert upper_231(p, bar) == []
+    assert not is_c_sortable(p, c)
 
 
 def test_identity_avoids_both_patterns():
-    for c in all_coxeter_elements(4):
-        bar = barring_of(c)
-        for pat in BarredPattern:
-            assert not contains_barred_pattern(identity(4), pat, bar)
+    for n in range(1, 7):
+        for c in all_coxeter_elements(n):
+            assert avoids_barred_patterns(identity(n), barring_of(c))
+            assert is_c_sortable(identity(n), c)
 
 
 def test_barred_role_is_never_extreme():
     # the "2" role value always lies strictly between two others, so a
-    # barring over 2..n-1 covers every candidate
-    c = CoxeterElement.parse("3,1,2,4", 5)
-    bar = barring_of(c)
+    # barring over 2..n-1 covers every candidate: even with every value of
+    # [5] barred both ways, the role is never 1 or 5
+    every = frozenset(range(1, 6))
+    bar = barring_of(CoxeterElement.parse("3,1,2,4", 5))._replace(lower=every, upper=every)
     for p in all_permutations(5):
-        for pat in BarredPattern:
-            for a, b, cc in barred_pattern_instances(p, pat, bar):
-                role = a if pat is BarredPattern.UPPER_231 else cc
-                assert 2 <= role <= 4
-
-
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_unknown_pattern_is_rejected_at_every_size(n):
-    bar = barring_of(linear_coxeter(n))
-    with pytest.raises(ValueError):
-        barred_pattern_instances(identity(n), "bogus", bar)
-    with pytest.raises(ValueError):
-        contains_barred_pattern(identity(n), "bogus", bar)
+        assert all(2 <= a <= 4 for a, _, _ in upper_231(p, bar))
+        assert all(2 <= c <= 4 for _, _, c in lower_312(p, bar))
 
 
 def test_is_indecomposable():

@@ -542,3 +542,21 @@ def test_preorder_rejects_bits_outside_the_square():
     with pytest.raises(ValueError, match=r"reach beyond \[1,2\]"):
         Preorder(2, -1)
     assert Preorder(2, 15) == Preorder.complete(2)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: Preorder.from_pairs(3, [(0, 1)]), r"\(0, 1\) is outside \[1,3\]"),
+        (lambda: Preorder.from_pairs(3, [(-1, 1)]), r"\(-1, 1\) is outside \[1,3\]"),
+        (lambda: Preorder.from_pairs(3, [(4, 1)]), r"\(4, 1\) is outside \[1,3\]"),
+        (lambda: Preorder.from_pairs(3, [(1, 0)]), r"\(1, 0\) is outside \[1,3\]"),
+        (lambda: Preorder.from_rows(3, [0]), "expected 3 row masks, got 1"),
+        (lambda: Preorder.from_rows(2, [0, 0, 7]), "expected 2 row masks, got 3"),
+    ],
+    ids=["pair-0", "pair-minus-1", "pair-n-plus-1", "pair-to-0", "short-rows", "long-rows"],
+)
+def test_pair_and_row_builders_check_their_indices(build, match):
+    # an index 0 or -1 used to wrap to the last value, a surplus row was dropped
+    with pytest.raises(ValueError, match=match):
+        build()

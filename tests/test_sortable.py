@@ -17,6 +17,7 @@ from shardorder.sortable import (
     _demands,
     _misoriented,
     _noncrossing_partitions,
+    _sortable,
     all_coxeter_elements,
     barring_of,
     is_c_sortable,
@@ -27,7 +28,7 @@ from shardorder.sortable import (
     sortable_permutations,
 )
 
-from oracles import identity, linear_coxeter, reversed_coxeter
+from oracles import avoids_barred_patterns, identity, linear_coxeter, reversed_coxeter
 
 P = Permutation.parse
 
@@ -48,6 +49,14 @@ def test_coxeter_parse_and_validate():
         CoxeterElement(4, (1, 2))
     with pytest.raises(ValueError):
         CoxeterElement(4, (1, 2, 2))
+
+
+def test_coxeter_rejects_an_empty_size_and_stores_a_tuple():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            CoxeterElement(n, ())
+    c = CoxeterElement(3, [1, 2])
+    assert type(c.word) is tuple and c == CoxeterElement(3, (1, 2)) and hash(c) == hash(CoxeterElement(3, (1, 2)))
 
 
 def test_barring_example_51():
@@ -116,8 +125,21 @@ def test_sortable_does_not_touch_s_n(monkeypatch):
         raise AssertionError("sortable_permutations filtered S_n")
 
     monkeypatch.setattr(shardorder.sortable, "all_permutations", forbidden)
-    monkeypatch.setattr(shardorder.sortable, "contains_barred_pattern", forbidden)
+    monkeypatch.setattr(shardorder.sortable, "_sortable", forbidden)
     assert len(sortable_permutations(CoxeterElement.parse("2,1,4,3,5", 6))) == 132
+
+
+def test_the_pass_matches_the_triple_search():
+    # every permutation for every barring through n = 6; the pass also
+    # ignores whatever bars 1 and n would carry, as neither fills the role
+    for n in range(1, 7):
+        ends = 1 | 1 << (n - 1)
+        perms = list(all_permutations(n))
+        for bar in {barring_of(c) for c in all_coxeter_elements(n)}:
+            for p in perms:
+                want = avoids_barred_patterns(p, bar)
+                assert _sortable(p.word, bar.upper_mask) == want, (bar, p)
+                assert _sortable(p.word, bar.upper_mask | ends) == want, (bar, p)
 
 
 def coxeter_words(low: int, high: int):
@@ -138,6 +160,27 @@ def test_sortable_maps_onto_noncrossing_beyond_the_exhaustive_range(c):
     sortable = sortable_permutations(c)
     assert len(sortable) == math.comb(2 * c.n, c.n) // (c.n + 1)
     assert {mu(p) for p in sortable} == set(noncrossing_preorders(c))
+
+
+# A failing example is reported as found: shrinking re-runs the construction.
+@settings(
+    derandomize=True,
+    max_examples=40,
+    deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
+@given(st.data(), coxeter_words(8, 10))
+def test_the_pass_matches_the_triple_search_beyond_the_exhaustive_range(data, c):
+    # a random word (almost never sortable), a sortable one, and that one
+    # with two neighbours swapped, which lands on both sides
+    bar = barring_of(c)
+    found = sortable_permutations(c)
+    s = data.draw(st.sampled_from(found)).word
+    k = data.draw(st.integers(0, c.n - 2))
+    for word in (data.draw(st.permutations(range(1, c.n + 1))), s, (*s[:k], s[k + 1], s[k], *s[k + 2 :])):
+        p = Permutation(tuple(word))
+        assert is_c_sortable(p, c) == avoids_barred_patterns(p, bar), (c, p)
+    assert is_c_sortable(Permutation(s), c)
 
 
 def test_filters_match_the_public_predicates():

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from shardorder.lattice import interval_lattice
 from shardorder.perms import Permutation, all_permutations
 from shardorder.preorders import Block, Preorder, axiom_violations, blocks, lam, mu
 from shardorder.shards import Shard, ShardIntersection
@@ -107,11 +108,14 @@ def test_permutations_order_by_word():
 
 
 def test_unchecked_words_are_plain_permutations():
-    # all_permutations and lam skip the check their words cannot fail
+    # all_permutations, lam and interval_lattice skip the check their words cannot fail
     for p in all_permutations(4):
         assert p == Permutation(p.word) and hash(p) == hash((p.word,)) and p.n == 4
         back = lam(mu(p))
         assert back == p and type(back.word) is tuple and hash(back) == hash(p)
+    sub = interval_lattice(Preorder.discrete(4), Preorder.complete(4))
+    assert list(sub.words) == list(all_permutations(4))
+    assert all(type(p.word) is tuple and hash(p) == hash(lam(q)) for p, q in zip(sub.words, sub.elements))
 
 
 def test_a_fresh_preorder_carries_no_state():
@@ -124,12 +128,12 @@ def test_a_fresh_preorder_carries_no_state():
 
 
 PUBLIC = [
-    "BarredPattern", "Barring", "Block", "CoxeterElement", "CrossingPartitionError",
+    "Barring", "Block", "CoxeterElement", "CrossingPartitionError",
     "IncomparableError", "InvalidPreorderError", "InvariantError", "LabeledChain",
     "OmegaLattice", "Permutation", "Preorder", "ResourceLimitError", "Shard",
     "ShardIntersection", "ShardOrderError", "Violation", "all_coxeter_elements",
     "all_permutations", "axiom_violations", "barring_of", "blocks", "build_lattice",
-    "chain_report", "contains_barred_pattern", "count_decreasing_chains", "covers_up",
+    "chain_report", "count_decreasing_chains", "covers_up",
     "edge_label", "enumerate_shards", "increasing_chain", "intersect", "is_c_sortable",
     "is_indecomposable", "is_noncrossing_preorder", "join", "lam", "leq", "lower_shards",
     "mobius", "mu", "noncrossing_order_of_partition", "noncrossing_preorders",
@@ -147,7 +151,7 @@ def test_the_public_surface_is_the_agreed_list():
     del bound["__builtins__"]
     assert set(bound) == set(shardorder.__all__)
     assert all(bound[name] is getattr(shardorder, name) for name in shardorder.__all__)
-    assert sorted(shardorder.__all__) == PUBLIC and len(PUBLIC) == 47
+    assert sorted(shardorder.__all__) == PUBLIC and len(PUBLIC) == 45
 
 
 def test_the_package_imports_neither_dataclasses_nor_inspect():
