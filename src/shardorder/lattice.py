@@ -6,7 +6,8 @@ is related in b.  ``build_lattice`` enumerates everything in one pass per
 word: it reads the word's descending runs once, packs mu from them and
 keeps them, as the blocks in placement order, for the ranks (n minus the
 number of runs) and the edge labels of ``shelling``; an interval takes
-them from its lam words.  It indexes the elements with one bitset kernel
+them from its elements' checked states, which list the blocks in run
+order too.  It indexes the elements with one bitset kernel
 over the element indices.  a <= b iff each row of a lies inside the same
 row of b.  One transposition of all the relations gives, for each pair of
 values, the mask of the elements relating them; from those, each distinct
@@ -30,18 +31,18 @@ unrelated to both parts, each such block may sit above or below the merged
 block; ``_merge_candidates`` branches over those orientations and keeps the
 candidates that are valid elements with exactly one block fewer; it is the
 one constructive path to covers, and it yields each with its lam word.  Its
-search runs on the m blocks of a ``block_masks`` state, not on the n rows:
+search runs on the m blocks of a checked state, not on the n rows:
 each merge or orientation is one ``relate_blocks`` step (O(m) mask ORs in
 place of Warshall's closure); a cover's word and bits are written in one
-walk over its run order (``lam_packed``, on the slot pass ``lam_order``
-reads too), and the cover carries the state it was checked on
-(``preorders.checked_state``).  The search starts from a valid state and
-only orients overlapping pairs, which cannot break (P2), so each state is
-checked by a restricted scan (``_restricted_scan``): only for (P1), on
-the pairs holding the merged block, up to its first failure.  No step of
-the search can break anything else, and that scan's docstring has the
-proof; every other check in the package runs the full scan
-(``preorders.block_violations``).
+walk over its run order (``lam_packed``, which orders the merged state
+by one slot pass), and the cover carries the state it was checked on, in
+run order (``preorders.checked_state``).  The search starts from a valid
+state and only orients overlapping pairs, which cannot break (P2), so
+each state is checked by a restricted scan (``_restricted_scan``): only
+for (P1), on the pairs holding the merged block, up to its first
+failure.  No step of the search can break anything else, and that scan's
+docstring has the proof; every other check in the package runs the full
+scan (``preorders.block_violations``).
 
 A cover below top merges two combinable blocks inside one block of top;
 ``combinable_slots`` is the one test of that, on a block state, reading
@@ -141,7 +142,7 @@ def _restricted_scan(masks, ups, downs, merged: int):
 
 def _merge_candidates(n: int, state, i: int, j: int):
     """Yield (lam word, cover) for every cover that merges blocks i < j of a
-    valid ``block_masks`` state on [n], which is left unchanged.
+    valid block state on [n], which is left unchanged.
 
     The merge adds D x U for the merged block (``relate_blocks``); a step
     that would collapse further blocks is skipped, since the rank would
@@ -159,7 +160,7 @@ def _merge_candidates(n: int, state, i: int, j: int):
     base = relate_blocks(masks, ups, downs, merged, merged)
     if base is None:
         return
-    # the merged block keeps slot i: its min is the smaller one
+    # the merged block keeps slot i; lam_packed puts a cover's blocks in run order
     masks = list(masks)
     masks[i] = merged
     for sets in (masks, *base):
@@ -180,7 +181,7 @@ def _merge_candidates(n: int, state, i: int, j: int):
 
 
 def combinable_slots(state, top: Preorder):
-    """Yield the slot pairs i < j of a ``block_masks`` state whose blocks lie
+    """Yield the slot pairs i < j of a block state whose blocks lie
     inside one block of top and are incomparable or a cover: the merges
     that can start a maximal chain from the state's pre-order below top.
 
@@ -240,14 +241,10 @@ class OmegaLattice:
     rank r (ranks are those of the full lattice).
     """
 
-    def __init__(self, n: int, elements, words, *, runs=None):
+    def __init__(self, n: int, elements, words, runs):
         self.n = n
         self.elements: tuple[Preorder, ...] = tuple(elements)
         self.words: tuple[Permutation, ...] = tuple(words)
-        # the k-th descending run of a word is the block lam places k-th;
-        # ``build_lattice`` passes the runs mu was packed from
-        if runs is None:
-            runs = [run_masks(w.word) for w in self.words]
         self.runs: tuple[tuple[int, ...], ...] = tuple(runs)
         self.index: dict[Preorder, int] = {q: i for i, q in enumerate(self.elements)}
         # one block per run, so rank = n - runs
@@ -426,7 +423,7 @@ def build_lattice(n: int, force: bool = False) -> OmegaLattice:
     # no block state, and the lattice keeps them
     runs = [run_masks(p.word) for p in words]
     elements = [Preorder._of_blocks(n, r, run_ups(r)) for r in runs]
-    return OmegaLattice(n, elements, words, runs=runs)
+    return OmegaLattice(n, elements, words, runs)
 
 
 def interval_lattice(bottom: Preorder, top: Preorder) -> OmegaLattice:
@@ -446,5 +443,6 @@ def interval_lattice(bottom: Preorder, top: Preorder) -> OmegaLattice:
             if c not in seen:
                 seen[c] = word
                 stack.append(c)
-    keyed = sorted(seen.items(), key=itemgetter(1))
-    return OmegaLattice(bottom.n, [q for q, _ in keyed], [_of_word(w) for _, w in keyed])
+    elements = sorted(seen, key=seen.get)
+    words = [_of_word(seen[q]) for q in elements]
+    return OmegaLattice(bottom.n, elements, words, [checked_state(q)[0] for q in elements])

@@ -30,9 +30,12 @@ class Permutation(Frozen):
     __slots__ = ("word",)
 
     def __init__(self, word: tuple[int, ...]):
+        word = tuple(word)
         n = len(word)
         if n < 1:
             raise ValueError("permutation must have size n >= 1")
+        if any(type(v) is not int for v in word):
+            raise ValueError(f"permutation values must be integers: {word!r}")
         if sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of [{n}]: {word!r}")
         _set_word(self, word)
@@ -89,6 +92,8 @@ def _of_word(word: tuple[int, ...]) -> Permutation:
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic word order (the words need no check)."""
+    if n < 1:
+        raise ValueError("n must be positive")
     return map(_of_word, itertools.permutations(range(1, n + 1)))
 
 

@@ -24,38 +24,38 @@ blocks, overlapping runs are ordered left-below-right) and ``lam`` is its
 inverse.  ``mu`` reads its state straight off the word's ``run_masks``
 (the up-sets from one pass from the right, ``run_ups``), so a caller
 holding the runs can keep them and pack from them.  ``lam`` writes the
-blocks as descending runs in the order ``lam_order`` gives: a block's
-run is preceded by the blocks below it and by the incomparable blocks to
-its numeric left, its before-set.  Those masks must be the nested
-prefixes of the order, so their sizes are distinct: one slot pass
-(``_run_slots``) places each block at the popcount of its before-set and
-checks the prefixes in one walk over the slots, O(n) with no sort; a
-pre-order whose blocks admit no such order is rejected.
+blocks as descending runs in their run order: a block's run is preceded
+by the blocks below it and by the incomparable blocks to its numeric
+left, its before-set.  Those masks must be the nested prefixes of the
+order, so their sizes are distinct: one slot pass (``_run_slots``)
+places each block at the popcount of its before-set and checks the
+prefixes in one walk over the slots, O(n) with no sort; a pre-order
+whose blocks admit no such order is rejected.  A block's placement is
+the position of its run.
 
-The one working form of the blocks is the state ``block_masks`` reads in
-one pass over the rows: values with equal rows form one block, and the
-blocks come out sorted by min, each with its up-set (the row) and its
-down-set (the union of the blocks whose up-set meets it, ``down_sets``).
-The axiom check (``block_violations``), the word rule (``lam_order``)
-and the covers of each block (``cover_masks``) read only that state, and
-``relate_blocks`` adds relations to it, keeping it closed in O(m) mask
-ORs with no Warshall pass.  Each function here that takes a
-``Preorder`` reads its state once and runs all its checks on it.
-``block_violations`` scans the whole state and yields its failures
-lazily, so a caller can stop at the first.  States the cover search
-accepts, mu's images, and the bottom and top elements are packed into
-``bits`` directly, with no closure pass.
+The one working form of the blocks is a block state: each block's value
+mask with its up-set and its down-set (the union of the blocks whose
+up-set meets it, ``down_sets``).  ``block_masks`` reads it in one pass
+over the rows, values with equal rows forming one block, in min order.
+The axiom check (``block_violations``) and the covers of each block
+(``cover_masks``) read a state in any block order, and ``relate_blocks``
+adds relations to it, keeping it closed in O(m) mask ORs with no
+Warshall pass.  ``block_violations`` scans the whole state and yields its
+failures lazily, so a caller can stop at the first.  States the cover
+search accepts, mu's images, and the bottom and top elements are packed
+into ``bits`` directly, with no closure pass.
 
 Each element is checked against (P1)/(P2) at most once.  ``checked_state``
 reads an object's state and runs the full scan the first time it sees it,
-then carries the state on the object as one flat tuple, in the private
-slot ``_state``, which ``==``, ``hash`` and ``repr`` ignore.  Code that
-has just checked a state, or proved it valid, carries it from the start:
-``mu`` (every image of a permutation is an element; the proof is in its
-docstring), ``lam_packed``, which the cover search
-(``lattice._merge_candidates``, after its restricted scan) and the
+then carries it on the object, its blocks in run order (so a placement
+is an index), as three tuples in the private slot ``_state``, which
+``==``, ``hash`` and ``repr`` ignore.  Code that has just checked a
+state, or proved it valid, carries it from the start: ``mu`` (every image
+of a permutation is an element; the proof is in its docstring),
+``lam_packed``, which orders a state by its own slot pass and which the
+cover search (``lattice._merge_candidates``, after its restricted scan), the
 noncrossing constructor (``sortable._order_of_partition``, whose closure
-makes (P1)/(P2) true) call, and ``preorder_from_json``.  ``lam``,
+makes (P1)/(P2) true) and ``preorder_from_json`` call.  ``lam``,
 ``preorder_to_json``, ``placements``, ``is_noncrossing_preorder``,
 ``lattice.join`` (its arguments and its result),
 ``lattice.interval_lattice``, ``lattice.covers_below`` and
@@ -68,12 +68,11 @@ state lives and dies with its object.
 
 Pre-orders built from given blocks (JSON input, noncrossing elements) are
 closed on the blocks too: ``close_blocks`` takes disjoint value masks in
-min order and index pairs and returns their closure's block state
+any order and index pairs and returns their closure's block state
 directly, by Warshall's algorithm on the m blocks (O(m^2) mask ORs)
 instead of on the n rows, with no packed relation read back, or None when
 the closure would merge given blocks.  ``lam_packed`` then writes a
-state's lam word and its ``bits`` in one walk over the slot pass that
-``lam_order`` reads too.
+state's lam word and its ``bits`` in one walk over its slot pass.
 """
 from __future__ import annotations
 
@@ -336,7 +335,7 @@ def down_sets(masks: Sequence[int], ups: Sequence[int]) -> list[int]:
 
 
 def relate_blocks(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int], low: int, high: int):
-    """(up-sets, down-sets) of a ``block_masks`` state once every value of
+    """(up-sets, down-sets) of a block state once every value of
     ``low`` is below every value of ``high``, both unions of its blocks.
 
     The relation gains D x U, with D the union of the down-sets of low's
@@ -364,8 +363,8 @@ def relate_blocks(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]
 def close_blocks(masks: Sequence[int], less) -> tuple[list[int], list[int], list[int]] | None:
     """The ``block_masks`` state of the closure of disjoint value masks taken as
     classes, masks[i] below masks[j] for each index pair (i, j) in ``less``;
-    None if the closure would merge given blocks.  The masks must arrive in
-    min order, the order of the state.
+    None if the closure would merge given blocks.  The masks may arrive in
+    any order, and the state keeps it.
 
     Every generator relates whole blocks, so every up-set is a union of
     blocks and block a reaches block k iff a's up-set meets k.  Warshall's
@@ -390,7 +389,7 @@ def close_blocks(masks: Sequence[int], less) -> tuple[list[int], list[int], list
 
 
 def cover_masks(masks: Sequence[int], ups: Sequence[int]) -> list[int]:
-    """For each block of a ``block_masks`` state, the union of the blocks covering it:
+    """For each block of a block state, the union of the blocks covering it:
     those strictly above it (its up-set minus itself) and above no other of those."""
     above = [u & ~b for b, u in zip(masks, ups)]
     covers = []
@@ -447,37 +446,30 @@ def require_block_axioms(masks: Sequence[int], ups: Sequence[int], downs: Sequen
 
 
 def _carry(q: Preorder, masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> Preorder:
-    """Attach to q the ``block_masks`` state its caller has just checked (or
-    proved) to satisfy (P1)/(P2), as one flat tuple (the masks, then the up-sets, then
-    the down-sets: one object per element, not four); returns q."""
-    _set_state(q, (*masks, *ups, *downs))
+    """Attach to q the state its caller has just checked (or proved) to
+    satisfy (P1)/(P2), as three tuples (the block masks in run order, their
+    up-sets, their down-sets); returns q."""
+    _set_state(q, (masks, ups, downs))
     return q
 
 
-def _carried(q: Preorder):
-    """The (masks, up-sets, down-sets) tuples q carries, or None."""
-    state = q._state
-    if state is None:
-        return None
-    m = len(state) // 3
-    return state[:m], state[m : 2 * m], state[2 * m :]
-
-
 def checked_state(q: Preorder) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """q's ``block_masks`` state, checked against (P1)/(P2) before first use.
+    """q's block state, checked against (P1)/(P2) before first use, with the
+    blocks in the order of their runs in lam(q), so a block's placement is
+    its index plus one.
 
     The first call on an object without a carried state reads the state
-    and runs the full scan, raising InvalidPreorderError as
-    ``require_block_axioms`` does, and only then carries the state on q.
-    Later calls read it back.  The module docstring lists the constructors
-    that carry a state from the start.
+    (``block_masks``) and runs the full scan, raising InvalidPreorderError
+    as ``require_block_axioms`` does; only then does it order the blocks
+    by one slot pass (``_run_slots``) and carry them on q.  Later calls
+    read them back.  The module docstring lists the constructors that carry
+    a state from the start.
     """
-    state = _carried(q)
-    if state is None:
+    if q._state is None:
         state = block_masks(q)
         require_block_axioms(*state)
-        _carry(q, *state)
-    return state
+        _carry(q, *zip(*_run_slots(*state)))
+    return q._state
 
 
 def mu(p: Permutation) -> Preorder:
@@ -486,10 +478,11 @@ def mu(p: Permutation) -> Preorder:
     Of two distinct runs with intersecting value intervals, the one further
     right in the word gives the greater block; the relation is the
     transitive closure of these generators.  Its state is read off the
-    word's ``run_masks``: the runs sorted by min are the blocks, each with
-    its up-set (``run_ups``) and its down-set (``down_sets``); the bits are
-    packed from it, and the element carries it (``checked_state``), with no
-    scan, for the image of every permutation is an element:
+    word's ``run_masks``: the runs, left to right, are the blocks in run
+    order (lam(mu(p)) = p), each with its up-set (``run_ups``) and its
+    down-set (``down_sets``); the bits are packed from it, and the element
+    carries it (``checked_state``), with no scan, for the image of every
+    permutation is an element:
 
     - No runs merge: every generator points right, so a run is below only
       runs to its right, and two runs are never related both ways.
@@ -500,20 +493,17 @@ def mu(p: Permutation) -> Preorder:
       runs of a generator overlap.
     """
     runs = run_masks(p.word)
-    masks, ups = zip(*sorted(zip(runs, run_ups(runs)), key=_min_key))
-    downs = down_sets(masks, ups)
-    return _carry(Preorder._of_blocks(p.n, masks, ups), masks, ups, downs)
+    ups = tuple(run_ups(runs))
+    return _carry(Preorder._of_blocks(p.n, runs, ups), runs, ups, tuple(down_sets(runs, ups)))
 
 
-def _min_key(block) -> int:
-    """Sort key of a (block mask, ...) tuple: its lowest value bit."""
-    return block[0] & -block[0]
+def _run_slots(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(block mask, up-set, down-set) of each block of a pre-order q's block
+    state, given in any order, in the left-to-right order their runs take
+    in lam(q).
 
-
-def _run_slots(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> list[tuple[int, int]]:
-    """(block mask, up-set) of each block of a pre-order q's ``block_masks``
-    state, in the left-to-right order their runs take in lam(q).
-
+    Comparable blocks follow the block order; incomparable blocks (whose
+    intervals are disjoint, by (P1)) follow numeric interval position.
     The values before a block's run are its before-set: those below it plus
     those under its min and not above it.  In a run order the before-sets
     are the nested prefixes of the order, so their sizes are distinct, and
@@ -526,41 +516,30 @@ def _run_slots(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -
     """
     slots = [None] * max(masks).bit_length()  # a before-set has fewer than n values
     shared = {}  # the first block whose before-set size is already taken, per size
-    for b, up, down in zip(masks, ups, downs):
+    for block in zip(masks, ups, downs):
+        b, up, down = block
         before = (down | ((b & -b) - 1)) & ~up
         k = before.bit_count()
         if slots[k] is None:
-            slots[k] = (before, b, up)
+            slots[k] = (before, block)
         else:
             shared.setdefault(k, b)
     order, placed = [], 0
     for k, slot in enumerate(slots):
         if slot is not None:
-            before, b, up = slot
+            before, block = slot
             if before != placed:
-                raise _unorderable(masks, b)
+                raise _unorderable(masks, block[0])
             if k in shared:
                 raise _unorderable(masks, shared[k])
-            placed |= b
-            order.append((b, up))
+            placed |= block[0]
+            order.append(block)
     return order
 
 
 def _unorderable(masks: Sequence[int], b: int) -> InvalidPreorderError:
     """The error for blocks with no run order, naming the block b where it fails."""
     return InvalidPreorderError(f"blocks {[Block.of(m) for m in masks]} are not totally orderable at {Block.of(b)}")
-
-
-def lam_order(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> list[int]:
-    """Block masks of a pre-order q in the left-to-right order their runs take in lam(q).
-
-    ``masks``, ``ups`` and ``downs`` are q's blocks as ``block_masks`` gives them.
-    Comparable blocks follow the block order; incomparable blocks (whose
-    intervals are disjoint, by (P1)) follow numeric interval position.  The
-    order is read from one slot pass (``_run_slots``), which raises rather
-    than returning a bogus word when no such order exists.
-    """
-    return [b for b, _ in _run_slots(masks, ups, downs)]
 
 
 def runs_word(masks) -> tuple[int, ...]:
@@ -575,20 +554,21 @@ def runs_word(masks) -> tuple[int, ...]:
 
 
 def lam_packed(n: int, masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]):
-    """(lam word, pre-order) of a closed ``block_masks`` state on [n] that its
-    caller has just checked (or proved) to satisfy (P1)/(P2), in one walk over the slot
-    pass of ``lam_order`` (which raises if the blocks have no run order):
-    each block writes its run and shifts its up-set into the row of each of
-    its values, as ``Preorder._of_blocks`` does.  The pre-order carries the
-    state (``checked_state``)."""
+    """(lam word, pre-order) of a closed block state on [n], in any order,
+    that its caller has just checked (or proved) to satisfy (P1)/(P2), in
+    one walk over its slot pass (``_run_slots``, which raises if the blocks
+    have no run order): each block writes its run and shifts its up-set
+    into the row of each of its values, as ``Preorder._of_blocks`` does.
+    The pre-order carries the state in that run order (``checked_state``)."""
+    order = _run_slots(masks, ups, downs)
     word, bits = [], 0
-    for b, up in _run_slots(masks, ups, downs):
+    for b, up, _ in order:
         while b:
             v = b.bit_length() - 1
             word.append(v + 1)
             bits |= up << (n * v)
             b ^= 1 << v
-    return tuple(word), _carry(Preorder._unchecked(n, bits), masks, ups, downs)
+    return tuple(word), _carry(Preorder._unchecked(n, bits), *zip(*order))
 
 
 def lam(q: Preorder) -> Permutation:
@@ -597,18 +577,12 @@ def lam(q: Preorder) -> Permutation:
     Raises InvalidPreorderError if q fails (P1)/(P2).  The blocks partition
     [n], so the word is a permutation and is wrapped with no check.
     """
-    return _of_word(runs_word(lam_order(*checked_state(q))))
-
-
-def mask_placements(state) -> dict[int, int]:
-    """1-based position of each block mask of a pre-order q's checked state
-    (``checked_state``) in lam(q)."""
-    return {b: k for k, b in enumerate(lam_order(*state), start=1)}
+    return _of_word(runs_word(checked_state(q)[0]))
 
 
 def placements(q: Preorder) -> dict[Block, int]:
     """1-based position of each block's run in lam(q), left to right."""
-    return {Block.of(b): k for b, k in mask_placements(checked_state(q)).items()}
+    return {Block.of(b): k for k, b in enumerate(checked_state(q)[0], start=1)}
 
 
 def preorder_to_json(q: Preorder) -> dict:
@@ -616,11 +590,10 @@ def preorder_to_json(q: Preorder) -> dict:
 
     Raises InvalidPreorderError if q fails (P1)/(P2) (``checked_state``).
     """
-    masks, ups, downs = checked_state(q)
-    order = lam_order(masks, ups, downs)
-    cover_of = dict(zip(masks, cover_masks(masks, ups)))
-    less = [[i, j] for i, b in enumerate(order) for j, c in enumerate(order) if cover_of[b] & c]
-    return {"n": q.n, "blocks": [mask_values(b) for b in order], "less": less}
+    masks, ups, _ = checked_state(q)
+    covers = cover_masks(masks, ups)
+    less = [[i, j] for i, cover in enumerate(covers) for j, c in enumerate(masks) if cover & c]
+    return {"n": q.n, "blocks": [mask_values(b) for b in masks], "less": less}
 
 
 _INT = frozenset((int,))
@@ -705,4 +678,4 @@ def _preorder_of_json(data: dict) -> Preorder:
     if state is None:
         raise ValueError("order relations collapse the given blocks")
     require_block_axioms(*state)
-    return _carry(Preorder._of_blocks(n, state[0], state[1]), *state)
+    return lam_packed(n, *state)[1]

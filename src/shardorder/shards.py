@@ -31,6 +31,7 @@ class Shard(Frozen):
     __slots__ = ("n", "i", "j", "eps")  # eps: +1 / -1 for k = i+1 .. j-1
 
     def __init__(self, n: int, i: int, j: int, eps: tuple[int, ...]):
+        eps = tuple(eps)
         if not 1 <= i < j <= n:
             raise ValueError(f"need 1 <= i < j <= n, got i={i} j={j} n={n}")
         if len(eps) != j - i - 1:
@@ -69,8 +70,8 @@ def _of_signs(n: int, i: int, j: int, eps: tuple[int, ...]) -> Shard:
 
 def enumerate_shards(n: int) -> list[Shard]:
     """All shards of the arrangement on [n]; 2^(j-i-1) per hyperplane."""
-    if n < 2:
-        return []
+    if n < 1:
+        raise ValueError("n must be positive")
     out = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

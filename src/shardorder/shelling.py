@@ -2,15 +2,17 @@
 Edge labels, increasing chains, and Moebius numbers.
 
 Each cover merges exactly two blocks of the lower element; the edge label
-is the larger of their placements there.  Every interval has exactly one
-maximal chain with a weakly increasing label word, found greedily: among
-the pairs that can be combined on the way to the top
-(``lattice.combinable_slots``), merge the one whose larger placement is
-smallest; exactly one of the covers ``lattice`` builds for that merge lies
-below top.  Each step reads its element's checked state and tests its
-pairs of blocks on it; top is read through ``checked_state`` too, and
-every element after the first is a cover that carries its state, so a
-chain runs at most two scans, for its top and its bottom.  The number of strictly decreasing maximal chains gives the
+is the larger of their placements there.  A checked state lists the
+blocks in run order, so a block's placement is its index plus one.  Every
+interval has exactly one maximal chain with a weakly increasing label
+word, found greedily: among the pairs that can be combined on the way to
+the top (``lattice.combinable_slots``), merge the one whose larger
+placement is smallest; exactly one of the covers ``lattice`` builds for
+that merge lies below top.  Each step reads its element's checked state
+and tests its pairs of blocks on it; top is read through
+``checked_state`` too, and every element after the first is a cover that
+carries its state, so a chain runs at most two scans, for its top and its
+bottom.  The number of strictly decreasing maximal chains gives the
 Moebius number up to sign; the classical recursion is run alongside as an
 independent check and disagreement is fatal.
 
@@ -42,28 +44,26 @@ from typing import NamedTuple
 from .errors import IncomparableError, InvariantError
 from .lattice import OmegaLattice, _merge_candidates, combinable_slots
 from .lattice import interval_lattice, iter_bits, leq
-from .preorders import Preorder, checked_state, lam, mask_placements
+from .preorders import Preorder, checked_state, lam
 
 
 def edge_label(lower: Preorder, upper: Preorder) -> int:
     """Larger placement (in ``lower``) of the two blocks the cover merges.
 
-    Both elements are read through ``checked_state``.
+    Both elements are read through ``checked_state``, whose blocks come in
+    run order: the label is the later of the two positions in ``lower``
+    whose blocks ``upper`` lacks.
     """
-    state = checked_state(lower)
+    masks = checked_state(lower)[0]
     if not (leq(lower, upper) and lower != upper):
         raise ValueError("not a cover: elements are not strictly ordered")
     upper_masks = checked_state(upper)[0]
-    if len(state[0]) != len(upper_masks) + 1:
+    if len(masks) != len(upper_masks) + 1:
         raise ValueError("not a cover: rank difference is not one")
-    merged = [b for b in state[0] if b not in upper_masks]
+    merged = [k for k, b in enumerate(masks, start=1) if b not in upper_masks]
     if len(merged) != 2:
         raise ValueError("not a cover: block partitions differ by more than a merge")
-    place = mask_placements(state)
-    label = max(place[b] for b in merged)
-    if not 2 <= label <= len(state[0]):
-        raise InvariantError(f"edge label {label} out of range on {lam(lower)} -> {lam(upper)}")
-    return label
+    return merged[1]
 
 
 class LabeledChain(NamedTuple):
@@ -78,7 +78,8 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
 
     Greedy construction: repeatedly merge the combinable pair whose larger
     placement is minimal; exactly one cover below top performs each merge.
-    Both ends are read through ``checked_state``.
+    Both ends are read through ``checked_state``, whose blocks come in run
+    order, so a pair of slots i < j has the larger placement j + 1.
     """
     checked_state(top)
     if not leq(bottom, top):
@@ -87,19 +88,16 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
     while chain[-1] != top:
         cur = chain[-1]
         state = checked_state(cur)
-        masks, place = state[0], mask_placements(state)
-        slots = combinable_slots(state, top)
-        label = {(i, j): max(place[masks[i]], place[masks[j]]) for i, j in slots}
-        ranked = sorted(label, key=label.get)
+        ranked = sorted(combinable_slots(state, top), key=operator.itemgetter(1))
         if not ranked:
             raise InvariantError("strictly ordered interval must have a combinable pair")
         best = ranked[0]
-        if len(ranked) > 1 and label[best] >= label[ranked[1]]:
+        if len(ranked) > 1 and best[1] == ranked[1][1]:
             raise InvariantError("minimal larger placement must be unique")
         nexts = [c for _, c in _merge_candidates(cur.n, state, *best) if c <= top]
         if len(nexts) != 1:
             raise InvariantError("exactly one cover below top merges the chosen pair")
-        labels.append(label[best])
+        labels.append(best[1] + 1)
         chain.append(nexts[0])
     if any(x > y for x, y in zip(labels, labels[1:])):
         raise InvariantError("greedy chain must carry a weakly increasing label word")

@@ -29,14 +29,14 @@ mask and upper- and lower-barred members, computed once per state, so a
 pair costs four mask tests.  Each element is built from its blocks
 alone: its demands are computed once, a crossing pair raises
 ``CrossingPartitionError``, and the blocks are closed once on the block
-state (``close_blocks``: O(m^2) mask ORs on the m blocks, no rows and no
-packed relation read back).  Two checks then run on that state: the
-closure kept the blocks, and the run order whose lam word is the sort
-key, written with the packed bits (``lam_packed``); the element carries
-that state.  The closure orients every pair as demanded and makes
-(P1)/(P2) true, so neither is checked again (``_order_of_partition`` has
-the argument), and ``is_noncrossing_preorder`` is the orientation test
-alone.
+state (``close_blocks``: O(m^2) mask ORs on the m blocks, in any order,
+no rows and no packed relation read back).  Two checks then run on that
+state: the closure kept the blocks, and the run order whose lam word is
+the sort key, written with the packed bits (``lam_packed``); the element
+carries that state in run order.  The closure orients every pair as
+demanded and makes (P1)/(P2) true, so neither is checked again
+(``_order_of_partition`` has the argument), and
+``is_noncrossing_preorder`` is the orientation test alone.
 """
 from __future__ import annotations
 
@@ -313,7 +313,7 @@ def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...]
     partition get the one test.  The blocks are closed on their own
     (``close_blocks``, no rows), and two checks run on that block state:
     the closure kept the given blocks, and they have a run order (the slot
-    pass of ``lam_order``, whose word is the sort key, written in the same
+    pass of ``lam_packed``, whose word is the sort key, written in the same
     walk as the packed bits).  The pre-order carries the state
     (``checked_state``), which needs no scan:
 
@@ -324,8 +324,6 @@ def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...]
       generators from a to c would pass through a block strictly between
       them, strictly because no blocks merged.  Every generator overlaps.
     """
-    # in min order, as close_blocks takes them, so the demands' indices are the state's
-    masks = sorted(masks, key=lambda b: b & -b)
     less = []
     for i, j, below, above in _demands(masks, bar):
         if below and above:

@@ -19,13 +19,15 @@ from shardorder.lattice import covers_up, interval_lattice, join
 from shardorder.perms import Permutation, all_permutations
 from shardorder.preorders import (
     Preorder,
-    _carried,
     axiom_violations,
     block_masks,
+    checked_state,
     lam,
     mu,
     preorder_from_json,
     preorder_to_json,
+    run_masks,
+    runs_word,
 )
 from shardorder.shards import intersect, lower_shards, to_preorder
 from shardorder.shelling import chain_report, edge_label, increasing_chain
@@ -49,6 +51,15 @@ def _bind_everywhere(monkeypatch, name, replacement):
         if module.__name__.split(".")[0] == "shardorder" and getattr(module, name, None) is real:
             monkeypatch.setattr(module, name, replacement)
     return real
+
+
+def carries_its_state(x):
+    """Is x's carried state the state of its bits, in run order?  The carried
+    (mask, up-set, down-set) triples sorted by min must be the state read off
+    the rows, and the masks, written as runs, must be a word that mu sends to x."""
+    masks, ups, downs = x._state
+    by_min = sorted(zip(masks, ups, downs), key=lambda block: block[0] & -block[0])
+    return tuple(map(list, zip(*by_min))) == block_masks(x) and mu(Permutation(runs_word(masks))) == x
 
 
 def test_each_element_reads_and_checks_its_state_three_times(monkeypatch):
@@ -82,12 +93,14 @@ def test_each_element_reads_and_checks_its_state_three_times(monkeypatch):
 
 
 def test_mu_carries_the_state_of_its_bits():
-    # the carried state against the state read off the packed rows, and the
-    # image against the full (P1)/(P2) scan, which reads the rows too
+    # the carried state against the state read off the packed rows, its
+    # blocks in the order of the word's runs, and the image against the
+    # full (P1)/(P2) scan, which reads the rows too
     for n in range(1, 8):
         for p in all_permutations(n):
             q = mu(p)
-            assert _carried(q) == tuple(map(tuple, block_masks(q))), p
+            assert carries_its_state(q), p
+            assert checked_state(q)[0] == run_masks(p.word), p
             assert axiom_violations(q) == [], p
 
 
@@ -129,16 +142,16 @@ def test_only_checking_code_carries_a_state():
     # of its bits; what a user builds from bits or rows carries nothing
     p = Permutation((2, 6, 3, 1, 4, 7, 5, 8))
     q = mu(p)
-    assert _carried(q) == tuple(map(tuple, block_masks(q)))
+    assert carries_its_state(q)
     built = [Preorder(q.n, q.bits), Preorder.from_rows(q.n, q.rows()), Preorder.discrete(4)]
     assert [x._state for x in built] == [None] * len(built)
     for check in (lam, preorder_to_json):
         x = Preorder(q.n, q.bits)
         check(x)
-        assert _carried(x) == tuple(map(tuple, block_masks(q))), check.__name__
+        assert carries_its_state(x), check.__name__
     # the noncrossing constructor checks each element's state, so it carries it
     for x in noncrossing_preorders(linear_coxeter(5)):
-        assert _carried(x) == tuple(map(tuple, block_masks(x))), x
+        assert carries_its_state(x), x
 
 
 @pytest.mark.parametrize(
@@ -217,7 +230,7 @@ def carried_elements(draw):
 @given(carried_elements())
 def test_every_carried_state_is_the_state_of_the_bits(elements):
     for x in elements:
-        assert _carried(x) == tuple(map(tuple, block_masks(x))), x
+        assert carries_its_state(x), x
         plain = Preorder(x.n, x.bits)
         assert plain._state is None
         assert plain == x and hash(plain) == hash(x) and repr(plain) == repr(x)

@@ -424,11 +424,11 @@ def test_invariant_checks_run_under_python_O(argv):
 
 
 def test_forced_invariant_failure_under_python_O_exits_2():
-    # every pair of blocks scores one placement, so the greedy EL choice is
-    # not unique; the check is an InvariantError, not an assert -O drops
+    # two pairs of blocks share the larger placement, so the greedy EL choice
+    # is not unique; the check is an InvariantError, not an assert -O drops
     forced = (
         "import sys; from shardorder import cli, shelling; "
-        "shelling.mask_placements = lambda state: dict.fromkeys(state[0], 1); "
+        "shelling.combinable_slots = lambda state, top: iter([(0, 2), (1, 2)]); "
         "sys.exit(cli.main(['chains', '--n', '4']))"
     )
     result = python("-c", forced, optimize=True)

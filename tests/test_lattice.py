@@ -219,8 +219,8 @@ def test_each_call_reads_the_block_state_once(monkeypatch):
 
 def test_each_cover_is_written_in_one_pass(monkeypatch):
     # the word rule's slot pass (_run_slots) runs once on every cover found,
-    # and the cover's word and bits come from that one pass, not from
-    # lam_order, a packing or a runs_word pass of their own
+    # and the cover's word and bits come from that one pass, not from a
+    # packing or a runs_word pass of their own
     import shardorder.preorders as preorders
 
     calls = Counter()
@@ -232,7 +232,7 @@ def test_each_cover_is_written_in_one_pass(monkeypatch):
 
         return counted
 
-    for name in ("_run_slots", "lam_order", "runs_word"):
+    for name in ("_run_slots", "runs_word"):
         real = getattr(preorders, name)
         for module in list(sys.modules.values()):
             if module.__name__.split(".")[0] == "shardorder" and getattr(module, name, None) is real:
@@ -512,7 +512,7 @@ def test_misaligned_words_are_rejected(lattice):
     atom = lat.covers[lat.bottom][0]
     words[lat.bottom], words[atom] = words[atom], words[lat.bottom]
     with pytest.raises(InvariantError):
-        OmegaLattice(4, lat.elements, words)
+        OmegaLattice(4, lat.elements, words, [run_masks(w.word) for w in words])
 
 
 def test_figure4_covers():
@@ -659,6 +659,8 @@ def test_interval_lattice_matches_the_full_lattice(lattice):
                 continue
             (members, edges), sub = _interval(lat, a, b), interval_lattice(a, b)
             assert sub.elements == members
+            # each element's carried state gives the runs of its word
+            assert sub.runs == tuple(run_masks(w.word) for w in sub.words)
             assert sub.elements[sub.bottom] == a and sub.elements[sub.top] == b
             assert [sub.rank[k] for k in range(len(sub))] == [
                 lat.rank[lat.index_of(q)] for q in members

@@ -32,6 +32,12 @@ def test_parse_rejects(bad):
         P(bad)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_all_permutations_needs_a_positive_n(n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        all_permutations(n)
+
+
 def test_inversions_identity_empty():
     assert inversions(identity(5)) == set()
 

@@ -10,6 +10,7 @@ from shardorder.errors import InvalidPreorderError
 from shardorder.perms import Permutation, all_permutations
 from shardorder.preorders import (
     Preorder,
+    _run_slots,
     axiom_violations,
     Block,
     block_masks,
@@ -17,7 +18,6 @@ from shardorder.preorders import (
     close_rows,
     cover_masks,
     lam,
-    lam_order,
     mu,
     placements,
     preorder_from_json,
@@ -327,7 +327,7 @@ def test_ordered_blocks_matches_tournament():
     elements = [mu(p) for n in range(1, 6) for p in all_permutations(n)]
     for q in elements + list(random_preorders(5, 2000, 11)):
         try:
-            got = tuple(map(Block.of, lam_order(*block_masks(q))))
+            got = tuple(Block.of(b) for b, _, _ in _run_slots(*block_masks(q)))
         except InvalidPreorderError:
             got = None
         assert got == tournament_order(q), q
@@ -370,7 +370,7 @@ def test_unorderable_state_error_text(rows, named):
     masks, ups, downs = block_masks(Preorder.from_rows(len(rows), rows))
     listed = ", ".join(map(repr, map(Block.of, masks)))
     with pytest.raises(InvalidPreorderError) as info:
-        lam_order(masks, ups, downs)
+        _run_slots(masks, ups, downs)
     assert str(info.value) == f"blocks [{listed}] are not totally orderable at {named}"
 
 
@@ -384,7 +384,7 @@ def test_unorderable_block_is_the_first_in_size_order():
             state = block_masks(q)
             named = first_unorderable_block(*state)
             try:
-                lam_order(*state)
+                _run_slots(*state)
             except InvalidPreorderError as exc:
                 assert named is not None and str(exc).endswith(f" at {Block.of(named)!r}"), q
             else:

@@ -23,6 +23,12 @@ def cone_preorder(p):
     return to_preorder(intersect(lower_shards(p), n=p.n))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumerate_shards_needs_a_positive_n(n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        enumerate_shards(n)
+
+
 def test_enumerate_n2():
     shards = enumerate_shards(2)
     assert shards == [Shard(2, 1, 2, ())]

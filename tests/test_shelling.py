@@ -304,11 +304,8 @@ def test_mobius_disagreement_raises(monkeypatch):
 
 def test_el_checks_raise_invariant_error(monkeypatch):
     bot, top = Preorder.discrete(4), Preorder.complete(4)
-    monkeypatch.setattr(shelling, "mask_placements", lambda state: dict.fromkeys(state[0], 9))
-    with pytest.raises(InvariantError, match="out of range"):
-        edge_label(bot, mu(P("2134")))
-    # every pair scores the same placement: the greedy choice is not unique
-    monkeypatch.setattr(shelling, "mask_placements", lambda state: dict.fromkeys(state[0], 1))
+    # two pairs share the larger placement 3: the greedy choice is not unique
+    monkeypatch.setattr(shelling, "combinable_slots", lambda state, top: iter([(0, 2), (1, 2)]))
     with pytest.raises(InvariantError, match="must be unique"):
         increasing_chain(bot, top)
 
@@ -320,7 +317,7 @@ def test_cover_that_does_not_merge_two_runs_raises(lattice):
     runs = list(lat.runs)
     i, j = lat.covers[lat.bottom][:2]
     runs[i], runs[j] = runs[j], runs[i]
-    traded = OmegaLattice(4, lat.elements, lat.words, runs=runs)
+    traded = OmegaLattice(4, lat.elements, lat.words, runs)
     with pytest.raises(InvariantError, match="does not merge two blocks"):
         chain_counts(Preorder.discrete(4), Preorder.complete(4), traded)
 

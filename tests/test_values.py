@@ -118,6 +118,27 @@ def test_unchecked_words_are_plain_permutations():
     assert all(type(p.word) is tuple and hash(p) == hash(lam(q)) for p, q in zip(sub.words, sub.elements))
 
 
+@pytest.mark.parametrize(
+    "given, stored",
+    [
+        (lambda: Permutation([2, 1]), Permutation((2, 1))),
+        (lambda: Shard(3, 1, 3, [1]), Shard(3, 1, 3, (1,))),
+        (lambda: Permutation((2.0, 1)), ValueError),
+        (lambda: Permutation((True, 2)), ValueError),
+    ],
+    ids=["Permutation list", "Shard list", "float value", "bool value"],
+)
+def test_constructors_store_tuples_of_ints(given, stored):
+    # a list is stored as the tuple it holds, so the value hashes and equals
+    # the tuple-built one; a value that is not an int is not a permutation
+    if stored is ValueError:
+        with pytest.raises(ValueError, match="must be integers"):
+            given()
+    else:
+        x = given()
+        assert x == stored and hash(x) == hash(stored) and repr(x) == repr(stored)
+
+
 def test_a_fresh_preorder_carries_no_state():
     q = mu(Permutation((2, 1, 3)))
     assert Preorder(q.n, q.bits)._state is None
