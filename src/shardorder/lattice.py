@@ -2,27 +2,26 @@
 The lattice of permutation pre-orders under containment of relations.
 
 Elements are the n! pre-orders mu(S_n); a <= b iff every related pair of a
-is related in b.  ``build_lattice`` enumerates everything in one pass per
-word: it reads the word's descending runs once, packs mu from them and
-keeps them, as the blocks in placement order, for the ranks (n minus the
-number of runs) and the edge labels of ``shelling``; an interval takes
-them from its elements' checked states, which list the blocks in run
-order too.  It indexes the elements with one bitset kernel
-over the element indices.  a <= b iff each row of a lies inside the same
-row of b.  One transposition of all the relations gives, for each pair of
-values, the mask of the elements relating them; from those, each distinct
-value of each row gets the mask of the elements whose row contains it and
-of those whose row lies inside it, and an element's up-set (down-set) is
-the AND of the first (second) over its n rows.  The work follows the
-distinct row values, not 2^n.  An element's covers are its up-set
-restricted to the next rank layer.  One mask check makes those covers the
-definitional ones (no element strictly between): each up-set must be the
-element itself plus the up-sets of its covers.  Read from the top rank
-down, that check also makes every rank layer an antichain.  A failure
-raises ``InvariantError``.  Set bits are read off the wide masks from the
-top (``iter_bits``), so each step works on a shorter int.
+is related in b.  An indexed lattice (``OmegaLattice``) takes lam words
+alone: it builds each element with ``mu`` and keeps the runs mu carries,
+the blocks in placement order, for the ranks (n minus the number of runs)
+and the edge labels of ``shelling``.  ``build_lattice`` passes it S_n.  It
+indexes the elements with one bitset kernel over the element indices.
+a <= b iff each row of a lies inside the same row of b.  One
+transposition of all the relations gives, for each pair of values, the
+mask of the elements relating them; from those, each distinct value of
+each row gets the mask of the elements whose row contains it and of those
+whose row lies inside it, and an element's up-set (down-set) is the AND
+of the first (second) over its n rows.  The work follows the distinct row
+values, not 2^n.  An element's covers are its up-set restricted to the
+next rank layer.  One mask check makes those covers the definitional ones
+(no element strictly between): each up-set must be the element itself
+plus the up-sets of its covers.  Read from the top rank down, that check
+also makes every rank layer an antichain.  A failure raises
+``InvariantError``.  Set bits are read off the wide masks from the top
+(``iter_bits``), so each step works on a shorter int.
 ``interval_lattice`` indexes one closed interval the same way, from the
-elements a ``covers_below`` walk finds, so its cost follows the interval
+words a ``covers_below`` walk finds, so its cost follows the interval
 rather than n!.
 
 Going up by a cover combines two blocks that are incomparable or related
@@ -31,7 +30,7 @@ unrelated to both parts, each such block may sit above or below the merged
 block; ``_merge_candidates`` branches over those orientations and keeps the
 candidates that are valid elements with exactly one block fewer; it is the
 one constructive path to covers, and it yields each with its lam word.  Its
-search runs on the m blocks of a checked state, not on the n rows:
+search runs on the m blocks of a state (``_search_state``), not on the n rows:
 each merge or orientation is one ``relate_blocks`` step (O(m) mask ORs in
 place of Warshall's closure); a cover's word and bits are written in one
 walk over its run order (``lam_packed``, which orders the merged state
@@ -66,7 +65,7 @@ from functools import reduce
 from operator import and_, itemgetter, or_
 from .errors import IncomparableError, InvalidPreorderError, InvariantError, ResourceLimitError
 from .perms import Permutation, _of_word, all_permutations
-from .preorders import Preorder, checked_state, lam, lam_packed, relate_blocks, run_masks, run_ups
+from .preorders import Preorder, block_rows, checked_state, down_sets, lam, lam_packed, mu, relate_blocks
 
 LATTICE_SIZE_CAP = 7
 
@@ -196,8 +195,7 @@ def combinable_slots(state, top: Preorder):
     blocks are never formed.
     """
     masks, ups, downs = state
-    n, row = top.n, (1 << top.n) - 1
-    top_ups = [top.bits >> n * ((b & -b).bit_length() - 1) & row for b in masks]
+    top_ups = block_rows(top, masks)
     for i, bi in enumerate(masks):
         for j in range(i + 1, len(masks)):
             bj = masks[j]
@@ -205,6 +203,14 @@ def combinable_slots(state, top: Preorder):
                 (ups[i] & downs[j] | ups[j] & downs[i]) & ~(bi | bj)
             ):
                 yield i, j
+
+
+def _search_state(q: Preorder):
+    """(block masks, up-sets, down-sets) of q's checked state in run order,
+    where the cover search starts: the one reader of down-sets."""
+    masks = checked_state(q)
+    ups = block_rows(q, masks)
+    return masks, ups, down_sets(masks, ups)
 
 
 def covers_below(w: Preorder, top: Preorder):
@@ -217,7 +223,7 @@ def covers_below(w: Preorder, top: Preorder):
     """
     if not leq(w, top):
         raise IncomparableError("w is not below top")
-    state = checked_state(w)
+    state = _search_state(w)
     for i, j in combinable_slots(state, top):
         for word, cand in _merge_candidates(w.n, state, i, j):
             if cand <= top:
@@ -230,22 +236,22 @@ def covers_up(w: Preorder) -> list[Preorder]:
 
 
 class OmegaLattice:
-    """The lattice on S_n, or one closed interval of it, indexed.
+    """The lattice on S_n, or a set of its elements (an interval, the
+    c-sortable words), indexed by their lam words in the order given.
 
-    Elements are indexed by the lexicographic order of their lam words, so
-    diagrams and reports are stable across runs.  ``runs[i]`` holds the
-    value masks of the descending runs of words[i], left to right: the
-    blocks of elements[i] in their lam placement.  ``up_mask[i]`` has bit j
-    set iff elements[i] <= elements[j], ``down_mask[i]`` bit j iff
+    Callers give the words sorted, so diagrams and reports are stable.
+    ``elements[i]`` is mu(words[i]), and ``runs[i]`` the blocks it carries:
+    the descending runs of words[i], left to right.  ``up_mask[i]`` has bit
+    j set iff elements[i] <= elements[j], ``down_mask[i]`` bit j iff
     elements[j] <= elements[i], and ``layers[r]`` holds the elements of
     rank r (ranks are those of the full lattice).
     """
 
-    def __init__(self, n: int, elements, words, runs):
+    def __init__(self, n: int, words):
         self.n = n
-        self.elements: tuple[Preorder, ...] = tuple(elements)
         self.words: tuple[Permutation, ...] = tuple(words)
-        self.runs: tuple[tuple[int, ...], ...] = tuple(runs)
+        self.elements: tuple[Preorder, ...] = tuple(map(mu, self.words))
+        self.runs: tuple[tuple[int, ...], ...] = tuple(map(checked_state, self.elements))
         self.index: dict[Preorder, int] = {q: i for i, q in enumerate(self.elements)}
         # one block per run, so rank = n - runs
         self.rank: tuple[int, ...] = tuple([n - len(r) for r in self.runs])
@@ -418,12 +424,7 @@ def build_lattice(n: int, force: bool = False) -> OmegaLattice:
             f"building the full lattice for n={n} means {n}! elements; "
             f"cap is {LATTICE_SIZE_CAP} (use force to override)"
         )
-    words = list(all_permutations(n))
-    # each word's runs are read once: the element is packed from them, with
-    # no block state, and the lattice keeps them
-    runs = [run_masks(p.word) for p in words]
-    elements = [Preorder._of_blocks(n, r, run_ups(r)) for r in runs]
-    return OmegaLattice(n, elements, words, runs)
+    return OmegaLattice(n, all_permutations(n))
 
 
 def interval_lattice(bottom: Preorder, top: Preorder) -> OmegaLattice:
@@ -443,6 +444,4 @@ def interval_lattice(bottom: Preorder, top: Preorder) -> OmegaLattice:
             if c not in seen:
                 seen[c] = word
                 stack.append(c)
-    elements = sorted(seen, key=seen.get)
-    words = [_of_word(seen[q]) for q in elements]
-    return OmegaLattice(bottom.n, elements, words, [checked_state(q)[0] for q in elements])
+    return OmegaLattice(bottom.n, map(_of_word, sorted(seen.values())))

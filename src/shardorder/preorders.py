@@ -21,17 +21,16 @@ The elements of the lattice are the pre-orders satisfying two axioms:
 
 ``mu`` sends a permutation to such a pre-order (descending runs become
 blocks, overlapping runs are ordered left-below-right) and ``lam`` is its
-inverse.  ``mu`` reads its state straight off the word's ``run_masks``
-(the up-sets from one pass from the right, ``run_ups``), so a caller
-holding the runs can keep them and pack from them.  ``lam`` writes the
-blocks as descending runs in their run order: a block's run is preceded
-by the blocks below it and by the incomparable blocks to its numeric
-left, its before-set.  Those masks must be the nested prefixes of the
-order, so their sizes are distinct: one slot pass (``_run_slots``)
-places each block at the popcount of its before-set and checks the
-prefixes in one walk over the slots, O(n) with no sort; a pre-order
-whose blocks admit no such order is rejected.  A block's placement is
-the position of its run.
+inverse.  ``mu`` packs its bits from the word's ``run_masks`` and their
+up-sets (one pass from the right, ``run_ups``) and carries the runs.
+``lam`` writes the blocks as descending runs in their run order: a
+block's run is preceded by the blocks below it and by the incomparable
+blocks to its numeric left, its before-set.  Those masks must be the
+nested prefixes of the order, so their sizes are distinct: one slot pass
+(``_run_slots``) places each block at the popcount of its before-set and
+checks the prefixes in one walk over the slots, O(n) with no sort; a
+pre-order whose blocks admit no such order is rejected.  A block's
+placement is the position of its run.
 
 The one working form of the blocks is a block state: each block's value
 mask with its up-set and its down-set (the union of the blocks whose
@@ -47,21 +46,22 @@ into ``bits`` directly, with no closure pass.
 
 Each element is checked against (P1)/(P2) at most once.  ``checked_state``
 reads an object's state and runs the full scan the first time it sees it,
-then carries it on the object, its blocks in run order (so a placement
-is an index), as three tuples in the private slot ``_state``, which
-``==``, ``hash`` and ``repr`` ignore.  Code that has just checked a
-state, or proved it valid, carries it from the start: ``mu`` (every image
-of a permutation is an element; the proof is in its docstring),
-``lam_packed``, which orders a state by its own slot pass and which the
-cover search (``lattice._merge_candidates``, after its restricted scan), the
+then carries its block masks in run order (the runs of lam(q), so a
+placement is an index) in the private slot ``_state``, which ``==``,
+``hash`` and ``repr`` ignore; the up-sets are rows of the bits
+(``block_rows``).  Code that has just checked a state, or proved it
+valid, carries it from the start: ``mu`` (every image of a permutation is
+an element; the proof is in its docstring), ``lam_packed``, which orders
+a state by its own slot pass and which the cover search
+(``lattice._merge_candidates``, after its restricted scan), the
 noncrossing constructor (``sortable._order_of_partition``, whose closure
 makes (P1)/(P2) true) and ``preorder_from_json`` call.  ``lam``,
 ``preorder_to_json``, ``placements``, ``is_noncrossing_preorder``,
-``lattice.join`` (its arguments and its result),
-``lattice.interval_lattice``, ``lattice.covers_below`` and
-``shelling``'s greedy chain and ``edge_label`` (both their elements) go
-through ``checked_state``.  ``Preorder(n, bits)`` and ``from_rows`` carry
-nothing, so whatever a user builds is checked on its first use.
+``lattice.join`` (its arguments and its result), ``OmegaLattice``,
+``lattice.interval_lattice``, ``lattice.covers_below`` and ``shelling``'s
+greedy chain and ``edge_label`` (both their elements) go through
+``checked_state``.  ``Preorder(n, bits)`` and ``from_rows`` carry nothing,
+so whatever a user builds is checked on its first use.
 ``axiom_violations`` always reads the state off the bits and runs the
 full scan: it is the oracle, for mu's images too.  No cache is kept: a
 state lives and dies with its object.
@@ -145,6 +145,8 @@ class Preorder(Frozen):
     __slots__ = ("n", "bits", "_state")
 
     def __init__(self, n: int, bits: int):
+        if type(n) is not int or type(bits) is not int:
+            raise ValueError(f"ground set size and relation bits must be integers: n={n!r} bits={bits!r}")
         _set_n(self, n)
         _set_bits(self, bits)
         _set_state(self, None)
@@ -445,31 +447,35 @@ def require_block_axioms(masks: Sequence[int], ups: Sequence[int], downs: Sequen
         raise InvalidPreorderError("; ".join(str(v) for v in bad))
 
 
-def _carry(q: Preorder, masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> Preorder:
+def _carry(q: Preorder, runs: tuple[int, ...]) -> Preorder:
     """Attach to q the state its caller has just checked (or proved) to
-    satisfy (P1)/(P2), as three tuples (the block masks in run order, their
-    up-sets, their down-sets); returns q."""
-    _set_state(q, (masks, ups, downs))
+    satisfy (P1)/(P2): its block masks in run order; returns q."""
+    _set_state(q, runs)
     return q
 
 
-def checked_state(q: Preorder) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """q's block state, checked against (P1)/(P2) before first use, with the
-    blocks in the order of their runs in lam(q), so a block's placement is
-    its index plus one.
+def checked_state(q: Preorder) -> tuple[int, ...]:
+    """q's block masks in the order of their runs in lam(q), checked against
+    (P1)/(P2) before first use; a block's placement is its index plus one.
 
     The first call on an object without a carried state reads the state
     (``block_masks``) and runs the full scan, raising InvalidPreorderError
     as ``require_block_axioms`` does; only then does it order the blocks
-    by one slot pass (``_run_slots``) and carry them on q.  Later calls
-    read them back.  The module docstring lists the constructors that carry
-    a state from the start.
+    by one slot pass (``_run_slots``) and carry their masks on q.  Later
+    calls read them back.  The module docstring lists the constructors
+    that carry a state from the start.
     """
     if q._state is None:
         state = block_masks(q)
         require_block_axioms(*state)
-        _carry(q, *zip(*_run_slots(*state)))
+        _carry(q, tuple([b for b, _ in _run_slots(*state)]))
     return q._state
+
+
+def block_rows(q: Preorder, masks: Sequence[int]) -> list[int]:
+    """The row of q at each block's min: the up-set of each block."""
+    n, row = q.n, (1 << q.n) - 1
+    return [q.bits >> n * ((b & -b).bit_length() - 1) & row for b in masks]
 
 
 def mu(p: Permutation) -> Preorder:
@@ -477,12 +483,10 @@ def mu(p: Permutation) -> Preorder:
 
     Of two distinct runs with intersecting value intervals, the one further
     right in the word gives the greater block; the relation is the
-    transitive closure of these generators.  Its state is read off the
-    word's ``run_masks``: the runs, left to right, are the blocks in run
-    order (lam(mu(p)) = p), each with its up-set (``run_ups``) and its
-    down-set (``down_sets``); the bits are packed from it, and the element
-    carries it (``checked_state``), with no scan, for the image of every
-    permutation is an element:
+    transitive closure of these generators.  The word's ``run_masks`` are
+    the blocks in run order (lam(mu(p)) = p); the bits are packed from them
+    and their up-sets (``run_ups``), and the element carries them, with no
+    scan, for the image of every permutation is an element:
 
     - No runs merge: every generator points right, so a run is below only
       runs to its right, and two runs are never related both ways.
@@ -493,14 +497,13 @@ def mu(p: Permutation) -> Preorder:
       runs of a generator overlap.
     """
     runs = run_masks(p.word)
-    ups = tuple(run_ups(runs))
-    return _carry(Preorder._of_blocks(p.n, runs, ups), runs, ups, tuple(down_sets(runs, ups)))
+    return _carry(Preorder._of_blocks(p.n, runs, run_ups(runs)), runs)
 
 
-def _run_slots(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(block mask, up-set, down-set) of each block of a pre-order q's block
-    state, given in any order, in the left-to-right order their runs take
-    in lam(q).
+def _run_slots(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> list[tuple[int, int]]:
+    """(block mask, up-set) of each block of a pre-order q's block state,
+    given in any order, in the left-to-right order their runs take in
+    lam(q).
 
     Comparable blocks follow the block order; incomparable blocks (whose
     intervals are disjoint, by (P1)) follow numeric interval position.
@@ -516,12 +519,11 @@ def _run_slots(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -
     """
     slots = [None] * max(masks).bit_length()  # a before-set has fewer than n values
     shared = {}  # the first block whose before-set size is already taken, per size
-    for block in zip(masks, ups, downs):
-        b, up, down = block
+    for b, up, down in zip(masks, ups, downs):
         before = (down | ((b & -b) - 1)) & ~up
         k = before.bit_count()
         if slots[k] is None:
-            slots[k] = (before, block)
+            slots[k] = (before, (b, up))
         else:
             shared.setdefault(k, b)
     order, placed = [], 0
@@ -559,16 +561,16 @@ def lam_packed(n: int, masks: Sequence[int], ups: Sequence[int], downs: Sequence
     one walk over its slot pass (``_run_slots``, which raises if the blocks
     have no run order): each block writes its run and shifts its up-set
     into the row of each of its values, as ``Preorder._of_blocks`` does.
-    The pre-order carries the state in that run order (``checked_state``)."""
-    order = _run_slots(masks, ups, downs)
-    word, bits = [], 0
-    for b, up, _ in order:
+    The pre-order carries the block masks in that run order (``checked_state``)."""
+    word, bits, runs = [], 0, []
+    for b, up in _run_slots(masks, ups, downs):
+        runs.append(b)
         while b:
             v = b.bit_length() - 1
             word.append(v + 1)
             bits |= up << (n * v)
             b ^= 1 << v
-    return tuple(word), _carry(Preorder._unchecked(n, bits), *zip(*order))
+    return tuple(word), _carry(Preorder._unchecked(n, bits), tuple(runs))
 
 
 def lam(q: Preorder) -> Permutation:
@@ -577,12 +579,12 @@ def lam(q: Preorder) -> Permutation:
     Raises InvalidPreorderError if q fails (P1)/(P2).  The blocks partition
     [n], so the word is a permutation and is wrapped with no check.
     """
-    return _of_word(runs_word(checked_state(q)[0]))
+    return _of_word(runs_word(checked_state(q)))
 
 
 def placements(q: Preorder) -> dict[Block, int]:
     """1-based position of each block's run in lam(q), left to right."""
-    return {Block.of(b): k for k, b in enumerate(checked_state(q)[0], start=1)}
+    return {Block.of(b): k for k, b in enumerate(checked_state(q), start=1)}
 
 
 def preorder_to_json(q: Preorder) -> dict:
@@ -590,8 +592,8 @@ def preorder_to_json(q: Preorder) -> dict:
 
     Raises InvalidPreorderError if q fails (P1)/(P2) (``checked_state``).
     """
-    masks, ups, _ = checked_state(q)
-    covers = cover_masks(masks, ups)
+    masks = checked_state(q)
+    covers = cover_masks(masks, block_rows(q, masks))
     less = [[i, j] for i, cover in enumerate(covers) for j, c in enumerate(masks) if cover & c]
     return {"n": q.n, "blocks": [mask_values(b) for b in masks], "less": less}
 

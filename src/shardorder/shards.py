@@ -32,6 +32,8 @@ class Shard(Frozen):
 
     def __init__(self, n: int, i: int, j: int, eps: tuple[int, ...]):
         eps = tuple(eps)
+        if any(type(x) is not int for x in (n, i, j, *eps)):
+            raise ValueError(f"shard fields must be integers: n={n!r} i={i!r} j={j!r} eps={eps!r}")
         if not 1 <= i < j <= n:
             raise ValueError(f"need 1 <= i < j <= n, got i={i} j={j} n={n}")
         if len(eps) != j - i - 1:
@@ -43,11 +45,6 @@ class Shard(Frozen):
         write(self, "i", i)
         write(self, "j", j)
         write(self, "eps", eps)
-
-    def sign(self, k: int) -> int:
-        if not self.i < k < self.j:
-            raise ValueError(f"{k} is not strictly between {self.i} and {self.j}")
-        return self.eps[k - self.i - 1]
 
     def __str__(self):
         signs = "".join("+" if e > 0 else "-" for e in self.eps)

@@ -2,24 +2,25 @@
 Edge labels, increasing chains, and Moebius numbers.
 
 Each cover merges exactly two blocks of the lower element; the edge label
-is the larger of their placements there.  A checked state lists the
-blocks in run order, so a block's placement is its index plus one.  Every
+is the larger of their placements there.  A checked state lists the block
+masks in run order, so a block's placement is its index plus one.  Every
 interval has exactly one maximal chain with a weakly increasing label
 word, found greedily: among the pairs that can be combined on the way to
 the top (``lattice.combinable_slots``), merge the one whose larger
 placement is smallest; exactly one of the covers ``lattice`` builds for
-that merge lies below top.  Each step reads its element's checked state
-and tests its pairs of blocks on it; top is read through
-``checked_state`` too, and every element after the first is a cover that
-carries its state, so a chain runs at most two scans, for its top and its
-bottom.  The number of strictly decreasing maximal chains gives the
-Moebius number up to sign; the classical recursion is run alongside as an
-independent check and disagreement is fatal.
+that merge lies below top.  Each step reads its element's checked state,
+with rows and down-sets (``lattice._search_state``), and tests its pairs
+of blocks on it; top is read through ``checked_state`` too, and every
+element after the first is a cover that carries its state, so a chain
+runs at most two scans, for its top and its bottom.  The number of
+strictly decreasing maximal chains gives the Moebius number up to sign;
+the classical recursion is run alongside as an independent check and
+disagreement is fatal.
 
 Whole-interval counts run on an indexed lattice (``OmegaLattice``): the
 interval [b, t] is the mask ``up_mask[b] & down_mask[t]`` and its edges are
 the kernel's covers inside it.  Each edge label is computed once, from the
-run masks the lattice keeps for each word (lam(mu(p)) = p, so the k-th run
+run masks mu carries on each element (lam(mu(p)) = p, so the k-th run
 of the lower word is the block placed k-th): it is the position of the
 rightmost of the two lower runs that the upper element lacks, and a cover
 that does not lack exactly two raises ``InvariantError``.  No run is
@@ -42,7 +43,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import IncomparableError, InvariantError
-from .lattice import OmegaLattice, _merge_candidates, combinable_slots
+from .lattice import OmegaLattice, _merge_candidates, _search_state, combinable_slots
 from .lattice import interval_lattice, iter_bits, leq
 from .preorders import Preorder, checked_state, lam
 
@@ -54,10 +55,10 @@ def edge_label(lower: Preorder, upper: Preorder) -> int:
     run order: the label is the later of the two positions in ``lower``
     whose blocks ``upper`` lacks.
     """
-    masks = checked_state(lower)[0]
+    masks = checked_state(lower)
     if not (leq(lower, upper) and lower != upper):
         raise ValueError("not a cover: elements are not strictly ordered")
-    upper_masks = checked_state(upper)[0]
+    upper_masks = checked_state(upper)
     if len(masks) != len(upper_masks) + 1:
         raise ValueError("not a cover: rank difference is not one")
     merged = [k for k, b in enumerate(masks, start=1) if b not in upper_masks]
@@ -87,7 +88,7 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
     chain, labels = [bottom], []
     while chain[-1] != top:
         cur = chain[-1]
-        state = checked_state(cur)
+        state = _search_state(cur)
         ranked = sorted(combinable_slots(state, top), key=operator.itemgetter(1))
         if not ranked:
             raise InvariantError("strictly ordered interval must have a combinable pair")

@@ -33,7 +33,7 @@ state (``close_blocks``: O(m^2) mask ORs on the m blocks, in any order,
 no rows and no packed relation read back).  Two checks then run on that
 state: the closure kept the blocks, and the run order whose lam word is
 the sort key, written with the packed bits (``lam_packed``); the element
-carries that state in run order.  The closure orients every pair as
+carries its blocks in run order.  The closure orients every pair as
 demanded and makes (P1)/(P2) true, so neither is checked again
 (``_order_of_partition`` has the argument), and
 ``is_noncrossing_preorder`` is the orientation test alone.
@@ -47,7 +47,7 @@ from typing import Iterator, NamedTuple
 from .errors import CrossingPartitionError, InvariantError
 from .frozen import Frozen
 from .perms import Permutation, _of_word, all_permutations
-from .preorders import Preorder, checked_state, close_blocks, lam_packed, partition_masks
+from .preorders import Preorder, block_rows, checked_state, close_blocks, lam_packed, partition_masks
 
 
 class CoxeterElement(Frozen):
@@ -56,9 +56,11 @@ class CoxeterElement(Frozen):
     __slots__ = ("n", "word")
 
     def __init__(self, n: int, word: tuple[int, ...]):
+        word = tuple(word)
+        if any(type(x) is not int for x in (n, *word)):
+            raise ValueError(f"Coxeter element size and generators must be integers: n={n!r} word={word!r}")
         if n < 1:
             raise ValueError("Coxeter element must have size n >= 1")
-        word = tuple(word)
         if sorted(word) != list(range(1, n)):
             raise ValueError(f"word must use each generator 1..{n - 1} once, got {word!r}")
         object.__setattr__(self, "n", n)
@@ -255,8 +257,8 @@ def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
     """
     if w.n != c.n:
         raise ValueError("pre-order and Coxeter element sizes differ")
-    masks, ups, _ = checked_state(w)
-    return not _misoriented(masks, ups, _demands(masks, barring_of(c)))
+    masks = checked_state(w)
+    return not _misoriented(masks, block_rows(w, masks), _demands(masks, barring_of(c)))
 
 
 def _noncrossing_partitions(cells: list[int]):
@@ -314,8 +316,8 @@ def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...]
     (``close_blocks``, no rows), and two checks run on that block state:
     the closure kept the given blocks, and they have a run order (the slot
     pass of ``lam_packed``, whose word is the sort key, written in the same
-    walk as the packed bits).  The pre-order carries the state
-    (``checked_state``), which needs no scan:
+    walk as the packed bits).  The pre-order carries its blocks
+    (``checked_state``), which need no scan:
 
     - No pair is oriented against its demand: each demanded direction is a
       generator of the closure, and no given blocks merged.

@@ -376,7 +376,7 @@ def test_verify_roundtrip_scans_the_bits_of_mu(capsys, monkeypatch):
 
     def broken(p):
         bad = Preorder.from_rows(p.n, [1 << (p.n - 1)] + [0] * (p.n - 1))
-        return _carry(bad, *checked_state(real(p)))
+        return _carry(bad, checked_state(real(p)))
 
     monkeypatch.setattr(cli, "mu", broken)
     code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "roundtrip")

@@ -327,7 +327,7 @@ def test_ordered_blocks_matches_tournament():
     elements = [mu(p) for n in range(1, 6) for p in all_permutations(n)]
     for q in elements + list(random_preorders(5, 2000, 11)):
         try:
-            got = tuple(Block.of(b) for b, _, _ in _run_slots(*block_masks(q)))
+            got = tuple(Block.of(b) for b, _ in _run_slots(*block_masks(q)))
         except InvalidPreorderError:
             got = None
         assert got == tournament_order(q), q

@@ -39,7 +39,7 @@ def test_enumerate_h14_patterns():
     assert {s.eps for s in shards} == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
     top = Shard(4, 1, 4, (1, -1))  # x1=x4, x1<=x2, x3<=x1
     assert top in shards
-    assert top.sign(2) == 1 and top.sign(3) == -1
+    assert top.eps == (1, -1)  # eps_2 = +1, eps_3 = -1
 
 
 def test_census():
@@ -63,7 +63,7 @@ def test_lower_shards_4312():
     got = lower_shards(P("4312"))
     assert {(s.i, s.j) for s in got} == {(1, 3), (3, 4)}
     h13 = next(s for s in got if (s.i, s.j) == (1, 3))
-    assert h13.sign(2) == 1  # (2,1) is not an inversion, so x1 <= x2
+    assert h13.eps == (1,)  # eps_2: (2,1) is not an inversion, so x1 <= x2
 
 
 def test_lower_shards_are_the_checked_shards():
@@ -167,7 +167,7 @@ def reference_intersection(shards, n):
     pairs = set()
     for s in shards:
         pairs |= {(s.i, s.j), (s.j, s.i)}
-        pairs |= {(s.i, k) if s.sign(k) > 0 else (k, s.i) for k in range(s.i + 1, s.j)}
+        pairs |= {(s.i, k) if e > 0 else (k, s.i) for k, e in enumerate(s.eps, start=s.i + 1)}
     while True:
         more = {(a, d) for a, b in pairs for c, d in pairs if b == c and a != d} - pairs
         if not more:

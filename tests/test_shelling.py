@@ -6,7 +6,7 @@ import pytest
 import shardorder.preorders as preorders
 import shardorder.shelling as shelling
 from shardorder.errors import IncomparableError, InvalidPreorderError, InvariantError
-from shardorder.lattice import OmegaLattice, build_lattice, combinable_slots, covers_below, covers_up, leq
+from shardorder.lattice import build_lattice, combinable_slots, covers_below, covers_up, leq
 from shardorder.perms import Permutation, all_permutations, is_indecomposable
 from shardorder.preorders import Preorder, block_masks, blocks, checked_state, lam, mu
 from shardorder.shelling import (
@@ -310,14 +310,14 @@ def test_el_checks_raise_invariant_error(monkeypatch):
         increasing_chain(bot, top)
 
 
-def test_cover_that_does_not_merge_two_runs_raises(lattice):
+def test_cover_that_does_not_merge_two_runs_raises():
     # two atoms trade runs: the ranks, and so the kernel's covers, stay, but
     # the runs of an atom no longer coarsen into those of its covers
-    lat = lattice(4)
-    runs = list(lat.runs)
-    i, j = lat.covers[lat.bottom][:2]
+    traded = build_lattice(4)
+    runs = list(traded.runs)
+    i, j = traded.covers[traded.bottom][:2]
     runs[i], runs[j] = runs[j], runs[i]
-    traded = OmegaLattice(4, lat.elements, lat.words, runs)
+    traded.runs = tuple(runs)
     with pytest.raises(InvariantError, match="does not merge two blocks"):
         chain_counts(Preorder.discrete(4), Preorder.complete(4), traded)
 

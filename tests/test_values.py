@@ -139,6 +139,32 @@ def test_constructors_store_tuples_of_ints(given, stored):
         assert x == stored and hash(x) == hash(stored) and repr(x) == repr(stored)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CoxeterElement(3, (True, 2)),
+        lambda: CoxeterElement(3, (1.0, 2)),
+        lambda: CoxeterElement(3.0, (1, 2)),
+        lambda: Shard(3, True, 3, (1,)),
+        lambda: Shard(3, 1, 3, (1.0,)),
+        lambda: Shard(3.0, 1, 3, (1,)),
+        lambda: Preorder(2.0, 9),
+        lambda: Preorder(2, 9.0),
+        lambda: Preorder(True, 1),
+    ],
+    ids=[
+        "Coxeter bool generator", "Coxeter float generator", "Coxeter float size",
+        "Shard bool index", "Shard float sign", "Shard float size",
+        "Preorder float size", "Preorder float bits", "Preorder bool size",
+    ],
+)
+def test_public_constructors_reject_fields_that_are_not_ints(build):
+    # a bool or a float equal to an int is not one: each field and entry is
+    # rejected by type, with a one-line ValueError, as Permutation does
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
+
+
 def test_a_fresh_preorder_carries_no_state():
     q = mu(Permutation((2, 1, 3)))
     assert Preorder(q.n, q.bits)._state is None
