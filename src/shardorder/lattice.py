@@ -239,7 +239,9 @@ class OmegaLattice:
     """The lattice on S_n, or a set of its elements (an interval, the
     c-sortable words), indexed by their lam words in the order given.
 
-    Callers give the words sorted, so diagrams and reports are stable.
+    Callers give the words sorted, so diagrams and reports are stable.  The
+    words must be distinct permutations of [n] whose elements have a least
+    and a greatest one; other lists raise ``ValueError``.
     ``elements[i]`` is mu(words[i]), and ``runs[i]`` the blocks it carries:
     the descending runs of words[i], left to right.  ``up_mask[i]`` has bit
     j set iff elements[i] <= elements[j], ``down_mask[i]`` bit j iff
@@ -250,16 +252,22 @@ class OmegaLattice:
     def __init__(self, n: int, words):
         self.n = n
         self.words: tuple[Permutation, ...] = tuple(words)
+        if not self.words or any(w.n != n for w in self.words):
+            raise ValueError(f"the words must be one or more permutations of size n={n}")
         self.elements: tuple[Preorder, ...] = tuple(map(mu, self.words))
         self.runs: tuple[tuple[int, ...], ...] = tuple(map(checked_state, self.elements))
         self.index: dict[Preorder, int] = {q: i for i, q in enumerate(self.elements)}
+        if len(self.index) != len(self.elements):
+            raise ValueError("the words repeat a word")
         # one block per run, so rank = n - runs
         self.rank: tuple[int, ...] = tuple([n - len(r) for r in self.runs])
         self.up_mask, self.down_mask = _relation_masks(n, self.elements)
-        self.layers, self.covers = graded_covers(self.up_mask, self.rank)
         full = (1 << len(self.elements)) - 1
+        if full not in self.up_mask or full not in self.down_mask:
+            raise ValueError("the words have no least or no greatest element")
         self.bottom = self.up_mask.index(full)
         self.top = self.down_mask.index(full)
+        self.layers, self.covers = graded_covers(self.up_mask, self.rank)
 
     def __len__(self):
         return len(self.elements)

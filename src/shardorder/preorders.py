@@ -53,9 +53,9 @@ placement is an index) in the private slot ``_state``, which ``==``,
 valid, carries it from the start: ``mu`` (every image of a permutation is
 an element; the proof is in its docstring), ``lam_packed``, which orders
 a state by its own slot pass and which the cover search
-(``lattice._merge_candidates``, after its restricted scan), the
-noncrossing constructor (``sortable._order_of_partition``, whose closure
-makes (P1)/(P2) true) and ``preorder_from_json`` call.  ``lam``,
+(``lattice._merge_candidates``, after its restricted scan), partition
+mode (``sortable._order_of_partition``, whose closure makes (P1)/(P2)
+true) and ``preorder_from_json`` call.  ``lam``,
 ``preorder_to_json``, ``placements``, ``is_noncrossing_preorder``,
 ``lattice.join`` (its arguments and its result), ``OmegaLattice``,
 ``lattice.interval_lattice``, ``lattice.covers_below`` and ``shelling``'s
@@ -66,7 +66,7 @@ so whatever a user builds is checked on its first use.
 full scan: it is the oracle, for mu's images too.  No cache is kept: a
 state lives and dies with its object.
 
-Pre-orders built from given blocks (JSON input, noncrossing elements) are
+Pre-orders built from given blocks (JSON input, noncrossing partitions) are
 closed on the blocks too: ``close_blocks`` takes disjoint value masks in
 any order and index pairs and returns their closure's block state
 directly, by Warshall's algorithm on the m blocks (O(m^2) mask ORs)

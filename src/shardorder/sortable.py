@@ -13,12 +13,17 @@ word decides it with three value masks (``_sortable``), and the filter
 over S_n (``pattern_sortable_permutations``) runs the same pass.  The
 elements themselves are built from their c-sorting words (Reading,
 arXiv:math/0507186): reduced subwords c_{K1} c_{K2} ... of c^infinity
-whose letter sets shrink, each K containing the next.  Under mu the
-c-sortable permutations are exactly the pre-orders whose blocks are
-noncrossing on the cycle and whose overlapping blocks are oriented by
-the bar of any strictly inside witness.  Each noncrossing partition of
-the cycle is the block partition of exactly one of them, so they are
-built from those partitions.  Neither construction passes over S_n.
+whose letter sets shrink, each K containing the next, with no pass over
+S_n.
+
+Under mu the c-sortable permutations are exactly the pre-orders whose
+blocks are noncrossing on the cycle and whose overlapping blocks are
+oriented by the bar of any strictly inside witness (Reading,
+arXiv:0909.3288), so ``noncrossing_preorders(c)`` is mu of the
+sorting-word list.  Each noncrossing partition is the block partition
+of exactly one of them, which ``_order_of_partition`` builds from the
+blocks alone: that is partition mode, where no word exists, and the
+check of the theorem in ``verify --suite sortable``.
 
 One mask function (``_demands``) decides noncrossing: the members of
 each block strictly inside the other's interval, split by the mask of
@@ -26,28 +31,20 @@ upper-barred values, say which directions a pair demands, and a pair
 demanded both ways is exactly a pair that crosses on the cycle (the
 lemma in its docstring).  It reads each block's span, strictly-inside
 mask and upper- and lower-barred members, computed once per state, so a
-pair costs four mask tests.  Each element is built from its blocks
-alone: its demands are computed once, a crossing pair raises
-``CrossingPartitionError``, and the blocks are closed once on the block
-state (``close_blocks``: O(m^2) mask ORs on the m blocks, in any order,
-no rows and no packed relation read back).  Two checks then run on that
-state: the closure kept the blocks, and the run order whose lam word is
-the sort key, written with the packed bits (``lam_packed``); the element
-carries its blocks in run order.  The closure orients every pair as
-demanded and makes (P1)/(P2) true, so neither is checked again
-(``_order_of_partition`` has the argument), and
-``is_noncrossing_preorder`` is the orientation test alone.
+pair costs four mask tests.  ``is_noncrossing_preorder`` is the
+orientation test alone; ``_order_of_partition`` orients each pair by the
+same demands and closes the blocks once, with no scan (its docstring has
+the proof).
 """
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .errors import CrossingPartitionError, InvariantError
 from .frozen import Frozen
 from .perms import Permutation, _of_word, all_permutations
-from .preorders import Preorder, block_rows, checked_state, close_blocks, lam_packed, partition_masks
+from .preorders import Preorder, block_rows, checked_state, close_blocks, lam_packed, mu, partition_masks
 
 
 class CoxeterElement(Frozen):
@@ -261,41 +258,10 @@ def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
     return not _misoriented(masks, block_rows(w, masks), _demands(masks, barring_of(c)))
 
 
-def _noncrossing_partitions(cells: list[int]):
-    """Noncrossing partitions of consecutive cycle positions, as value masks.
-
-    ``cells[k]`` is the value mask of the k-th position, and each block is
-    the union of its cells.  The positions are read in order, with a stack
-    of the blocks still open: each position opens a new block, or joins an
-    open block and closes every block opened after it, which could only
-    gain members by crossing it.  Each partition arises from exactly one
-    such sequence of choices.  The choices are explored depth first from
-    one list of pending (position, closed blocks, open blocks) states, so
-    one generator frame yields every partition.
-    """
-    pending = [(0, [], [])]
-    while pending:
-        k, closed, stack = pending.pop()
-        if k == len(cells):
-            yield closed + stack
-            continue
-        cell = cells[k]
-        pending.append((k + 1, closed, stack + [cell]))
-        for d in range(len(stack)):
-            pending.append((k + 1, closed + stack[d + 1 :], stack[:d] + [stack[d] | cell]))
-
-
 def noncrossing_preorders(c: CoxeterElement) -> list[Preorder]:
-    """All noncrossing pre-orders for c, in the lexicographic order of their lam words.
-
-    One per noncrossing partition of the cycle of c (Reading,
-    arXiv:0909.3288), so the cost is Catalan(n) constructions, not n!.
-    """
-    bar = barring_of(c)
-    cells = [1 << (v - 1) for v in bar.cycle]
-    keyed = [_order_of_partition(part, bar) for part in _noncrossing_partitions(cells)]
-    keyed.sort(key=itemgetter(0))
-    return [q for _, q in keyed]
+    """All noncrossing pre-orders for c, in the lexicographic order of their lam
+    words: mu of the sorted c-sortable permutations (Reading, arXiv:0909.3288)."""
+    return list(map(mu, sortable_permutations(c)))
 
 
 def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
@@ -303,21 +269,22 @@ def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:
 
     Crossing blocks raise ``CrossingPartitionError`` (``_order_of_partition``).
     """
-    return _order_of_partition(partition_masks(block_sets, c.n), barring_of(c))[1]
+    return _order_of_partition(partition_masks(block_sets, c.n), barring_of(c))
 
 
-def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...], Preorder]:
-    """(lam word, pre-order) of the noncrossing pre-order whose blocks are the value masks.
+def _order_of_partition(masks: list[int], bar: Barring) -> Preorder:
+    """The noncrossing pre-order whose blocks are the value masks.
 
-    Each overlapping pair is oriented by the mask rule ``_demands``; a pair
-    demanded both ways crosses (the lemma there), which raises
-    ``CrossingPartitionError``, so the generated partitions and a user's
-    partition get the one test.  The blocks are closed on their own
-    (``close_blocks``, no rows), and two checks run on that block state:
-    the closure kept the given blocks, and they have a run order (the slot
-    pass of ``lam_packed``, whose word is the sort key, written in the same
-    walk as the packed bits).  The pre-order carries its blocks
-    (``checked_state``), which need no scan:
+    This is partition mode (``noncrossing_order_of_partition``), where no
+    word exists, and the check of Reading's theorem in ``verify --suite
+    sortable``.  Each overlapping pair is oriented by the mask rule
+    ``_demands``; a pair demanded both ways crosses (the lemma there),
+    which raises ``CrossingPartitionError``.  The blocks are closed on
+    their own (``close_blocks``, no rows), and two checks run on that block
+    state: the closure kept the given blocks, and they have a run order
+    (the slot pass of ``lam_packed``, which writes the packed bits in the
+    same walk).  The pre-order carries its blocks (``checked_state``),
+    which need no scan:
 
     - No pair is oriented against its demand: each demanded direction is a
       generator of the closure, and no given blocks merged.
@@ -334,4 +301,4 @@ def _order_of_partition(masks: list[int], bar: Barring) -> tuple[tuple[int, ...]
     state = close_blocks(masks, less)
     if state is None:
         raise InvariantError("orientation closure collapsed the given blocks")
-    return lam_packed(bar.n, *state)
+    return lam_packed(bar.n, *state)[1]

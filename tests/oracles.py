@@ -4,7 +4,9 @@ The extreme words of S_n, the inversion set (the order ``mu`` must
 respect), the descending runs as value tuples (what ``run_masks`` must
 read), the two Coxeter words that bar every value one way, and the
 barred patterns found by the literal search over value triples (what
-``is_c_sortable`` must decide).
+``is_c_sortable`` must decide), and the noncrossing partitions of a
+cycle found by the literal alternation rule over every set partition
+(what the block partitions of the noncrossing pre-orders must be).
 """
 import itertools
 
@@ -60,3 +62,37 @@ def lower_312(p: Permutation, bar) -> list[tuple[int, int, int]]:
 
 def avoids_barred_patterns(p: Permutation, bar) -> bool:
     return not upper_231(p, bar) and not lower_312(p, bar)
+
+
+def set_partitions(values):
+    """Every set partition of the list ``values``, as lists of value masks."""
+    if not values:
+        yield []
+        return
+    first = 1 << (values[0] - 1)
+    for part in set_partitions(values[1:]):
+        yield [first, *part]
+        for k in range(len(part)):
+            yield [*part[:k], part[k] | first, *part[k + 1 :]]
+
+
+def crosses(m1: int, m2: int, cycle) -> bool:
+    """Do two disjoint value masks interleave on the cycle?  The definition
+    read literally: two values of each alternate in cycle order."""
+    a = [k for k, v in enumerate(cycle) if m1 >> (v - 1) & 1]
+    b = [k for k, v in enumerate(cycle) if m2 >> (v - 1) & 1]
+    return any(
+        w < x < y < z or x < w < z < y
+        for w, y in itertools.combinations(a, 2)
+        for x, z in itertools.combinations(b, 2)
+    )
+
+
+def crossing_free(masks, cycle) -> bool:
+    return not any(crosses(m1, m2, cycle) for m1, m2 in itertools.combinations(masks, 2))
+
+
+def noncrossing_partitions(bar) -> list[list[int]]:
+    """Every set partition of [n] whose blocks pairwise do not cross on
+    ``bar.cycle``, as lists of value masks."""
+    return [part for part in set_partitions(list(range(1, bar.n + 1))) if crossing_free(part, bar.cycle)]

@@ -24,6 +24,7 @@ from shardorder.preorders import (
     block_rows,
     checked_state,
     lam,
+    mask_values,
     mu,
     preorder_from_json,
     preorder_to_json,
@@ -162,9 +163,13 @@ def test_only_checking_code_carries_a_state():
         x = Preorder(q.n, q.bits)
         check(x)
         assert carries_its_state(x), check.__name__
-    # the noncrossing constructor checks each element's state, so it carries it
-    for x in noncrossing_preorders(linear_coxeter(5)):
+    # noncrossing elements are mu images, and partition mode checks the
+    # state it builds, so both carry it
+    c = linear_coxeter(5)
+    for x in noncrossing_preorders(c):
         assert carries_its_state(x), x
+        rebuilt = noncrossing_order_of_partition([mask_values(m) for m in checked_state(x)], c)
+        assert carries_its_state(rebuilt) and rebuilt == x, x
 
 
 @pytest.mark.parametrize(
@@ -187,9 +192,10 @@ def test_a_non_element_upper_end_is_rejected(axiom, top):
 
 
 def test_noncrossing_elements_are_scanned_once_through_json(monkeypatch):
-    # the constructor carries a state its closure makes valid, with no
-    # scan (the proof is in _order_of_partition's docstring), and
-    # preorder_to_json reads it back: no element is ever scanned
+    # the elements are mu images, and partition mode carries a state its
+    # closure makes valid, with no scan (the proof is in
+    # _order_of_partition's docstring); preorder_to_json reads either state
+    # back, so no element is ever scanned
     scans = []
 
     def scan(masks, ups, downs):
@@ -197,9 +203,11 @@ def test_noncrossing_elements_are_scanned_once_through_json(monkeypatch):
         return real_violations(masks, ups, downs)
 
     real_violations = _bind_everywhere(monkeypatch, "block_violations", scan)
-    elements = noncrossing_preorders(CoxeterElement(6, (2, 1, 4, 3, 5)))
+    c = CoxeterElement(6, (2, 1, 4, 3, 5))
+    elements = noncrossing_preorders(c)
     for q in elements:
         preorder_to_json(q)
+        preorder_to_json(noncrossing_order_of_partition([mask_values(m) for m in checked_state(q)], c))
     assert len(elements) == 132 and scans == []
 
 

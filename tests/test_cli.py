@@ -384,6 +384,36 @@ def test_verify_roundtrip_scans_the_bits_of_mu(capsys, monkeypatch):
     assert json.loads(out)["results"][0] == {"suite": "roundtrip", "n": 4, "pass": False, "failed_at": "1234"}
 
 
+def test_verify_sortable_suite_fails_on_a_bad_partition_constructor(capsys, monkeypatch):
+    # Reading's theorem is checked through the partition constructor: one
+    # that raises or builds another element fails the suite at the first
+    # word of the barring (exit 1, not the exit 2 of an error)
+    from shardorder import cli
+    from shardorder.errors import CrossingPartitionError, InvariantError
+
+    code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "sortable")
+    assert code == 0
+    assert json.loads(out)["results"] == [
+        {"suite": "sortable", "n": 4, "pass": True, "words": 6, "count_per_word": 14}
+    ]
+
+    def raising(error):
+        def build(masks, bar):
+            raise error("broken")
+
+        return build
+
+    for broken in (
+        raising(CrossingPartitionError),
+        raising(InvariantError),
+        lambda masks, bar: Preorder.discrete(bar.n),
+    ):
+        monkeypatch.setattr(cli, "_order_of_partition", broken)
+        code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "sortable")
+        assert code == 1
+        assert json.loads(out)["results"][0] == {"suite": "sortable", "n": 4, "pass": False, "failed_at": "1,2,3"}
+
+
 def test_verify_builds_the_lattice_once(capsys, monkeypatch):
     from shardorder import cli
 

@@ -49,7 +49,7 @@ from shardorder.preorders import (
     run_masks,
 )
 from shardorder.shards import Shard, enumerate_shards, intersect, to_preorder
-from shardorder.sortable import all_coxeter_elements, noncrossing_preorders, sortable_permutations
+from shardorder.sortable import all_coxeter_elements, is_noncrossing_preorder, sortable_permutations
 
 P = Permutation.parse
 
@@ -680,14 +680,33 @@ def test_indexed_elements_and_runs_come_from_the_words(lattice):
 
 def test_sortable_words_index_the_noncrossing_sublattice():
     # the c-sortable words index the noncrossing pre-orders (Reading,
-    # arXiv:0909.3288), in lam-word order, and the kernel's cover check
-    # passes on them; the rank sizes are the Narayana numbers
+    # arXiv:0909.3288), in lam-word order: the definitional test's filter of
+    # mu(S_n), which is in that order; the kernel's cover check passes on
+    # them, and the rank sizes are the Narayana numbers
     for n in range(1, 6):
         narayana = [math.comb(n, k) * math.comb(n, k - 1) // n for k in range(1, n + 1)]
+        elements = list(map(mu, all_permutations(n)))
         for c in all_coxeter_elements(n):
             sub = OmegaLattice(n, sortable_permutations(c))
-            assert sub.elements == tuple(noncrossing_preorders(c)), c
+            assert sub.elements == tuple(q for q in elements if is_noncrossing_preorder(q, c)), c
             assert [layer.bit_count() for layer in sub.layers] == narayana, c
+
+
+@pytest.mark.parametrize(
+    "words, match",
+    [
+        (["213", "132"], "no least or no greatest element"),
+        (["12", "123", "321"], "size n=3"),
+        (["123", "123", "321"], "repeat"),
+        ([], "one or more"),
+    ],
+    ids=["no_bottom", "wrong_size", "repeated", "empty"],
+)
+def test_lattice_rejects_bad_word_lists(words, match):
+    # each fault is named in one line, before any kernel work can fail on it
+    with pytest.raises(ValueError, match=match) as caught:
+        OmegaLattice(3, map(P, words))
+    assert "\n" not in str(caught.value)
 
 
 def test_interval_lattice_stays_small_at_n8():

@@ -1,7 +1,5 @@
 import itertools
 import math
-from functools import reduce
-from operator import or_
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -16,7 +14,6 @@ from shardorder.sortable import (
     CoxeterElement,
     _demands,
     _misoriented,
-    _noncrossing_partitions,
     _sortable,
     all_coxeter_elements,
     barring_of,
@@ -28,7 +25,16 @@ from shardorder.sortable import (
     sortable_permutations,
 )
 
-from oracles import avoids_barred_patterns, identity, linear_coxeter, reversed_coxeter
+from oracles import (
+    avoids_barred_patterns,
+    crosses,
+    crossing_free,
+    identity,
+    linear_coxeter,
+    noncrossing_partitions,
+    reversed_coxeter,
+    set_partitions,
+)
 
 P = Permutation.parse
 
@@ -157,9 +163,13 @@ def coxeter_words(low: int, high: int):
 )
 @given(coxeter_words(8, 9))
 def test_sortable_maps_onto_noncrossing_beyond_the_exhaustive_range(c):
+    # each image passes the definitional test and is its blocks' one
+    # noncrossing pre-order
     sortable = sortable_permutations(c)
     assert len(sortable) == math.comb(2 * c.n, c.n) // (c.n + 1)
-    assert {mu(p) for p in sortable} == set(noncrossing_preorders(c))
+    for q in map(mu, sortable):
+        assert is_noncrossing_preorder(q, c), (c, q)
+        assert noncrossing_order_of_partition([b.members for b in blocks(q)], c) == q, (c, q)
 
 
 # A failing example is reported as found: shrinking re-runs the construction.
@@ -205,7 +215,6 @@ def test_generation_does_not_touch_s_n(monkeypatch):
         raise AssertionError("noncrossing_preorders walked S_n")
 
     monkeypatch.setattr(shardorder.sortable, "all_permutations", forbidden)
-    monkeypatch.setattr(shardorder.preorders, "mu", forbidden)
     assert len(noncrossing_preorders(CoxeterElement.parse("2,1,4,3,5", 6))) == 132
 
 
@@ -237,7 +246,7 @@ def test_partition_oracle(lattice):
     "call, barrings",
     [
         (sortable_permutations, 0),  # built from sorting words, no barring read
-        (noncrossing_preorders, 1),
+        (noncrossing_preorders, 0),  # mu of the sortable words
         (lambda c: is_noncrossing_preorder(Preorder.complete(4), c), 1),
         (lambda c: noncrossing_order_of_partition([{1, 4}, {2, 3}], c), 1),
     ],
@@ -268,12 +277,12 @@ CALLS_PER_ELEMENT = {
 
 @pytest.mark.parametrize("name", list(CALLS_PER_ELEMENT))
 def test_one_pass_per_noncrossing_element(monkeypatch, name):
-    # each element closes its blocks once on the block state (no rows, no
-    # packed state read back) and computes its demands once, which are also
-    # its crossing test; the closure makes (P1)/(P2) true, so no scan runs
-    # (test_generated_elements_satisfy_the_axioms checks that instead); every
-    # namespace binding the function is counted, so a call through another
-    # module shows too
+    # each partition-mode call closes its blocks once on the block state (no
+    # rows, no packed state read back) and computes its demands once, which
+    # are also its crossing test; the closure makes (P1)/(P2) true, so no
+    # scan runs (test_generated_elements_satisfy_the_axioms checks that
+    # instead); every namespace binding the function is counted, so a call
+    # through another module shows too
     real = getattr(shardorder.sortable, name, None) or getattr(shardorder.preorders, name)
     calls = []
 
@@ -285,25 +294,11 @@ def test_one_pass_per_noncrossing_element(monkeypatch, name):
         if getattr(module, name, None) is real:
             monkeypatch.setattr(module, name, counted)
     for n in range(1, 7):
-        calls.clear()
-        noncrossing_preorders(linear_coxeter(n) if n > 1 else CoxeterElement(1, ()))
-        assert len(calls) == CALLS_PER_ELEMENT[name] * CATALAN[n]
-
-
-def _cross(m1: int, m2: int, cycle) -> bool:
-    """Do two disjoint value masks interleave on the cycle?  The definition
-    read literally: two values of each alternate in cycle order."""
-    a = [k for k, v in enumerate(cycle) if m1 >> (v - 1) & 1]
-    b = [k for k, v in enumerate(cycle) if m2 >> (v - 1) & 1]
-    return any(
-        w < x < y < z or x < w < z < y
-        for w, y in itertools.combinations(a, 2)
-        for x, z in itertools.combinations(b, 2)
-    )
-
-
-def _crossing_free(masks, cycle) -> bool:
-    return not any(_cross(m1, m2, cycle) for m1, m2 in itertools.combinations(masks, 2))
+        c = linear_coxeter(n) if n > 1 else CoxeterElement(1, ())
+        for part in noncrossing_partitions(barring_of(c)):
+            calls.clear()
+            noncrossing_order_of_partition([mask_values(m) for m in part], c)
+            assert len(calls) == CALLS_PER_ELEMENT[name], (n, part)
 
 
 def test_demanded_both_ways_is_crossing():
@@ -320,21 +315,9 @@ def test_demanded_both_ways_is_crossing():
                 while m2 > m1:  # each unordered pair once
                     demands = _demands([m1, m2], bar)
                     both = bool(demands) and demands[0][2] and demands[0][3]
-                    assert _cross(m1, m2, bar.cycle) == both, (bar.cycle, Block.of(m1), Block.of(m2))
+                    assert crosses(m1, m2, bar.cycle) == both, (bar.cycle, Block.of(m1), Block.of(m2))
                     assert all(below or above for _, _, below, above in demands), (bar.cycle, m1, m2)
                     m2 = (m2 - 1) & rest
-
-
-def _set_partitions(values):
-    """Every set partition of the list ``values``, as lists of value masks."""
-    if not values:
-        yield []
-        return
-    first = 1 << (values[0] - 1)
-    for part in _set_partitions(values[1:]):
-        yield [first, *part]
-        for k in range(len(part)):
-            yield [*part[:k], part[k] | first, *part[k + 1 :]]
 
 
 def test_only_crossing_partitions_are_rejected():
@@ -344,9 +327,9 @@ def test_only_crossing_partitions_are_rejected():
     for n in range(1, 7):
         for c in {barring_of(c): c for c in all_coxeter_elements(n)}.values():
             cycle = barring_of(c).cycle
-            for part in _set_partitions(list(range(1, n + 1))):
+            for part in set_partitions(list(range(1, n + 1))):
                 sets = [mask_values(m) for m in part]
-                if _crossing_free(part, cycle):
+                if crossing_free(part, cycle):
                     q = noncrossing_order_of_partition(sets, c)
                     assert sorted(b.mask for b in blocks(q)) == sorted(part), (cycle, sets)
                 else:
@@ -354,19 +337,16 @@ def test_only_crossing_partitions_are_rejected():
                         noncrossing_order_of_partition(sets, c)
 
 
-def test_generated_partitions_are_noncrossing():
-    # every partition _noncrossing_partitions yields for every barring at
-    # n <= 6 is noncrossing by the definition, and they are the Catalan(n)
-    # distinct partitions of [n]
+def test_block_partitions_are_the_noncrossing_partitions():
+    # every barring at n <= 6: the block partitions of the noncrossing
+    # pre-orders are exactly the set partitions of [n] whose blocks do not
+    # alternate on the cycle, one element each
     for n in range(1, 7):
-        for bar in {barring_of(c) for c in all_coxeter_elements(n)}:
-            cells = [1 << (v - 1) for v in bar.cycle]
-            parts = list(_noncrossing_partitions(cells))
-            for part in parts:
-                assert _crossing_free(part, bar.cycle), (bar.cycle, part)
-                # nonempty, disjoint (their sum is their union) and covering [n]
-                assert all(part) and sum(part) == reduce(or_, part) == (1 << n) - 1, part
-            assert len({frozenset(part) for part in parts}) == len(parts) == CATALAN[n], bar.cycle
+        for bar, c in {barring_of(c): c for c in all_coxeter_elements(n)}.items():
+            parts = [frozenset(b.mask for b in blocks(q)) for q in noncrossing_preorders(c)]
+            oracle = {frozenset(part) for part in noncrossing_partitions(bar)}
+            assert len(set(parts)) == len(parts) == len(oracle) == CATALAN[n], bar.cycle
+            assert set(parts) == oracle, bar.cycle
 
 
 def test_noncrossing_trivial_elements():
@@ -376,10 +356,12 @@ def test_noncrossing_trivial_elements():
 
 
 def test_sortable_noncrossing_equivalence_small():
+    # against the definitional test on every element of S_n
     for n in range(1, 5):
+        elements = list(map(mu, all_permutations(n)))
         for c in all_coxeter_elements(n):
             image = {mu(p) for p in sortable_permutations(c)}
-            found = set(noncrossing_preorders(c))
+            found = {q for q in elements if is_noncrossing_preorder(q, c)}
             assert image == found
             assert len(found) == CATALAN[n]
 
@@ -432,12 +414,16 @@ def test_mask_orientation_rule_matches_witnesses():
 
 
 def test_noncrossing_order_is_the_sortable_order():
-    # lam(mu(p)) == p, so listing by lam word lists mu of the sorted
-    # c-sortable permutations; one word per barring of S_7
+    # one word per barring of S_7: read from their bits alone (no carried
+    # state), the elements pass the definitional test and their lam words,
+    # found by the full scan, strictly increase
     words = {barring_of(c): c for c in all_coxeter_elements(7)}
     assert len(words) == 32
     for c in words.values():
-        assert noncrossing_preorders(c) == [mu(p) for p in sortable_permutations(c)], c
+        plain = [Preorder(q.n, q.bits) for q in noncrossing_preorders(c)]
+        assert all(is_noncrossing_preorder(q, c) for q in plain), c
+        found = [lam(q).word for q in plain]
+        assert all(a < b for a, b in zip(found, found[1:])), c
 
 
 def test_partition_construction_singletons():
@@ -494,8 +480,8 @@ def test_generated_elements_satisfy_the_axioms():
     # them true), on every element of every barring at n <= 6
     for n in range(1, 7):
         for bar in {barring_of(c) for c in all_coxeter_elements(n)}:
-            for part in _noncrossing_partitions([1 << (v - 1) for v in bar.cycle]):
-                q = shardorder.sortable._order_of_partition(part, bar)[1]
+            for part in noncrossing_partitions(bar):
+                q = shardorder.sortable._order_of_partition(part, bar)
                 assert not list(block_violations(*block_masks(q))), (bar.cycle, part)
 
 
@@ -505,8 +491,8 @@ def test_generated_elements_are_oriented_as_demanded():
     # of every barring at n <= 6
     for n in range(1, 7):
         for bar in {barring_of(c) for c in all_coxeter_elements(n)}:
-            for part in _noncrossing_partitions([1 << (v - 1) for v in bar.cycle]):
-                q = shardorder.sortable._order_of_partition(part, bar)[1]
+            for part in noncrossing_partitions(bar):
+                q = shardorder.sortable._order_of_partition(part, bar)
                 masks, ups, _ = block_masks(q)
                 assert not _misoriented(masks, ups, _demands(masks, bar)), (bar.cycle, part)
 
