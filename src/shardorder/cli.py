@@ -25,6 +25,7 @@ from .preorders import (
     checked_state,
     lam,
     mu,
+    mu_words,
     preorder_to_json,
 )
 from .shards import enumerate_shards, intersect, lower_shards, to_preorder
@@ -298,7 +299,7 @@ def _noncrossing_image(perms, bar, expected: int) -> bool:
     partition is noncrossing and distinct from the others'.  A constructor
     that raises fails the check.
     """
-    image = set(map(mu, perms))
+    image = set(mu_words([p.word for p in perms], bar.n))
     try:
         return len(image) == expected and all(_order_of_partition(checked_state(q), bar) == q for q in image)
     except ShardOrderError:

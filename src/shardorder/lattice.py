@@ -3,9 +3,11 @@ The lattice of permutation pre-orders under containment of relations.
 
 Elements are the n! pre-orders mu(S_n); a <= b iff every related pair of a
 is related in b.  An indexed lattice (``OmegaLattice``) takes lam words
-alone: it builds each element with ``mu`` and keeps the runs mu carries,
-the blocks in placement order, for the ranks (n minus the number of runs)
-and the edge labels of ``shelling``.  ``build_lattice`` passes it S_n.  It
+alone: it builds its elements with one ``preorders.mu_words`` pass over
+the words in their order (sorted, each shares most of its prefix with
+the one before) and keeps the runs each element carries, the blocks in
+placement order, for the ranks (n minus the number of runs) and the
+edge labels of ``shelling``.  ``build_lattice`` passes it S_n.  It
 indexes the elements with one bitset kernel over the element indices.
 a <= b iff each row of a lies inside the same row of b.  One
 transposition of all the relations gives, for each pair of values, the
@@ -65,7 +67,7 @@ from functools import reduce
 from operator import and_, itemgetter, or_
 from .errors import IncomparableError, InvalidPreorderError, InvariantError, ResourceLimitError
 from .perms import Permutation, _of_word, all_permutations
-from .preorders import Preorder, block_rows, checked_state, down_sets, lam, lam_packed, mu, relate_blocks
+from .preorders import Preorder, block_rows, checked_state, down_sets, lam, lam_packed, mu_words, relate_blocks
 
 LATTICE_SIZE_CAP = 7
 
@@ -242,7 +244,7 @@ class OmegaLattice:
     Callers give the words sorted, so diagrams and reports are stable.  The
     words must be distinct permutations of [n] whose elements have a least
     and a greatest one; other lists raise ``ValueError``.
-    ``elements[i]`` is mu(words[i]), and ``runs[i]`` the blocks it carries:
+    ``elements[i]`` is mu(words[i]) (one ``mu_words`` pass), and ``runs[i]`` the blocks it carries:
     the descending runs of words[i], left to right.  ``up_mask[i]`` has bit
     j set iff elements[i] <= elements[j], ``down_mask[i]`` bit j iff
     elements[j] <= elements[i], and ``layers[r]`` holds the elements of
@@ -254,7 +256,7 @@ class OmegaLattice:
         self.words: tuple[Permutation, ...] = tuple(words)
         if not self.words or any(w.n != n for w in self.words):
             raise ValueError(f"the words must be one or more permutations of size n={n}")
-        self.elements: tuple[Preorder, ...] = tuple(map(mu, self.words))
+        self.elements: tuple[Preorder, ...] = tuple(mu_words([w.word for w in self.words], n))
         self.runs: tuple[tuple[int, ...], ...] = tuple(map(checked_state, self.elements))
         self.index: dict[Preorder, int] = {q: i for i, q in enumerate(self.elements)}
         if len(self.index) != len(self.elements):

@@ -7,7 +7,7 @@ the comma-separated form "2,6,3,1,4,7,5,8" otherwise; both are accepted by
 :func:`Permutation.parse`.
 
 The descending runs of a word become the blocks of its pre-order (read
-as value masks by ``preorders.run_masks``); the two barred patterns of
+as value masks by ``preorders.mu_words``); the two barred patterns of
 c-sortability are decided on the word by ``sortable._sortable``.
 """
 from __future__ import annotations

@@ -21,8 +21,12 @@ The elements of the lattice are the pre-orders satisfying two axioms:
 
 ``mu`` sends a permutation to such a pre-order (descending runs become
 blocks, overlapping runs are ordered left-below-right) and ``lam`` is its
-inverse.  ``mu`` packs its bits from the word's ``run_masks`` and their
-up-sets (one pass from the right, ``run_ups``) and carries the runs.
+inverse.  One kernel computes it, ``mu_words``, for a whole list of words
+(``mu`` is its one-word case): it reads each word left to right, fills
+the columns of a finished run with one product of its down-set and the
+run, and keeps the state before each letter, so a word resumes at the
+prefix it shares with the word before it.  It carries the runs, the
+word's ``run_masks``.
 ``lam`` writes the blocks as descending runs in their run order: a
 block's run is preceded by the blocks below it and by the incomparable
 blocks to its numeric left, its before-set.  Those masks must be the
@@ -50,8 +54,8 @@ then carries its block masks in run order (the runs of lam(q), so a
 placement is an index) in the private slot ``_state``, which ``==``,
 ``hash`` and ``repr`` ignore; the up-sets are rows of the bits
 (``block_rows``).  Code that has just checked a state, or proved it
-valid, carries it from the start: ``mu`` (every image of a permutation is
-an element; the proof is in its docstring), ``lam_packed``, which orders
+valid, carries it from the start: ``mu_words`` (every image of a
+permutation is an element; the proof is in its docstring), ``lam_packed``, which orders
 a state by its own slot pass and which the cover search
 (``lattice._merge_candidates``, after its restricted scan), partition
 mode (``sortable._order_of_partition``, whose closure makes (P1)/(P2)
@@ -106,7 +110,8 @@ def mask_values(mask: int) -> list[int]:
 
 
 def run_masks(word: Sequence[int]) -> tuple[int, ...]:
-    """Value masks of the descending runs of a word, left to right."""
+    """Value masks of the descending runs of a word, left to right: the
+    runs ``mu_words`` carries on the word's element."""
     masks, run, prev = [], 0, 0
     for v in word:
         if v > prev and run:
@@ -116,25 +121,6 @@ def run_masks(word: Sequence[int]) -> tuple[int, ...]:
         prev = v
     masks.append(run)
     return tuple(masks)
-
-
-def run_ups(runs: Sequence[int]) -> list[int]:
-    """The up-set of each run of a word, given by its ``run_masks``, in the
-    pre-order of the word: runs are blocks, and of two runs with
-    intersecting value intervals the one further right is above.  Every
-    such generator points right, so a run's up-set is the run plus the
-    up-sets of the overlapping runs to its right: one pass from the right
-    closes the relation."""
-    ups, done = [], []  # done: (span, up-set) of the runs to the right
-    for mask in reversed(runs):
-        run_span, up = (1 << mask.bit_length()) - (mask & -mask), mask  # its interval
-        for right_span, right_up in done:
-            if run_span & right_span:
-                up |= right_up
-        done.append((run_span, up))
-        ups.append(up)
-    ups.reverse()
-    return ups
 
 
 class Preorder(Frozen):
@@ -191,18 +177,6 @@ class Preorder(Frozen):
         _set_bits(q, bits)
         _set_state(q, None)
         return q
-
-    @staticmethod
-    def _of_blocks(n: int, masks: Sequence[int], ups: Sequence[int]) -> "Preorder":
-        """Pack block value masks and their up-sets, already closed (see ``block_masks``):
-        each block's up-set is shifted into the row of each of its values."""
-        bits = 0
-        for mask, up in zip(masks, ups):
-            while mask:
-                low = mask & -mask
-                bits |= up << (n * (low.bit_length() - 1))
-                mask ^= low
-        return Preorder._unchecked(n, bits)
 
     @staticmethod
     def from_pairs(n: int, pairs) -> "Preorder":
@@ -290,8 +264,10 @@ class Block(NamedTuple):
 
 
 def blocks(q: Preorder) -> tuple[Block, ...]:
-    """Blocks of q, sorted by minimal member."""
-    return tuple(Block.of(mask) for mask in block_masks(q)[0])
+    """Blocks of q, sorted by minimal member: the block masks q carries,
+    if it carries its state, else those ``block_masks`` reads off the bits."""
+    masks = block_masks(q)[0] if q._state is None else sorted(q._state, key=lambda b: b & -b)
+    return tuple(Block.of(mask) for mask in masks)
 
 
 class Violation(NamedTuple):
@@ -479,14 +455,30 @@ def block_rows(q: Preorder, masks: Sequence[int]) -> list[int]:
 
 
 def mu(p: Permutation) -> Preorder:
-    """Pre-order of a permutation: runs are blocks, overlaps order them.
+    """Pre-order of a permutation: runs are blocks, overlaps order them
+    (``mu_words`` of its one word)."""
+    return mu_words((p.word,), p.n)[0]
 
-    Of two distinct runs with intersecting value intervals, the one further
-    right in the word gives the greater block; the relation is the
-    transitive closure of these generators.  The word's ``run_masks`` are
-    the blocks in run order (lam(mu(p)) = p); the bits are packed from them
-    and their up-sets (``run_ups``), and the element carries them, with no
-    scan, for the image of every permutation is an element:
+
+def mu_words(words, n: int) -> list[Preorder]:
+    """mu of each permutation word of [n] in ``words``, in their order.
+
+    The descending runs of a word are the blocks (its ``run_masks``, in
+    run order, so lam(mu(p)) = p).  Of two distinct runs with intersecting
+    value intervals, the one further right gives the greater block; the
+    relation is the transitive closure of these generators.  Every
+    generator points right, so when a run ends, at the first letter above
+    its last, its down-set is fixed: the run plus the down-sets of the
+    earlier runs whose intervals meet it.  Column b of the packed bits is
+    the down-set of b's block, so the run fills all its columns with one
+    product, spread(down) * run, where spread(down) has bit (a-1)*n for
+    each value a of the down-set.
+
+    The state before each letter (bits, the open run and its spread, the
+    number of finished runs) is kept, so a word resumes at the prefix it
+    shares with the word before it: in a sorted list that is most of it.
+    Each element carries its runs, with no scan, for the image of every
+    permutation is an element:
 
     - No runs merge: every generator points right, so a run is below only
       runs to its right, and two runs are never related both ways.
@@ -496,8 +488,40 @@ def mu(p: Permutation) -> Preorder:
       block strictly between its ends, so it is one generator, and the
       runs of a generator overlap.
     """
-    runs = run_masks(p.word)
-    return _carry(Preorder._of_blocks(p.n, runs, run_ups(runs)), runs)
+    out, runs, done = [], [], []  # done: (interval, spread down-set) of each finished run
+    states = [(0, 0, 0, 0)] * (n + 1)  # (bits, open run, its spread, finished runs) before each letter
+    last = ()
+    for word in words:
+        i = 0
+        for a, b in zip(word, last):
+            if a != b:
+                break
+            i += 1
+        bits, run, spread, m = states[i]
+        del runs[m:], done[m:]
+        for v in (*word[i:], n + 1):  # n + 1 ends the last run
+            states[i] = (bits, run, spread, m)
+            i += 1
+            bit = 1 << (v - 1)
+            if run & (bit - 1):  # v is above the run's last letter: the run ends
+                span, down = (1 << run.bit_length()) - (run & -run), spread
+                for s, d in done:
+                    if s & span:
+                        down |= d
+                bits |= down * run
+                runs.append(run)
+                done.append((span, down))
+                run = spread = 0
+                m += 1
+            run |= bit
+            spread |= 1 << n * (v - 1)
+        q = _new(Preorder)  # Preorder._unchecked and _carry, inlined: this runs once per word
+        _set_n(q, n)
+        _set_bits(q, bits)
+        _set_state(q, tuple(runs))
+        out.append(q)
+        last = word
+    return out
 
 
 def _run_slots(masks: Sequence[int], ups: Sequence[int], downs: Sequence[int]) -> list[tuple[int, int]]:
@@ -560,7 +584,7 @@ def lam_packed(n: int, masks: Sequence[int], ups: Sequence[int], downs: Sequence
     that its caller has just checked (or proved) to satisfy (P1)/(P2), in
     one walk over its slot pass (``_run_slots``, which raises if the blocks
     have no run order): each block writes its run and shifts its up-set
-    into the row of each of its values, as ``Preorder._of_blocks`` does.
+    into the row of each of its values.
     The pre-order carries the block masks in that run order (``checked_state``)."""
     word, bits, runs = [], 0, []
     for b, up in _run_slots(masks, ups, downs):

@@ -14,13 +14,17 @@ over S_n (``pattern_sortable_permutations``) runs the same pass.  The
 elements themselves are built from their c-sorting words (Reading,
 arXiv:math/0507186): reduced subwords c_{K1} c_{K2} ... of c^infinity
 whose letter sets shrink, each K containing the next, with no pass over
-S_n.
+S_n.  One search (``_sortable_words``) finds them: each call emits one
+element and takes each remaining letter in turn, so it makes Catalan(n)
+calls.  The barring of a word is derived once per ``CoxeterElement``
+object (``barring_of``) and kept in a private slot.
 
 Under mu the c-sortable permutations are exactly the pre-orders whose
 blocks are noncrossing on the cycle and whose overlapping blocks are
 oriented by the bar of any strictly inside witness (Reading,
-arXiv:0909.3288), so ``noncrossing_preorders(c)`` is mu of the
-sorting-word list.  Each noncrossing partition is the block partition
+arXiv:0909.3288), so ``noncrossing_preorders(c)`` is one ``mu_words``
+pass over the sorted sorting-word list, where most of each word is
+shared with the one before.  Each noncrossing partition is the block partition
 of exactly one of them, which ``_order_of_partition`` builds from the
 blocks alone: that is partition mode, where no word exists, and the
 check of the theorem in ``verify --suite sortable``.
@@ -44,13 +48,15 @@ from typing import Iterator, NamedTuple
 from .errors import CrossingPartitionError, InvariantError
 from .frozen import Frozen
 from .perms import Permutation, _of_word, all_permutations
-from .preorders import Preorder, block_rows, checked_state, close_blocks, lam_packed, mu, partition_masks
+from .preorders import Preorder, block_rows, checked_state, close_blocks, lam_packed, mu_words, partition_masks
 
 
 class CoxeterElement(Frozen):
     """A word in the simple generators, each index 1..n-1 exactly once."""
 
-    __slots__ = ("n", "word")
+    # _barring is the word's barring (``barring_of``), derived on first use,
+    # a private slot, so ``==``, ``hash`` and ``repr`` ignore it
+    __slots__ = ("n", "word", "_barring")
 
     def __init__(self, n: int, word: tuple[int, ...]):
         word = tuple(word)
@@ -62,6 +68,7 @@ class CoxeterElement(Frozen):
             raise ValueError(f"word must use each generator 1..{n - 1} once, got {word!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "word", word)
+        object.__setattr__(self, "_barring", None)
 
     @classmethod
     def parse(cls, text: str, n: int) -> "CoxeterElement":
@@ -97,12 +104,16 @@ class Barring(NamedTuple):
 
 
 def barring_of(c: CoxeterElement) -> Barring:
-    pos = {gen: k for k, gen in enumerate(c.word)}
-    lower = frozenset(i for i in range(2, c.n) if pos[i - 1] < pos[i])
-    upper = frozenset(range(2, c.n)) - lower
-    top = (c.n,) if c.n > 1 else ()
-    cycle = (1, *sorted(lower), *top, *sorted(upper, reverse=True))
-    return Barring(c.n, lower, upper, cycle, sum(1 << (v - 1) for v in upper))
+    """The barring of c, derived once per object and kept on it, so a
+    caller testing many elements against one word pays for it once."""
+    if c._barring is None:
+        pos = {gen: k for k, gen in enumerate(c.word)}
+        lower = frozenset(i for i in range(2, c.n) if pos[i - 1] < pos[i])
+        upper = frozenset(range(2, c.n)) - lower
+        top = (c.n,) if c.n > 1 else ()
+        cycle = (1, *sorted(lower), *top, *sorted(upper, reverse=True))
+        object.__setattr__(c, "_barring", Barring(c.n, lower, upper, cycle, sum(1 << (v - 1) for v in upper)))
+    return c._barring
 
 
 def _sortable(word: tuple[int, ...], upper_mask: int) -> bool:
@@ -157,35 +168,39 @@ def pattern_sortable_permutations(bar: Barring) -> list[Permutation]:
 
 
 def sortable_permutations(c: CoxeterElement) -> list[Permutation]:
-    """The c-sortable permutations, sorted, built from their c-sorting words.
+    """The c-sortable permutations, sorted, built from their c-sorting words
+    (``_sortable_words``)."""
+    return list(map(_of_word, _sortable_words(c)))
 
-    A search reads c^infinity letter by letter from the identity.  The
-    first letter s of the current word is either dropped for good (the
-    rest of the word lives in the parabolic subgroup without s), or taken
-    when it raises the length: the prefix is multiplied by s on the right,
-    which swaps positions s and s+1, and s moves to the end of the word.
-    Each branch that has dropped every letter is one element, so the cost
-    is Catalan(n) leaves, not n! filter tests.  The leaves are permutation
-    words by construction (products of transpositions of the identity),
-    so they are sorted as tuples and wrapped without a second check.
+
+def _sortable_words(c: CoxeterElement) -> list[tuple[int, ...]]:
+    """The words of the c-sortable permutations, sorted as tuples.
+
+    A search reads c^infinity letter by letter from the identity.  Each
+    letter s of the current word is either dropped for good (the rest of
+    the word lives in the parabolic subgroup without s), or taken when it
+    raises the length: the prefix is multiplied by s on the right, which
+    swaps positions s and s+1, and s moves to the end of the word.  A call
+    emits its element, the one that drops every letter left, and then
+    takes each letter in turn, the letters before it dropped: one call per
+    element, Catalan(n) of them, not n! filter tests.  The elements are
+    permutation words by construction (products of transpositions of the
+    identity), so they are sorted as tuples with no second check.
     """
     found = []
     u = list(range(1, c.n + 1))
 
     def search(word: tuple[int, ...]) -> None:
-        if not word:
-            found.append(tuple(u))
-            return
-        s, rest = word[0], word[1:]
-        search(rest)
-        if u[s - 1] < u[s]:
-            u[s - 1], u[s] = u[s], u[s - 1]
-            search((*rest, s))
-            u[s - 1], u[s] = u[s], u[s - 1]
+        found.append(tuple(u))
+        for k, s in enumerate(word):
+            if u[s - 1] < u[s]:
+                u[s - 1], u[s] = u[s], u[s - 1]
+                search((*word[k + 1:], s))
+                u[s - 1], u[s] = u[s], u[s - 1]
 
     search(c.word)
     found.sort()
-    return list(map(_of_word, found))
+    return found
 
 
 def _demands(masks, bar: Barring) -> list[tuple[int, int, bool, bool]]:
@@ -260,8 +275,9 @@ def is_noncrossing_preorder(w: Preorder, c: CoxeterElement) -> bool:
 
 def noncrossing_preorders(c: CoxeterElement) -> list[Preorder]:
     """All noncrossing pre-orders for c, in the lexicographic order of their lam
-    words: mu of the sorted c-sortable permutations (Reading, arXiv:0909.3288)."""
-    return list(map(mu, sortable_permutations(c)))
+    words: mu of the sorted c-sortable words (Reading, arXiv:0909.3288), in one
+    ``mu_words`` pass."""
+    return mu_words(_sortable_words(c), c.n)
 
 
 def noncrossing_order_of_partition(block_sets, c: CoxeterElement) -> Preorder:

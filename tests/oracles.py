@@ -2,7 +2,8 @@
 
 The extreme words of S_n, the inversion set (the order ``mu`` must
 respect), the descending runs as value tuples (what ``run_masks`` must
-read), the two Coxeter words that bar every value one way, and the
+read), ``mu`` read literally off those runs (what ``mu_words`` must
+compute), the two Coxeter words that bar every value one way, and the
 barred patterns found by the literal search over value triples (what
 ``is_c_sortable`` must decide), and the noncrossing partitions of a
 cycle found by the literal alternation rule over every set partition
@@ -11,6 +12,7 @@ cycle found by the literal alternation rule over every set partition
 import itertools
 
 from shardorder.perms import Permutation
+from shardorder.preorders import Preorder
 from shardorder.sortable import CoxeterElement
 
 
@@ -38,6 +40,20 @@ def descending_runs(p: Permutation) -> list[tuple[int, ...]]:
             runs.append(w[start : i + 1])
             start = i + 1
     return runs
+
+
+def mu_by_definition(p: Permutation) -> Preorder:
+    """mu read literally: the values of each descending run are related
+    both ways, every value of a run is below every value of each run
+    further right whose value interval meets it, and ``Preorder.from_pairs``
+    closes the relation."""
+    runs = descending_runs(p)
+    pairs = [(a, b) for run in runs for a in run for b in run]
+    for i, left in enumerate(runs):
+        for right in runs[i + 1 :]:
+            if min(left) <= max(right) and min(right) <= max(left):
+                pairs += [(a, b) for a in left for b in right]
+    return Preorder.from_pairs(p.n, pairs)
 
 
 def linear_coxeter(n: int) -> CoxeterElement:

@@ -222,7 +222,7 @@ def test_each_call_reads_the_block_state_once(monkeypatch):
 def test_each_cover_is_written_in_one_pass(monkeypatch):
     # the word rule's slot pass (_run_slots) runs once on every cover found,
     # and the cover's word and bits come from that one pass, not from a
-    # packing or a runs_word pass of their own
+    # runs_word pass of their own
     import shardorder.preorders as preorders
 
     calls = Counter()
@@ -239,7 +239,6 @@ def test_each_cover_is_written_in_one_pass(monkeypatch):
         for module in list(sys.modules.values()):
             if module.__name__.split(".")[0] == "shardorder" and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy(name, real))
-    monkeypatch.setattr(Preorder, "_of_blocks", staticmethod(spy("_of_blocks", Preorder._of_blocks)))
     for p in (P("1"), P("26314758"), P("231978456"), P("987654321")):
         q = mu(p)
         calls.clear()

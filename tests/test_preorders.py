@@ -5,6 +5,8 @@ import pkgutil
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shardorder.errors import InvalidPreorderError
 from shardorder.perms import Permutation, all_permutations
@@ -19,13 +21,15 @@ from shardorder.preorders import (
     cover_masks,
     lam,
     mu,
+    mu_words,
     placements,
     preorder_from_json,
     preorder_to_json,
     relate_blocks,
+    run_masks,
 )
 
-from oracles import descending_runs, identity, inversions, reversal
+from oracles import descending_runs, identity, inversions, linear_coxeter, mu_by_definition, reversal
 
 P = Permutation.parse
 
@@ -127,6 +131,83 @@ def test_mu_blocks_are_runs():
         for p in all_permutations(n):
             runs = {frozenset(r) for r in descending_runs(p)}
             assert {b.members for b in blocks(mu(p))} == runs
+
+
+def _check_mu_words(words, n, expected=None):
+    """mu_words of the list against the definition, element by element:
+    its bits, and the runs it carries (the word's ``run_masks``)."""
+    got = mu_words(words, n)
+    assert len(got) == len(words)
+    for word, q in zip(words, got):
+        want = expected[word] if expected else mu_by_definition(Permutation(word))
+        assert q == want and q._state == run_masks(word), word
+
+
+def test_mu_words_is_mu_by_definition_over_s_n():
+    # S_n in lex order, where each word resumes at the prefix it shares
+    # with the word before, and the same list shuffled
+    rng = random.Random(29)
+    for n in range(1, 8):
+        words = [p.word for p in all_permutations(n)]
+        expected = {w: mu_by_definition(Permutation(w)) for w in words}
+        _check_mu_words(words, n, expected)
+        rng.shuffle(words)
+        _check_mu_words(words, n, expected)
+
+
+def test_mu_words_on_repeated_and_single_words():
+    w, v = P("26314758").word, P("26314785").word  # v shares all but the last two letters
+    low, high = identity(8).word, reversal(8).word
+    for words in ([w], [w, w], [w, w, w], [w, v, w, v], [v, w, w, low, high, high, w], [high, low, low]):
+        _check_mu_words(words, 8)
+    assert mu_words([], 8) == []
+    for n in range(1, 5):
+        for p in all_permutations(n):
+            _check_mu_words([p.word], n)
+            _check_mu_words([p.word] * 3, n)
+
+
+@st.composite
+def word_lists(draw):
+    """(n, a list of words of S_n, n = 8..12): each word after the first
+    keeps a prefix of the word before and shuffles the rest, so lists mix
+    long and short shared prefixes and repeated words; half are sorted."""
+    n = draw(st.integers(8, 12))
+    word = tuple(draw(st.permutations(range(1, n + 1))))
+    words = [word]
+    for _ in range(draw(st.integers(0, 12))):
+        k = draw(st.integers(0, n))
+        word = (*word[:k], *draw(st.permutations(word[k:])))
+        words.append(word)
+    if draw(st.booleans()):
+        words.sort()
+    return n, words
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(word_lists())
+def test_mu_words_on_random_lists(case):
+    n, words = case
+    _check_mu_words(words, n)
+
+
+def test_blocks_read_the_carried_masks(monkeypatch):
+    # an element that carries its state (a mu image, a cover, a
+    # partition-mode element) gives its blocks with no pass over its rows,
+    # and they are the blocks its bits give
+    import shardorder.preorders as preorders
+    from shardorder.lattice import covers_up
+    from shardorder.sortable import noncrossing_order_of_partition
+
+    carried = [mu(p) for n in range(1, 6) for p in all_permutations(n)]
+    carried += [c for p in all_permutations(4) for c in covers_up(mu(p))]
+    carried += [noncrossing_order_of_partition([[1, 4], [2, 3], [5]], linear_coxeter(5))]
+    calls, real = [], preorders.block_masks
+    monkeypatch.setattr(preorders, "block_masks", lambda q: calls.append(q) or real(q))
+    got = [blocks(q) for q in carried]
+    assert calls == []
+    assert got == [blocks(Preorder(q.n, q.bits)) for q in carried]
+    assert len(calls) == len(carried)
 
 
 def test_validate_discrete_ok():

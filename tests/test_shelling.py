@@ -323,21 +323,23 @@ def test_cover_that_does_not_merge_two_runs_raises():
 
 
 def test_whole_lattice_reads_each_word_once(monkeypatch):
-    # the runs mu packs from are the runs the edge labels read: one call per word
-    real, calls = preorders.run_masks, []
+    # the runs mu_words carries are the runs the edge labels read: one
+    # mu_words call over the n! words, and no word read again
+    real, calls = preorders.mu_words, []
 
-    def counted(word):
-        calls.append(word)
-        return real(word)
+    def counted(words, n):
+        words = list(words)
+        calls.append(len(words))
+        return real(words, n)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "shardorder" and getattr(module, "run_masks", None) is real:
-            monkeypatch.setattr(module, "run_masks", counted)
+        if name.split(".")[0] == "shardorder" and getattr(module, "mu_words", None) is real:
+            monkeypatch.setattr(module, "mu_words", counted)
     for n in range(1, 7):
         calls.clear()
         lat = build_lattice(n)
         chain_report(Preorder.discrete(n), Preorder.complete(n), lat)
-        assert len(calls) == math.factorial(n), n
+        assert calls == [math.factorial(n)], n
 
 
 def test_greedy_chain_builds_the_block_covers_once_per_step(monkeypatch):

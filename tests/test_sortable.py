@@ -13,6 +13,7 @@ from shardorder.preorders import Block, Preorder, block_masks, block_violations,
 from shardorder.sortable import (
     CoxeterElement,
     _demands,
+    _sortable_words,
     _misoriented,
     _sortable,
     all_coxeter_elements,
@@ -548,3 +549,37 @@ def test_size_mismatch_rejected():
         is_c_sortable(identity(4), linear_coxeter(5))
     with pytest.raises(ValueError):
         is_noncrossing_preorder(Preorder.discrete(4), linear_coxeter(5))
+
+
+def test_sortable_words_are_emitted_once_each():
+    # the search emits one word per call, and a word emitted twice would
+    # stay twice through the sort: the sorted list holds Catalan(n)
+    # distinct words
+    for n in range(1, 8):
+        catalan = math.comb(2 * n, n) // (n + 1)
+        for c in all_coxeter_elements(n):
+            words = _sortable_words(c)
+            assert len(set(words)) == len(words) == catalan, c
+            assert words == sorted(words), c
+
+
+def test_barring_is_derived_once_per_word(monkeypatch):
+    # many elements tested against one word, through both sortable entry
+    # points that take the word, derive its barring once; the slot that
+    # keeps it is private, so ==, hash and repr ignore it
+    real, made = shardorder.sortable.Barring, []
+
+    def counted(*fields):
+        made.append(fields)
+        return real(*fields)
+
+    monkeypatch.setattr(shardorder.sortable, "Barring", counted)
+    c = CoxeterElement(6, (2, 1, 4, 3, 5))
+    elements = noncrossing_preorders(c)
+    assert all(is_noncrossing_preorder(q, c) for q in elements)
+    assert all(noncrossing_order_of_partition([b.members for b in blocks(q)], c) == q for q in elements)
+    assert len(made) == 1
+    fresh = CoxeterElement(6, (2, 1, 4, 3, 5))
+    assert fresh == c and hash(fresh) == hash(c) and repr(fresh) == repr(c)
+    assert barring_of(c) is barring_of(c) == barring_of(fresh)
+    assert len(made) == 2
