@@ -12,7 +12,7 @@ from .errors import (
     ResourceLimitError,
     ShardOrderError,
 )
-from .perms import Permutation, all_permutations, is_indecomposable
+from .perms import Permutation, all_permutations
 from .preorders import (
     Block,
     Preorder,
@@ -33,7 +33,7 @@ from .shards import (
     lower_shards,
     to_preorder,
 )
-from .lattice import OmegaLattice, build_lattice, covers_up, join, leq
+from .lattice import OmegaLattice, build_lattice, covers_up, join, leq, meet
 from .shelling import (
     LabeledChain,
     chain_report,
@@ -85,12 +85,12 @@ __all__ = [
     "increasing_chain",
     "intersect",
     "is_c_sortable",
-    "is_indecomposable",
     "is_noncrossing_preorder",
     "join",
     "lam",
     "leq",
     "lower_shards",
+    "meet",
     "mobius",
     "mu",
     "noncrossing_order_of_partition",

@@ -60,6 +60,11 @@ the cover search finds it.
 that was checked before (a cover, a JSON or a join result, or an argument
 of an earlier call) is not checked again; its result is checked once and
 carries that state.
+
+``meet`` needs no index either.  The single shards are the atoms and
+every element is an intersection of shards, the join of the atoms below
+it, so the meet of a and b is the join of the atoms inside the relation
+a & b, read off a & b with no shard built, and checked as ``join`` is.
 """
 from __future__ import annotations
 
@@ -87,16 +92,52 @@ def join(a: Preorder, b: Preorder) -> Preorder:
     result is always an element; that is checked, not assumed, and the
     result carries the state it was checked on (``checked_state``).
     """
+    _check_operands(a, b)
+    rows = [ra | rb for ra, rb in zip(a.rows(), b.rows())]
+    return _checked_result("join", Preorder.from_rows(a.n, rows))
+
+
+def meet(a: Preorder, b: Preorder) -> Preorder:
+    """Greatest common lower bound: the join of the shards inside c = a & b.
+
+    A shard of H_ij relates i ~ j and each k strictly between to i one
+    way, so some lie inside c iff i ~ j in c and each such k is comparable
+    to i in c; their union is i ~ j plus c's relations between i and the
+    k.  The largest such j spans the others, and the union is closed once.
+    """
+    _check_operands(a, b)
+    n = a.n
+    up = [ra & rb for ra, rb in zip(a.rows(), b.rows())]
+    rows = [0] * n
+    for i in range(n):
+        span = 0  # the values i..j for the largest j whose shards lie inside c
+        for j in range(i + 1, n):
+            above, below = up[i] >> j & 1, up[j] >> i & 1
+            if not (above or below):
+                break  # j lies between i and every larger value
+            if above and below:
+                span = (1 << j + 1) - (1 << i)
+        rows[i] |= up[i] & span
+        for k in range(i + 1, span.bit_length()):
+            if up[k] >> i & 1:
+                rows[k] |= 1 << i
+    return _checked_result("meet", Preorder.from_rows(n, rows))
+
+
+def _check_operands(a: Preorder, b: Preorder) -> None:
+    """Both arguments of a lattice operation are elements of one size."""
     if a.n != b.n:
         raise ValueError("elements live on different ground sets")
     checked_state(a)
     checked_state(b)
-    rows = [ra | rb for ra, rb in zip(a.rows(), b.rows())]
-    out = Preorder.from_rows(a.n, rows)
+
+
+def _checked_result(op: str, out: Preorder) -> Preorder:
+    """out, checked (``checked_state``); a result outside the lattice is a bug."""
     try:
         checked_state(out)
     except InvalidPreorderError as exc:
-        raise InvariantError(f"join fell outside the lattice: {out}") from exc
+        raise InvariantError(f"{op} fell outside the lattice: {out}") from exc
     return out
 
 
@@ -282,21 +323,6 @@ class OmegaLattice:
             return self.index[q]
         except KeyError:
             raise ValueError("pre-order is not an element of this lattice") from None
-
-    def meet(self, a: Preorder, b: Preorder) -> Preorder:
-        """Unique maximal common lower bound, found by search."""
-        i, j = self.index_of(a), self.index_of(b)
-        common = self.down_mask[i] & self.down_mask[j]
-        best = max(iter_bits(common), key=lambda k: self.rank[k])
-        if self.down_mask[best] != common:
-            raise InvariantError("common lower bounds have no maximum")
-        return self.elements[best]
-
-    def join(self, a: Preorder, b: Preorder) -> Preorder:
-        out = join(a, b)
-        if out not in self.index:
-            raise InvariantError(f"join is not an element of this lattice: {out}")
-        return out
 
     def to_json(self) -> dict:
         """Nodes are the words in index order, edges the covers (i, j) in order of i then j."""

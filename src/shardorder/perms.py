@@ -96,21 +96,3 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         raise ValueError("n must be positive")
     return map(_of_word, itertools.permutations(range(1, n + 1)))
 
-
-def is_indecomposable(p: Permutation) -> bool:
-    """True iff no proper prefix of the word is a permutation of 1..k.
-
-    Counting these over S_n gives 1, 1, 3, 13, 71, 461, ... which is also
-    the absolute Moebius number of the full lattice.
-
-    >>> is_indecomposable(Permutation.parse("1"))
-    True
-    >>> is_indecomposable(Permutation.parse("2134"))
-    False
-    """
-    top = 0
-    for k, value in enumerate(p.word[:-1], start=1):
-        top = max(top, value)
-        if top == k:
-            return False
-    return True

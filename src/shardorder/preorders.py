@@ -73,9 +73,9 @@ state lives and dies with its object.
 Pre-orders built from given blocks (JSON input, noncrossing partitions) are
 closed on the blocks too: ``close_blocks`` takes disjoint value masks in
 any order and index pairs and returns their closure's block state
-directly, by Warshall's algorithm on the m blocks (O(m^2) mask ORs)
-instead of on the n rows, with no packed relation read back, or None when
-the closure would merge given blocks.  ``lam_packed`` then writes a
+directly, by one ``relate_blocks`` step per pair (O(m) mask ORs each)
+instead of a closure on the n rows, with no packed relation read back, or
+None when the closure would merge given blocks.  ``lam_packed`` then writes a
 state's lam word and its ``bits`` in one walk over its slot pass.
 """
 from __future__ import annotations
@@ -344,25 +344,18 @@ def close_blocks(masks: Sequence[int], less) -> tuple[list[int], list[int], list
     None if the closure would merge given blocks.  The masks may arrive in
     any order, and the state keeps it.
 
-    Every generator relates whole blocks, so every up-set is a union of
-    blocks and block a reaches block k iff a's up-set meets k.  Warshall's
-    closure therefore runs on the m blocks, not on the n rows: O(m^2) mask
-    tests and ORs.  A block's down-set is the union of the blocks whose
-    up-sets meet it, and blocks merge iff some block's up-set and down-set
-    share more than the block.
+    Every generator relates whole blocks, so the closure is a fold of
+    ``relate_blocks``, the closure step of the cover search, over the
+    pairs: it starts from the discrete state (each block its own up-set
+    and down-set) and adds one pair at a time, O(m) mask ORs each, and
+    stops with None at the first step that would collapse blocks.
     """
-    ups = list(masks)
+    ups, downs = list(masks), list(masks)
     for i, j in less:
-        ups[i] |= masks[j]
-    for k, (bk, up) in enumerate(zip(masks, ups)):
-        if up != bk:  # else block k adds nothing above what reaches it
-            for a, ua in enumerate(ups):
-                if ua & bk:
-                    ups[a] = ua | up
-    downs = down_sets(masks, ups)
-    for b, u, d in zip(masks, ups, downs):
-        if u & d != b:
+        step = relate_blocks(masks, ups, downs, masks[i], masks[j])
+        if step is None:
             return None
+        ups, downs = step
     return list(masks), ups, downs
 
 

@@ -7,12 +7,19 @@ compute), the two Coxeter words that bar every value one way, and the
 barred patterns found by the literal search over value triples (what
 ``is_c_sortable`` must decide), and the noncrossing partitions of a
 cycle found by the literal alternation rule over every set partition
-(what the block partitions of the noncrossing pre-orders must be).
+(what the block partitions of the noncrossing pre-orders must be), the
+indecomposable permutations read literally off their prefixes (what
+``verify --suite mobius`` counts by a recursion), and the meet and the
+covers read off the shards, the atoms of the lattice (what ``meet`` and
+``covers_up`` must compute).
 """
 import itertools
+from functools import reduce
 
+from shardorder.lattice import join
 from shardorder.perms import Permutation
-from shardorder.preorders import Preorder
+from shardorder.preorders import Preorder, blocks
+from shardorder.shards import enumerate_shards, intersect, to_preorder
 from shardorder.sortable import CoxeterElement
 
 
@@ -40,6 +47,20 @@ def descending_runs(p: Permutation) -> list[tuple[int, ...]]:
             runs.append(w[start : i + 1])
             start = i + 1
     return runs
+
+
+def is_indecomposable(p: Permutation) -> bool:
+    """True iff no proper prefix of the word is a permutation of 1..k.
+
+    Counting these over S_n gives 1, 1, 3, 13, 71, 461, ... which is also
+    the absolute Moebius number of the full lattice.
+    """
+    top = 0
+    for k, value in enumerate(p.word[:-1], start=1):
+        top = max(top, value)
+        if top == k:
+            return False
+    return True
 
 
 def mu_by_definition(p: Permutation) -> Preorder:
@@ -112,3 +133,23 @@ def noncrossing_partitions(bar) -> list[list[int]]:
     """Every set partition of [n] whose blocks pairwise do not cross on
     ``bar.cycle``, as lists of value masks."""
     return [part for part in set_partitions(list(range(1, bar.n + 1))) if crossing_free(part, bar.cycle)]
+
+
+def atoms(n: int) -> list[Preorder]:
+    """The atoms of the lattice on [n]: the pre-order of each shard."""
+    return [to_preorder(intersect([s])) for s in enumerate_shards(n)]
+
+
+def meet_by_atoms(a: Preorder, b: Preorder) -> Preorder:
+    """The meet read off atomisticity: the join of the atoms whose
+    relations lie inside both a and b."""
+    common = a.bits & b.bits
+    return reduce(join, [s for s in atoms(a.n) if s.bits & ~common == 0], Preorder.discrete(a.n))
+
+
+def covers_by_atoms(x: Preorder) -> set[Preorder]:
+    """The covers of x read off atomisticity: x joined with each atom not
+    below it, where that join has one block fewer than x (rank one more)."""
+    rank = len(blocks(x))
+    joins = {join(x, s) for s in atoms(x.n) if not s <= x}
+    return {y for y in joins if len(blocks(y)) == rank - 1}

@@ -3,11 +3,20 @@ import doctest
 import pytest
 
 import shardorder.perms
-from shardorder.perms import Permutation, all_permutations, is_indecomposable
+from shardorder.perms import Permutation, all_permutations
 from shardorder.preorders import mask_values, run_masks
 from shardorder.sortable import CoxeterElement, all_coxeter_elements, barring_of, is_c_sortable
 
-from oracles import avoids_barred_patterns, descending_runs, identity, inversions, lower_312, reversal, upper_231
+from oracles import (
+    avoids_barred_patterns,
+    descending_runs,
+    identity,
+    inversions,
+    is_indecomposable,
+    lower_312,
+    reversal,
+    upper_231,
+)
 
 P = Permutation.parse
 

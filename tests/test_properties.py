@@ -2,7 +2,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardorder.lattice import covers_up, interval_lattice, join, leq
+from shardorder.lattice import covers_up, join, leq, meet
 from shardorder.perms import Permutation
 from shardorder.preorders import (
     Preorder,
@@ -14,6 +14,7 @@ from shardorder.preorders import (
     preorder_to_json,
 )
 
+from oracles import covers_by_atoms, meet_by_atoms
 from test_preorders import cover_pairs, less_pairs, pairwise_block_order
 
 FAST = settings(derandomize=True, max_examples=300, deadline=None)
@@ -127,25 +128,30 @@ def test_join_laws_beyond_the_exhaustive_range(triple):
         assert leq(a, up) and leq(b, up)
 
 
-def lower_intervals(n: int):
-    """[discrete, y] indexed alone, y a few adjacent swaps from the identity,
-    so that every join of two of its elements stays inside it."""
-    swaps = st.lists(st.integers(0, n - 2), min_size=1, max_size=4)
-    return swaps.map(lambda s: interval_lattice(Preorder.discrete(n), mu(Permutation(_swapped(n, s)))))
-
-
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(st.integers(8, 9).flatmap(lower_intervals), st.data())
-def test_meet_laws_beyond_the_exhaustive_range(lat, data):
-    # meet reads the index; the laws are checked against leq and join
-    element = st.sampled_from(lat.elements)
-    a, b, c = data.draw(element), data.draw(element), data.draw(element)
-    meet = lat.meet
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(8, 9).flatmap(element_triples))
+def test_meet_laws_beyond_the_exhaustive_range(triple):
+    # no lattice is built at n=8..9: a common lower bound of a and b above
+    # their meet would put a cover of the meet below both
+    a, b, c = triple
     ab = meet(a, b)
     assert meet(b, a) == ab and meet(a, a) == a
     assert meet(ab, c) == meet(a, meet(b, c))
     assert leq(ab, a) and leq(ab, b)
-    for z in lat.elements:
-        if leq(z, a) and leq(z, b):
-            assert leq(z, ab)
-    assert meet(a, lat.join(a, b)) == a and lat.join(a, ab) == a
+    for up in covers_up(ab):
+        assert not (leq(up, a) and leq(up, b))
+    assert meet(a, join(a, b)) == a and join(a, ab) == a
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(6, 9).flatmap(element_triples))
+def test_meet_is_the_join_of_the_shards_below_both(triple):
+    a, b, _ = triple
+    assert meet(a, b) == meet_by_atoms(a, b)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(permutations(8, 10))
+def test_covers_are_joins_with_single_shards(p):
+    q = mu(p)
+    assert set(covers_up(q)) == covers_by_atoms(q)

@@ -7,7 +7,7 @@ import shardorder.preorders as preorders
 import shardorder.shelling as shelling
 from shardorder.errors import IncomparableError, InvalidPreorderError, InvariantError
 from shardorder.lattice import build_lattice, combinable_slots, covers_below, covers_up, leq
-from shardorder.perms import Permutation, all_permutations, is_indecomposable
+from shardorder.perms import Permutation, all_permutations
 from shardorder.preorders import Preorder, block_masks, blocks, checked_state, lam, mu
 from shardorder.shelling import (
     chain_counts,
@@ -17,6 +17,8 @@ from shardorder.shelling import (
     increasing_chain,
     mobius,
 )
+
+from oracles import is_indecomposable
 
 P = Permutation.parse
 

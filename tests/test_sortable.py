@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import shardorder.preorders
 import shardorder.sortable
 from shardorder.errors import CrossingPartitionError, InvalidPreorderError, InvariantError
+from shardorder.lattice import join, meet
 from shardorder.perms import Permutation, all_permutations
 from shardorder.preorders import Block, Preorder, block_masks, block_violations, blocks, lam, mask_values, mu
 from shardorder.sortable import (
@@ -176,6 +177,23 @@ def test_sortable_maps_onto_noncrossing_beyond_the_exhaustive_range(c):
 # A failing example is reported as found: shrinking re-runs the construction.
 @settings(
     derandomize=True,
+    max_examples=8,
+    deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
+@given(st.data(), coxeter_words(8, 9))
+def test_noncrossing_closure_beyond_the_exhaustive_range(data, c):
+    # the noncrossing pre-orders of one word are closed under join and meet
+    element = st.sampled_from(noncrossing_preorders(c))
+    for _ in range(10):
+        a, b = data.draw(element), data.draw(element)
+        assert is_noncrossing_preorder(join(a, b), c), (c, a, b)
+        assert is_noncrossing_preorder(meet(a, b), c), (c, a, b)
+
+
+# A failing example is reported as found: shrinking re-runs the construction.
+@settings(
+    derandomize=True,
     max_examples=40,
     deadline=None,
     phases=[phase for phase in Phase if phase is not Phase.shrink],
@@ -219,7 +237,7 @@ def test_generation_does_not_touch_s_n(monkeypatch):
     assert len(noncrossing_preorders(CoxeterElement.parse("2,1,4,3,5", 6))) == 132
 
 
-def test_partition_oracle(lattice):
+def test_partition_oracle():
     # on noncrossing pre-orders, containment is refinement of the block
     # partitions, and the meet is the noncrossing pre-order of the blockwise
     # common refinement
@@ -227,7 +245,6 @@ def test_partition_oracle(lattice):
         return all(any(x & ~y == 0 for y in b) for x in a)
 
     for n in range(1, 6):
-        lat = lattice(n)
         for c in all_coxeter_elements(n):
             elements = noncrossing_preorders(c)
             parts = [frozenset(b.mask for b in blocks(q)) for q in elements]
@@ -240,7 +257,7 @@ def test_partition_oracle(lattice):
                         of_partition[common] = noncrossing_order_of_partition(
                             [mask_values(m) for m in common], c
                         )
-                    assert lat.meet(q1, q2) == of_partition[common], (c, q1, q2)
+                    assert meet(q1, q2) == of_partition[common], (c, q1, q2)
 
 
 @pytest.mark.parametrize(

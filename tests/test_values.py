@@ -182,7 +182,7 @@ PUBLIC = [
     "all_permutations", "axiom_violations", "barring_of", "blocks", "build_lattice",
     "chain_report", "count_decreasing_chains", "covers_up",
     "edge_label", "enumerate_shards", "increasing_chain", "intersect", "is_c_sortable",
-    "is_indecomposable", "is_noncrossing_preorder", "join", "lam", "leq", "lower_shards",
+    "is_noncrossing_preorder", "join", "lam", "leq", "lower_shards", "meet",
     "mobius", "mu", "noncrossing_order_of_partition", "noncrossing_preorders",
     "placements", "preorder_from_json", "preorder_to_json", "sortable_permutations",
     "to_preorder",
