@@ -8,20 +8,20 @@ the words in their order (sorted, each shares most of its prefix with
 the one before) and keeps the runs each element carries, the blocks in
 placement order, for the ranks (n minus the number of runs) and the
 edge labels of ``shelling``.  ``build_lattice`` passes it S_n.  It
-indexes the elements with one bitset kernel over the element indices.
+indexes the elements with one bitset kernel, a down-set mask per element.
 a <= b iff each row of a lies inside the same row of b.  One
 transposition of all the relations gives, for each pair of values, the
 mask of the elements relating them; from those, each distinct value of
-each row gets the mask of the elements whose row contains it and of those
-whose row lies inside it, and an element's up-set (down-set) is the AND
-of the first (second) over its n rows.  The work follows the distinct row
-values, not 2^n.  An element's covers are its up-set restricted to the
-next rank layer.  One mask check makes those covers the definitional ones
-(no element strictly between): each up-set must be the element itself
-plus the up-sets of its covers.  Read from the top rank down, that check
-also makes every rank layer an antichain.  A failure raises
-``InvariantError``.  Set bits are read off the wide masks from the top
-(``iter_bits``), so each step works on a shorter int.
+each row gets the mask of the elements whose row lies inside it, and an
+element's down-set is the AND of those over its n rows.  The work follows
+the distinct row values, not 2^n.  The lattice is graded, so an element's
+lower covers are its down-set restricted to the rank layer below; its
+upper covers are their transpose.  One mask check makes them the
+definitional covers (no element strictly between): each down-set must be
+the element plus the down-sets of its lower covers.  Read from the bottom
+rank up, that check also makes every rank layer an antichain.  A failure
+raises ``InvariantError``.  Set bits are read off the wide masks from the
+top (``iter_bits``), so each step works on a shorter int.
 ``interval_lattice`` indexes one closed interval the same way, from the
 words a ``covers_below`` walk finds, so its cost follows the interval
 rather than n!.
@@ -286,10 +286,10 @@ class OmegaLattice:
     words must be distinct permutations of [n] whose elements have a least
     and a greatest one; other lists raise ``ValueError``.
     ``elements[i]`` is mu(words[i]) (one ``mu_words`` pass), and ``runs[i]`` the blocks it carries:
-    the descending runs of words[i], left to right.  ``up_mask[i]`` has bit
-    j set iff elements[i] <= elements[j], ``down_mask[i]`` bit j iff
-    elements[j] <= elements[i], and ``layers[r]`` holds the elements of
-    rank r (ranks are those of the full lattice).
+    the descending runs of words[i], left to right.  ``down_mask[i]`` has
+    bit j set iff elements[j] <= elements[i], ``covers[i]`` lists the
+    elements covering elements[i], ascending, and ``layers[r]`` holds the
+    elements of rank r (ranks are those of the full lattice).
     """
 
     def __init__(self, n: int, words):
@@ -304,19 +304,20 @@ class OmegaLattice:
             raise ValueError("the words repeat a word")
         # one block per run, so rank = n - runs
         self.rank: tuple[int, ...] = tuple([n - len(r) for r in self.runs])
-        self.up_mask, self.down_mask = _relation_masks(n, self.elements)
-        full = (1 << len(self.elements)) - 1
-        if full not in self.up_mask or full not in self.down_mask:
+        self.down_mask = _relation_masks(n, self.elements)
+        # the least element is below all others: the one bit every down-set holds
+        least, full = reduce(and_, self.down_mask), (1 << len(self.elements)) - 1
+        if not least or full not in self.down_mask:
             raise ValueError("the words have no least or no greatest element")
-        self.bottom = self.up_mask.index(full)
+        self.bottom = least.bit_length() - 1
         self.top = self.down_mask.index(full)
-        self.layers, self.covers = graded_covers(self.up_mask, self.rank)
+        self.layers, self.covers = graded_covers(self.down_mask, self.rank)
 
     def __len__(self):
         return len(self.elements)
 
     def leq_idx(self, i: int, j: int) -> bool:
-        return bool(self.up_mask[i] >> j & 1)
+        return bool(self.down_mask[j] >> i & 1)
 
     def index_of(self, q: Preorder) -> int:
         try:
@@ -378,25 +379,19 @@ def iter_bits(mask: int) -> list[int]:
     return out
 
 
-def _relation_masks(n: int, elements) -> tuple[list[int], list[int]]:
-    """Up-set and down-set masks of every element under containment.
+def _relation_masks(n: int, elements) -> list[int]:
+    """Down-set mask of every element under containment.
 
-    j is above i iff each row of j contains the same row of i, and below i
-    iff each row of j lies inside it.  So for each row index and each
-    distinct value of that row, ``_row_groups`` gives the mask of the
-    elements whose row contains the value (the superset mask) and of those
-    whose row lies inside it (the subset mask).  An element's up-set is the
-    AND of the superset masks of its n rows, its down-set the AND of the
-    subset masks.  The work follows the number of distinct row values,
+    j is below i iff each row of j lies inside the same row of i.  So for
+    each row index and each distinct value of that row, ``_row_groups``
+    gives the mask of the elements whose row lies inside the value (the
+    subset mask), and an element's down-set is the AND of the subset masks
+    of its n rows.  The work follows the number of distinct row values,
     never 2^n.
     """
     pairs = _pair_masks(n, elements)
-    rows, supersets, subsets = zip(*(_row_groups(n, a, elements, pairs) for a in range(n)))
-    # one element at a time, so no second list of full-width masks is alive
-    per_element = list(zip(*rows))
-    up_mask = [reduce(and_, map(dict.__getitem__, supersets, r)) for r in per_element]
-    down_mask = [reduce(and_, map(dict.__getitem__, subsets, r)) for r in per_element]
-    return up_mask, down_mask
+    rows, subsets = zip(*(_row_groups(n, a, elements, pairs) for a in range(n)))
+    return [reduce(and_, map(dict.__getitem__, subsets, r)) for r in zip(*rows)]
 
 
 def _pair_masks(n: int, elements) -> list[int]:
@@ -413,43 +408,41 @@ def _pair_masks(n: int, elements) -> list[int]:
     return [int(digits[nn - 1 - p :: nn], 2) for p in range(nn)]
 
 
-def _row_groups(n: int, a: int, elements, pairs) -> tuple[list[int], dict[int, int], dict[int, int]]:
+def _row_groups(n: int, a: int, elements, pairs) -> tuple[list[int], dict[int, int]]:
     """Row a of every element, and for each distinct value of that row the
-    superset mask (elements whose row a contains it: the AND of the pair
-    masks of its members) and the subset mask (those whose row a lies
-    inside it: the complement of the OR of the pair masks of the rest)."""
+    subset mask: the elements whose row a lies inside it, the complement of
+    the OR of the pair masks of the values it lacks."""
     shift, row, full = a * n, (1 << n) - 1, (1 << len(elements)) - 1
     values = [q.bits >> shift & row for q in elements]
-    above_of, below_of = {}, {}
+    below_of = {}
     for v in set(values):
-        above, outside = full, 0
-        for b in range(n):
-            if v >> b & 1:
-                above &= pairs[shift + b]
-            else:
-                outside |= pairs[shift + b]
-        above_of[v], below_of[v] = above, full ^ outside
-    return values, above_of, below_of
+        lacked = [pairs[shift + b] for b in range(n) if not v >> b & 1]
+        below_of[v] = full ^ reduce(or_, lacked, 0)
+    return values, below_of
 
 
-def graded_covers(up_mask, rank) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
-    """Rank layers and covers of a graded poset given by its up-set masks.
+def graded_covers(down_mask, rank) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """Rank layers and upper covers of a graded poset given by its down-set masks.
 
-    The covers of i are the elements above i one rank higher.  They are the
-    definitional covers exactly when every up-set is the element plus the
-    up-sets of its covers.  An element of top rank then has itself alone
-    above it, and going down a rank at a time, every strict upper bound has
-    a higher rank: nothing lies strictly between i and an element one rank
-    up, and every upper bound lies above a cover.
+    The lower covers of i are the elements below i one rank lower.  They are
+    the definitional covers exactly when every down-set is the element plus
+    the down-sets of its lower covers.  An element of rank 0 then has itself
+    alone below it, and going up a rank at a time, every strict lower bound
+    has a lower rank: nothing lies strictly between i and an element one
+    rank down, and every lower bound lies below a lower cover.  The upper
+    covers, ascending, are the lower covers transposed.
     """
-    layers = [0] * (max(rank) + 2)
+    layers = [0] * (max(rank) + 2)  # layers[r + 1] holds rank r; layers[0] is empty
     for i, r in enumerate(rank):
-        layers[r] |= 1 << i
-    covers = tuple([tuple(iter_bits(up & layers[rank[i] + 1])) for i, up in enumerate(up_mask)])
-    for i, up in enumerate(up_mask):
-        if reduce(or_, map(up_mask.__getitem__, covers[i]), 1 << i) != up:
-            raise InvariantError(f"up-set of element {i} is not generated by its covers")
-    return layers[:-1], covers
+        layers[r + 1] |= 1 << i
+    covers = [[] for _ in rank]
+    for i, down in enumerate(down_mask):
+        lower = iter_bits(down & layers[rank[i]])
+        if reduce(or_, map(down_mask.__getitem__, lower), 1 << i) != down:
+            raise InvariantError(f"down-set of element {i} is not generated by its covers")
+        for c in lower:
+            covers[c].append(i)
+    return layers[1:], tuple(map(tuple, covers))
 
 
 def build_lattice(n: int, force: bool = False) -> OmegaLattice:

@@ -18,22 +18,22 @@ the classical recursion is run alongside as an independent check and
 disagreement is fatal.
 
 Whole-interval counts run on an indexed lattice (``OmegaLattice``): the
-interval [b, t] is the mask ``up_mask[b] & down_mask[t]`` and its edges are
-the kernel's covers inside it.  Each edge label is computed once, from the
-run masks mu carries on each element (lam(mu(p)) = p, so the k-th run
-of the lower word is the block placed k-th): it is the position of the
-rightmost of the two lower runs that the upper element lacks, and a cover
-that does not lack exactly two raises ``InvariantError``.  No run is
-computed again here.  Chains are counted by recursion memoized on
-(element, last label), and the Moebius recursion sums, for each element,
-one mask per distinct value over its down-set.  A caller may
-pass the full lattice (``build_lattice``) and reuse it; without one, each
-call indexes just the interval (``interval_lattice``), so small intervals
-stay cheap at any n.
+interval [b, t] is the mask of the elements of ``down_mask[t]`` whose
+down-set holds b, and its edges are the kernel's covers inside it.  Each
+edge label is computed once, from the run masks mu carries on each element
+(lam(mu(p)) = p, so the k-th run of the lower word is the block placed
+k-th): it is the position of the rightmost of the two lower runs that the
+upper element lacks, and a cover that does not lack exactly two raises
+``InvariantError``.  No run is computed again here.  Chains are counted by
+recursion memoized on (element, last label), and the Moebius recursion
+sums, for each element, one mask per distinct value over its down-set.  A
+caller may pass the full lattice (``build_lattice``) and reuse it; without
+one, each call indexes just the interval (``interval_lattice``), so small
+intervals stay cheap at any n.
 
 The kernel's covers are exact, not assumed: ``lattice.graded_covers``
-checks that each up-set is generated by its covers, which also makes each
-rank layer an antichain.  That check, the Moebius agreement and the EL
+checks that each down-set is generated by its lower covers, which also makes
+each rank layer an antichain.  That check, the Moebius agreement and the EL
 invariants here raise ``InvariantError``, so they also run under
 ``python -O``.
 """
@@ -111,7 +111,8 @@ def _indexed(bottom: Preorder, top: Preorder, lattice: OmegaLattice | None):
     b, t = lat.index_of(bottom), lat.index_of(top)
     if not lat.leq_idx(b, t):
         raise IncomparableError("bottom is not below top")
-    return lat, b, t, lat.up_mask[b] & lat.down_mask[t]
+    down, bit = lat.down_mask, 1 << b
+    return lat, b, t, sum([1 << k for k in iter_bits(down[t]) if down[k] & bit])
 
 
 def _labeled_edges(lat: OmegaLattice, inside: int) -> dict[int, list[tuple[int, int]]]:

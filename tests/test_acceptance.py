@@ -118,11 +118,13 @@ def test_criterion_06_lattice_laws(lattice):
             lat = lattice(n)
             size = len(lat)
             join_t, meet_t = _join_meet_tables(lat)
+            # up-sets by definition: the elements whose down-set holds i
+            up = [sum(1 << k for k in range(size) if lat.leq_idx(i, k)) for i in range(size)]
             for i in range(size):
                 for j in range(size):
                     jj, mm = join_t[i][j], meet_t[i][j]
                     # unique least upper / greatest lower bound
-                    assert lat.up_mask[jj] == lat.up_mask[i] & lat.up_mask[j]
+                    assert up[jj] == up[i] & up[j]
                     assert lat.down_mask[mm] == lat.down_mask[i] & lat.down_mask[j]
                     # commutativity and absorption
                     assert jj == join_t[j][i] and mm == meet_t[j][i]

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -122,7 +123,7 @@ def test_covers_below_are_the_covers_up_below_top(lattice):
     rng = random.Random(20261018)
     for n in range(1, 6):
         lat = lattice(n)
-        pairs = [(i, j) for i in range(len(lat)) for j in iter_bits(lat.up_mask[i])]
+        pairs = sorted((i, j) for j, down in enumerate(lat.down_mask) for i in iter_bits(down))
         if n == 5:
             pairs = rng.sample(pairs, 400)
         for i, j in pairs:
@@ -178,7 +179,7 @@ def test_combinable_slots_match_pairwise(lattice):
         lat = lattice(n)
         complete = Preorder.complete(n)
         for i, w in enumerate(lat.elements):
-            tops = [lat.elements[j] for j in iter_bits(lat.up_mask[i])] if n <= 4 else [complete]
+            tops = [top for j, top in enumerate(lat.elements) if lat.leq_idx(i, j)] if n <= 4 else [complete]
             for top in tops:
                 state = block_masks(w)
                 got = list(combinable_slots(state, top))
@@ -430,7 +431,7 @@ def test_block_search_matches_relation_search_n8_to_n10(p):
 
 
 def _pairwise_oracle(lat):
-    """Up-sets, down-sets and covers by testing every pair, as defined."""
+    """Down-sets and covers by testing every pair, as defined."""
     size = len(lat)
     up, down = [0] * size, [0] * size
     for i, a in enumerate(lat.elements):
@@ -446,17 +447,17 @@ def _pairwise_oracle(lat):
         )
         for i in range(size)
     )
-    return up, down, covers
+    return down, covers
 
 
 def test_kernel_matches_pairwise_oracle(lattice):
     # the covers also equal covers_up on every element: test_covers_up_matches_hasse
     for n in range(1, 7):
         lat = lattice(n)
-        assert (lat.up_mask, lat.down_mask, lat.covers) == _pairwise_oracle(lat), n
+        assert (lat.down_mask, lat.covers) == _pairwise_oracle(lat), n
     for bottom, top in (("12345678", "43215678"), ("13245678", "53214876")):
         sub = interval_lattice(mu(P(bottom)), mu(P(top)))
-        assert (sub.up_mask, sub.down_mask, sub.covers) == _pairwise_oracle(sub), top
+        assert (sub.down_mask, sub.covers) == _pairwise_oracle(sub), top
 
 
 def test_interval_index_work_follows_the_distinct_rows(monkeypatch):
@@ -466,15 +467,27 @@ def test_interval_index_work_follows_the_distinct_rows(monkeypatch):
     real = lattice_module._row_groups
 
     def counted(n, a, elements, pairs):
-        values, above_of, below_of = real(n, a, elements, pairs)
-        grouped.append(len(above_of))
-        return values, above_of, below_of
+        values, below_of = real(n, a, elements, pairs)
+        grouped.append(len(below_of))
+        return values, below_of
 
     monkeypatch.setattr(lattice_module, "_row_groups", counted)
     sub = interval_lattice(Preorder.discrete(9), mu(P("432156789")))
     assert len(sub) == 24 and len(grouped) == 9
     assert all(1 <= g <= 24 for g in grouped)
-    assert (sub.up_mask, sub.down_mask, sub.covers) == _pairwise_oracle(sub)
+    assert (sub.down_mask, sub.covers) == _pairwise_oracle(sub)
+
+
+def test_build_lattice_keeps_one_mask_family():
+    # 5,040 down-set masks of 5,040 bits are about 3.2 MB; a second family
+    # of N-bit masks per element would push the traced peak past 9 MB
+    tracemalloc.start()
+    try:
+        build_lattice(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7_000_000, f"build_lattice(7) peaked at {peak / 1e6:.2f} MB"
 
 
 def test_iter_bits_gives_the_set_bits_ascending():
@@ -493,21 +506,21 @@ def test_rank_layer_that_is_not_an_antichain_is_rejected(lattice):
     rank[lat.covers[lat.bottom][0]] = 0  # an atom in the bottom's layer
     # the generated-by-covers check implies that rank layers are antichains
     with pytest.raises(InvariantError, match="not generated"):
-        graded_covers(lat.up_mask, rank)
+        graded_covers(lat.down_mask, rank)
 
 
-def test_up_set_its_covers_do_not_generate_is_rejected(lattice):
+def test_down_set_its_covers_do_not_generate_is_rejected(lattice):
     lat = lattice(4)
-    up = list(lat.up_mask)
-    up[lat.bottom] &= ~(1 << lat.top)
+    down = list(lat.down_mask)
+    down[lat.top] &= ~(1 << lat.bottom)
     with pytest.raises(InvariantError, match="not generated"):
-        graded_covers(up, lat.rank)
+        graded_covers(down, lat.rank)
     # a corrupted rank that keeps every layer an antichain: the top alone,
-    # one layer too high, is no longer a cover of the coatoms
+    # one layer too high, no longer covers the coatoms
     rank = list(lat.rank)
     rank[lat.top] += 1
     with pytest.raises(InvariantError, match="not generated"):
-        graded_covers(lat.up_mask, rank)
+        graded_covers(lat.down_mask, rank)
 
 
 def test_figure4_covers():
@@ -581,6 +594,8 @@ def test_meet_is_the_join_of_the_shards_below_both():
 
 def test_lattice_laws_n4(lattice):
     lat = lattice(4)
+    # up-sets by definition: the elements whose down-set holds i
+    up = [{k for k, down in enumerate(lat.down_mask) if down >> i & 1} for i in range(len(lat))]
     for a, b in itertools.product(lat.elements, repeat=2):
         j = join(a, b)
         m = meet(a, b)
@@ -588,8 +603,7 @@ def test_lattice_laws_n4(lattice):
         assert leq(m, a) and leq(m, b)
         # universal properties against every element
         ia, ib = lat.index_of(a), lat.index_of(b)
-        common_up = lat.up_mask[ia] & lat.up_mask[ib]
-        assert lat.up_mask[lat.index_of(j)] == common_up
+        assert up[lat.index_of(j)] == up[ia] & up[ib]
         common_down = lat.down_mask[ia] & lat.down_mask[ib]
         assert lat.down_mask[lat.index_of(m)] == common_down
         # commutativity and absorption
@@ -621,10 +635,10 @@ def test_atomic_coatomic_n4(lattice):
 
 def _interval(lat, bottom, top):
     """(members, edges) of [bottom, top] read from the kernel: the members
-    are the mask ``up_mask[i] & down_mask[j]`` in index order, the edges
-    the kernel's covers inside it, as positions in members."""
+    are the elements of ``down_mask[j]`` whose down-set holds i, in index
+    order, the edges the kernel's covers inside it, as positions in members."""
     i, j = lat.index_of(bottom), lat.index_of(top)
-    ids = iter_bits(lat.up_mask[i] & lat.down_mask[j])
+    ids = [k for k in iter_bits(lat.down_mask[j]) if lat.leq_idx(i, k)]
     local = {k: pos for pos, k in enumerate(ids)}
     edges = tuple((local[k], local[c]) for k in ids for c in lat.covers[k] if c in local)
     return tuple(lat.elements[k] for k in ids), edges
@@ -705,11 +719,13 @@ def test_sortable_words_index_the_noncrossing_sublattice():
     "words, match",
     [
         (["213", "132"], "no least or no greatest element"),
+        (["213", "132", "321"], "no least or no greatest element"),
+        (["123", "213", "132"], "no least or no greatest element"),
         (["12", "123", "321"], "size n=3"),
         (["123", "123", "321"], "repeat"),
         ([], "one or more"),
     ],
-    ids=["no_bottom", "wrong_size", "repeated", "empty"],
+    ids=["no_bottom", "top_without_bottom", "bottom_without_top", "wrong_size", "repeated", "empty"],
 )
 def test_lattice_rejects_bad_word_lists(words, match):
     # each fault is named in one line, before any kernel work can fail on it

@@ -257,7 +257,7 @@ def test_counts_without_a_lattice_check_both_endpoints(count):
 def test_kernel_labels_match_edge_label(lattice, edge_labels):
     for n in range(1, 6):
         lat = lattice(n)
-        whole = lat.up_mask[lat.bottom] & lat.down_mask[lat.top]
+        whole = lat.down_mask[lat.top]  # the bottom lies below every element
         got = {
             (i, c): lab
             for i, edges in shelling._labeled_edges(lat, whole).items()
