@@ -98,17 +98,6 @@ def _endpoints(args) -> tuple[Preorder, Preorder]:
     return bottom, top
 
 
-def _whole_lattice(args, bottom: Preorder, top: Preorder):
-    """The full lattice when [bottom, top] is all of it, else None.
-
-    Without a lattice, the shelling calls index the interval alone, which
-    is cheaper for every interval but the whole one.
-    """
-    if bottom == Preorder.discrete(args.n) and top == Preorder.complete(args.n):
-        return build_lattice(args.n, force=args.force)
-    return None
-
-
 def cmd_map(args) -> int:
     p = Permutation.parse(args.perm)
     _check_cap(p.n, ELEMENT_CAP, args.force, "map")
@@ -148,7 +137,7 @@ def cmd_shards(args) -> int:
 def cmd_mobius(args) -> int:
     _check_cap(args.n, LATTICE_SIZE_CAP, args.force, "mobius")
     bottom, top = _endpoints(args)
-    value = mobius(bottom, top, _whole_lattice(args, bottom, top))
+    value = mobius(bottom, top)
     _emit(
         _dump(
             {
@@ -167,7 +156,7 @@ def cmd_mobius(args) -> int:
 def cmd_chains(args) -> int:
     _check_cap(args.n, LATTICE_SIZE_CAP, args.force, "chains")
     bottom, top = _endpoints(args)
-    _emit(_dump(chain_report(bottom, top, _whole_lattice(args, bottom, top))), args.out)
+    _emit(_dump(chain_report(bottom, top)), args.out)
     return 0
 
 

@@ -22,9 +22,9 @@ the element plus the down-sets of its lower covers.  Read from the bottom
 rank up, that check also makes every rank layer an antichain.  A failure
 raises ``InvariantError``.  Set bits are read off the wide masks from the
 top (``iter_bits``), so each step works on a shorter int.
-``interval_lattice`` indexes one closed interval the same way, from the
-words a ``covers_below`` walk finds, so its cost follows the interval
-rather than n!.
+``interval_lattice`` indexes one closed interval the same way, the whole
+lattice from S_n's words and any other from the words a ``covers_below``
+walk finds, so its cost follows the interval rather than n!.
 
 Going up by a cover combines two blocks that are incomparable or related
 by a cover.  If the merged interval newly overlaps blocks that were
@@ -459,18 +459,22 @@ def build_lattice(n: int, force: bool = False) -> OmegaLattice:
 def interval_lattice(bottom: Preorder, top: Preorder) -> OmegaLattice:
     """The closed interval [bottom, top] alone, indexed like the full lattice.
 
-    Its elements are those reached from bottom by covers below top, each
-    built by merging two blocks that share a block of top, so the walk
-    follows the interval: no n! enumeration and no size cap is involved.
+    The whole lattice is S_n's words (``build_lattice``, uncapped).  Any
+    other interval's elements are those reached from bottom by covers below
+    top, each built by merging two blocks that share a block of top, so the
+    walk follows the interval: no n! enumeration and no size cap is involved.
     """
     seen = {bottom: lam(bottom).word}
     checked_state(top)
     if not leq(bottom, top):
         raise IncomparableError("bottom is not below top")
+    n = bottom.n
+    if bottom == Preorder.discrete(n) and top == Preorder.complete(n):
+        return build_lattice(n, force=True)
     stack = [bottom]
     while stack:
         for word, c in covers_below(stack.pop(), top):
             if c not in seen:
                 seen[c] = word
                 stack.append(c)
-    return OmegaLattice(bottom.n, map(_of_word, sorted(seen.values())))
+    return OmegaLattice(n, map(_of_word, sorted(seen.values())))

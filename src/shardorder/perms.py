@@ -64,14 +64,7 @@ class Permutation(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
-        text = text.strip()
-        if "," in text:
-            values = tuple(int(tok) for tok in text.split(","))
-        else:
-            if not text.isdigit():
-                raise ValueError(f"cannot parse permutation from {text!r}")
-            values = tuple(int(ch) for ch in text)
-        return cls(values)
+        return cls(parse_word(text, "permutation"))
 
     def __str__(self) -> str:
         if self.n <= 9:
@@ -88,6 +81,18 @@ def _of_word(word: tuple[int, ...]) -> Permutation:
     p = _new(Permutation)
     _set_word(p, word)
     return p
+
+
+def parse_word(text: str, what: str) -> tuple[int, ...]:
+    """The integers of a word written comma-separated, else one digit each.
+
+    A token that is not an integer raises ``ValueError`` naming the text.
+    """
+    text = text.strip()
+    try:
+        return tuple(map(int, text.split(",") if "," in text else text))
+    except ValueError:
+        raise ValueError(f"cannot parse {what} from {text!r}") from None
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

@@ -17,18 +17,21 @@ strictly decreasing maximal chains gives the Moebius number up to sign;
 the classical recursion is run alongside as an independent check and
 disagreement is fatal.
 
-Whole-interval counts run on an indexed lattice (``OmegaLattice``): the
-interval [b, t] is the mask of the elements of ``down_mask[t]`` whose
-down-set holds b, and its edges are the kernel's covers inside it.  Each
-edge label is computed once, from the run masks mu carries on each element
+Whole-interval counts run on an indexed lattice (``OmegaLattice``) and
+read one table of [b, t] (``_interval``): one walk up the kernel's covers
+from b, keeping a cover only if its relation bits lie inside top's, finds
+the interval's elements and its edges at a cost that follows its edges.
+Each edge label is computed once, from the run masks mu carries on each element
 (lam(mu(p)) = p, so the k-th run of the lower word is the block placed
 k-th): it is the position of the rightmost of the two lower runs that the
 upper element lacks, and a cover that does not lack exactly two raises
 ``InvariantError``.  No run is computed again here.  Chains are counted by
 recursion memoized on (element, last label), and the Moebius recursion
-sums, for each element, one mask per distinct value over its down-set.  A
-caller may pass the full lattice (``build_lattice``) and reuse it; without
-one, each call indexes just the interval (``interval_lattice``), so small
+takes the table's elements a rank at a time and sums, for each, one mask
+per distinct value over its down-set.  A caller may pass the full lattice
+(``build_lattice``) and reuse it; without one, each call indexes the
+interval through ``interval_lattice``, which reads the whole lattice off
+S_n's words and walks the covers of any other interval, so small
 intervals stay cheap at any n.
 
 The kernel's covers are exact, not assumed: ``lattice.graded_covers``
@@ -40,11 +43,12 @@ invariants here raise ``InvariantError``, so they also run under
 from __future__ import annotations
 
 import operator
+from itertools import groupby
 from typing import NamedTuple
 
 from .errors import IncomparableError, InvariantError
 from .lattice import OmegaLattice, _merge_candidates, _search_state, combinable_slots
-from .lattice import interval_lattice, iter_bits, leq
+from .lattice import interval_lattice, leq
 from .preorders import Preorder, checked_state, lam
 
 
@@ -105,30 +109,24 @@ def increasing_chain(bottom: Preorder, top: Preorder) -> LabeledChain:
     return LabeledChain(tuple(chain), tuple(labels))
 
 
-def _indexed(bottom: Preorder, top: Preorder, lattice: OmegaLattice | None):
-    """(lattice, bottom index, top index, interval mask); indexes the interval if not given."""
+def _interval(bottom: Preorder, top: Preorder, lattice: OmegaLattice | None):
+    """(lattice, bottom index, top index, edges), indexing the interval if
+    no lattice is given: ``edges`` maps each element of [bottom, top] to its
+    covers inside, with labels, read by one walk up ``lat.covers`` from b.
+    """
     lat = interval_lattice(bottom, top) if lattice is None else lattice
     b, t = lat.index_of(bottom), lat.index_of(top)
     if not lat.leq_idx(b, t):
         raise IncomparableError("bottom is not below top")
-    down, bit = lat.down_mask, 1 << b
-    return lat, b, t, sum([1 << k for k in iter_bits(down[t]) if down[k] & bit])
-
-
-def _labeled_edges(lat: OmegaLattice, inside: int) -> dict[int, list[tuple[int, int]]]:
-    """For each element of the interval mask: its covers inside, with labels.
-
-    The lower element's runs (``lat.runs``) are its blocks in placement
-    order, so a cover's label is the position of the rightmost of the two
-    lower runs that are not runs of the upper element.
-    """
-    runs, out = lat.runs, dict.fromkeys(iter_bits(inside))
-    for i in out:
+    runs, elements = lat.runs, lat.elements
+    outside = ~elements[t].bits  # the relations top lacks
+    edges, stack = {b: []}, [b]
+    while stack:
+        i = stack.pop()
         lower = runs[i]
         lower_set = set(lower)
-        edges = []
         for c in lat.covers[i]:
-            if c not in out:  # outside the interval
+            if elements[c].bits & outside:  # not below top
                 continue
             merged = lower_set.difference(runs[c])
             if len(merged) != 2:
@@ -136,9 +134,11 @@ def _labeled_edges(lat: OmegaLattice, inside: int) -> dict[int, list[tuple[int, 
             label = len(lower)
             while lower[label - 1] not in merged:
                 label -= 1
-            edges.append((c, label))
-        out[i] = edges
-    return out
+            edges[i].append((c, label))
+            if c not in edges:
+                edges[c] = []
+                stack.append(c)
+    return lat, b, t, edges
 
 
 def _count_chains(edges, bottom: int, top: int, start: int, keep) -> int:
@@ -166,8 +166,8 @@ def count_decreasing_chains(
     bottom: Preorder, top: Preorder, lattice: OmegaLattice | None = None
 ) -> int:
     """Maximal chains of [bottom, top] with strictly decreasing labels."""
-    lat, b, t, inside = _indexed(bottom, top, lattice)
-    return _count_chains(_labeled_edges(lat, inside), b, t, lat.n + 1, operator.lt)
+    lat, b, t, edges = _interval(bottom, top, lattice)
+    return _count_chains(edges, b, t, lat.n + 1, operator.lt)
 
 
 def chain_counts(
@@ -178,32 +178,32 @@ def chain_counts(
     Both come from one labeling of the interval's edges; an EL-labeling has
     exactly one weakly increasing chain.
     """
-    lat, b, t, inside = _indexed(bottom, top, lattice)
-    edges = _labeled_edges(lat, inside)
+    lat, b, t, edges = _interval(bottom, top, lattice)
     return (
         _count_chains(edges, b, t, 0, operator.ge),
         _count_chains(edges, b, t, lat.n + 1, operator.lt),
     )
 
 
-def _mobius_recursion(lat: OmegaLattice, b: int, t: int, inside: int) -> int:
+def _mobius_recursion(lat: OmegaLattice, b: int, t: int, interval) -> int:
     """mu(b, y) = -sum of mu(b, z) over b <= z < y, one rank layer at a time.
 
     ``by_value`` maps each value found so far to the mask of its elements,
     so the sum for y is a few popcounts against y's down-set.
     """
-    by_value = {1: 1 << b}
-    for r in range(lat.rank[b] + 1, lat.rank[t] + 1):
-        # no element of rank r lies below another, so the layer reads the values so far
+    rank, by_value = lat.rank.__getitem__, {1: 1 << b}
+    # b alone has the lowest rank; no element of a layer lies below another,
+    # so each layer reads the values found so far
+    for _, layer in groupby(sorted(interval, key=rank)[1:], rank):
         found = list(by_value.items())
-        for y in iter_bits(inside & lat.layers[r]):
+        for y in layer:
             below = lat.down_mask[y]
             value = -sum([v * (mask & below).bit_count() for v, mask in found])
             by_value[value] = by_value.get(value, 0) | 1 << y
     return next(v for v, mask in by_value.items() if mask >> t & 1)
 
 
-def _mobius(lat: OmegaLattice, b: int, t: int, inside: int, edges) -> int:
+def _mobius(lat: OmegaLattice, b: int, t: int, edges) -> int:
     """Moebius number of an indexed interval, computed two independent ways.
 
     (a) (-1)^(rank difference) times the strictly decreasing chain count;
@@ -211,7 +211,7 @@ def _mobius(lat: OmegaLattice, b: int, t: int, inside: int, edges) -> int:
     """
     chains = _count_chains(edges, b, t, lat.n + 1, operator.lt)
     signed = (-1) ** (lat.rank[t] - lat.rank[b]) * chains
-    recursion = _mobius_recursion(lat, b, t, inside)
+    recursion = _mobius_recursion(lat, b, t, edges)
     if signed != recursion:
         raise InvariantError(
             f"Moebius disagreement on [{lat.words[b]}, {lat.words[t]}]: "
@@ -222,8 +222,7 @@ def _mobius(lat: OmegaLattice, b: int, t: int, inside: int, edges) -> int:
 
 def mobius(bottom: Preorder, top: Preorder, lattice: OmegaLattice | None = None) -> int:
     """Moebius number of [bottom, top], checked two ways (see ``_mobius``)."""
-    lat, b, t, inside = _indexed(bottom, top, lattice)
-    return _mobius(lat, b, t, inside, _labeled_edges(lat, inside))
+    return _mobius(*_interval(bottom, top, lattice))
 
 
 def max_label_multiplicities(lat: OmegaLattice, edges, b: int, t: int) -> list[int]:
@@ -252,9 +251,8 @@ def chain_report(
     number and the label multiplicities alike.
     """
     inc = increasing_chain(bottom, top)
-    lat, b, t, inside = _indexed(bottom, top, lattice)
-    edges = _labeled_edges(lat, inside)
-    value = _mobius(lat, b, t, inside, edges)
+    lat, b, t, edges = _interval(bottom, top, lattice)
+    value = _mobius(lat, b, t, edges)
     return {
         "interval": [str(lam(bottom)), str(lam(top))],
         "increasing": list(inc.labels),

@@ -47,7 +47,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import CrossingPartitionError, InvariantError
 from .frozen import Frozen
-from .perms import Permutation, _of_word, all_permutations
+from .perms import Permutation, _of_word, all_permutations, parse_word
 from .preorders import Preorder, block_rows, checked_state, close_blocks, lam_packed, mu_words, partition_masks
 
 
@@ -72,14 +72,7 @@ class CoxeterElement(Frozen):
 
     @classmethod
     def parse(cls, text: str, n: int) -> "CoxeterElement":
-        text = text.strip()
-        if not text:
-            return cls(n, ())
-        if "," in text:
-            word = tuple(int(tok) for tok in text.split(","))
-        else:
-            word = tuple(int(ch) for ch in text)
-        return cls(n, word)
+        return cls(n, parse_word(text, "Coxeter word"))
 
     def __str__(self):
         return ",".join(str(i) for i in self.word)

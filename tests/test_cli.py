@@ -105,6 +105,17 @@ def test_bad_json_input_is_one_error_line(capsys, argv):
     assert "No such file" not in err  # inline JSON is never read as a path
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("map", "1,2,x"), "permutation from '1,2,x'"),
+        (("sortable", "--n", "3", "--coxeter", "12a"), "Coxeter word from '12a'"),
+    ],
+)
+def test_bad_word_token_is_one_error_line_naming_the_input(capsys, argv, what):
+    assert run(capsys, *argv) == (2, "", f"error: cannot parse {what}\n")
+
+
 def _set(key, value):
     def edit(data):
         data[key] = value

@@ -491,7 +491,7 @@ def test_build_lattice_keeps_one_mask_family():
 
 
 def test_iter_bits_gives_the_set_bits_ascending():
-    # dense masks as the Moebius layers see them, sparse ones as cover extraction does
+    # dense masks and sparse ones: cover extraction reads a down-set inside one rank layer
     rng = random.Random(20261018)
     masks = [0, *(1 << k for k in range(0, 6000, 37))]
     masks += [rng.getrandbits(rng.randint(1, 6000)) for _ in range(60)]

@@ -35,9 +35,11 @@ def test_parse_and_str():
     assert Permutation.parse(str(big)) == big
 
 
-@pytest.mark.parametrize("bad", ["", "0", "11", "132 4", "1,2,2", "124"])
+@pytest.mark.parametrize("bad", ["", "0", "11", "132 4", "1,2,2", "124", "1,2,x"])
 def test_parse_rejects(bad):
-    with pytest.raises(ValueError):
+    # a token that is not an integer gets an error naming the whole text
+    match = f"cannot parse permutation from '{bad}'" if bad in ("132 4", "1,2,x") else None
+    with pytest.raises(ValueError, match=match):
         P(bad)
 
 

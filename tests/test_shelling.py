@@ -6,7 +6,8 @@ import pytest
 import shardorder.preorders as preorders
 import shardorder.shelling as shelling
 from shardorder.errors import IncomparableError, InvalidPreorderError, InvariantError
-from shardorder.lattice import build_lattice, combinable_slots, covers_below, covers_up, leq
+import shardorder.lattice as lattice_module
+from shardorder.lattice import build_lattice, combinable_slots, covers_below, covers_up, interval_lattice, leq
 from shardorder.perms import Permutation, all_permutations
 from shardorder.preorders import Preorder, block_masks, blocks, checked_state, lam, mu
 from shardorder.shelling import (
@@ -255,15 +256,43 @@ def test_counts_without_a_lattice_check_both_endpoints(count):
 
 
 def test_kernel_labels_match_edge_label(lattice, edge_labels):
+    # the one table of [b, t]: its keys are the interval by <=, and its edges
+    # the kernel's covers inside it, labeled as edge_label labels them
     for n in range(1, 6):
-        lat = lattice(n)
-        whole = lat.down_mask[lat.top]  # the bottom lies below every element
-        got = {
-            (i, c): lab
-            for i, edges in shelling._labeled_edges(lat, whole).items()
-            for c, lab in edges
-        }
-        assert got == edge_labels(n), n
+        lat, labels = lattice(n), edge_labels(n)
+        elements = lat.elements
+        tops = range(len(lat)) if n <= 4 else [lat.top]
+        for t in tops:
+            for b in range(len(lat)):
+                if not elements[b] <= elements[t]:
+                    continue
+                got = shelling._interval(elements[b], elements[t], lat)
+                assert got[:3] == (lat, b, t)
+                inside = {k for k, q in enumerate(elements) if elements[b] <= q <= elements[t]}
+                assert set(got[3]) == inside, (n, b, t)
+                want = sorted((i, c, labels[i, c]) for i in inside for c in lat.covers[i] if c in inside)
+                assert sorted((i, c, lab) for i, edges in got[3].items() for c, lab in edges) == want
+
+
+def test_whole_interval_is_indexed_without_a_walk(monkeypatch):
+    # [discrete, complete] is indexed off S_n's words; any other interval is
+    # walked, one covers_below call per element
+    real, calls = lattice_module.covers_below, []
+
+    def spy(w, top):
+        calls.append(w)
+        return real(w, top)
+
+    monkeypatch.setattr(lattice_module, "covers_below", spy)
+    for n, value in enumerate([1, 1, 3, 13, 71, 461], start=1):
+        bot, top = Preorder.discrete(n), Preorder.complete(n)
+        assert mobius(bot, top) == (-1) ** (n - 1) * value
+        assert chain_report(bot, top)["mobius"] == (-1) ** (n - 1) * value
+        assert interval_lattice(bot, top).words == build_lattice(n).words
+        assert calls == [], n
+    # [1, 4321|5678] at n = 8 is a copy of the whole n = 4 lattice
+    assert mobius(Preorder.discrete(8), mu(P("43215678"))) == -13
+    assert len(calls) == 24
 
 
 def test_one_increasing_chain_per_interval_n4(lattice):

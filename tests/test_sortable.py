@@ -53,6 +53,10 @@ def test_coxeter_parse_and_validate():
     assert str(c) == "2,1,3,7,6,4,5,8"
     assert CoxeterElement.parse("213", 4).word == (2, 1, 3)
     assert CoxeterElement.parse("", 1).word == ()
+    assert CoxeterElement.parse(" 3,1,2 ", 4).word == (3, 1, 2)
+    for bad in ("12a", "1,,2"):
+        with pytest.raises(ValueError, match=f"cannot parse Coxeter word from '{bad}'"):
+            CoxeterElement.parse(bad, 3)
     with pytest.raises(ValueError):
         CoxeterElement(4, (1, 2))
     with pytest.raises(ValueError):
