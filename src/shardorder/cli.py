@@ -420,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--coxeter", help="generator indices (enumeration mode)")
     p.add_argument("--n", type=int, help="ground-set size (enumeration mode)")
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--force", action="store_true", help="override size caps")
+    common(p, n_required=False)
     p.set_defaults(func=cmd_noncrossing)
 
     p = sub.add_parser("verify", help="run an oracle suite")

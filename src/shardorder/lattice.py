@@ -4,10 +4,9 @@ The lattice of permutation pre-orders under containment of relations.
 Elements are the n! pre-orders mu(S_n); a <= b iff every related pair of a
 is related in b.  An indexed lattice (``OmegaLattice``) takes lam words
 alone: it builds its elements with one ``preorders.mu_words`` pass over
-the words in their order (sorted, each shares most of its prefix with
-the one before) and keeps the runs each element carries, the blocks in
-placement order, for the ranks (n minus the number of runs) and the
-edge labels of ``shelling``.  ``build_lattice`` passes it S_n.  It
+the words in their order and keeps the runs each element carries, the
+blocks in placement order, for the ranks (n minus the number of runs)
+and the edge labels of ``shelling``.  ``build_lattice`` passes it S_n.  It
 indexes the elements with one bitset kernel, a down-set mask per element.
 a <= b iff each row of a lies inside the same row of b.  One
 transposition of all the relations gives, for each pair of values, the
@@ -288,8 +287,8 @@ class OmegaLattice:
     ``elements[i]`` is mu(words[i]) (one ``mu_words`` pass), and ``runs[i]`` the blocks it carries:
     the descending runs of words[i], left to right.  ``down_mask[i]`` has
     bit j set iff elements[j] <= elements[i], ``covers[i]`` lists the
-    elements covering elements[i], ascending, and ``layers[r]`` holds the
-    elements of rank r (ranks are those of the full lattice).
+    elements covering elements[i], ascending, and ``rank[i]`` is the rank
+    of elements[i] in the full lattice.
     """
 
     def __init__(self, n: int, words):
@@ -311,7 +310,7 @@ class OmegaLattice:
             raise ValueError("the words have no least or no greatest element")
         self.bottom = least.bit_length() - 1
         self.top = self.down_mask.index(full)
-        self.layers, self.covers = graded_covers(self.down_mask, self.rank)
+        self.covers = graded_covers(self.down_mask, self.rank)
 
     def __len__(self):
         return len(self.elements)
@@ -421,8 +420,8 @@ def _row_groups(n: int, a: int, elements, pairs) -> tuple[list[int], dict[int, i
     return values, below_of
 
 
-def graded_covers(down_mask, rank) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
-    """Rank layers and upper covers of a graded poset given by its down-set masks.
+def graded_covers(down_mask, rank) -> tuple[tuple[int, ...], ...]:
+    """Upper covers of a graded poset given by its down-set masks and ranks.
 
     The lower covers of i are the elements below i one rank lower.  They are
     the definitional covers exactly when every down-set is the element plus
@@ -442,7 +441,7 @@ def graded_covers(down_mask, rank) -> tuple[list[int], tuple[tuple[int, ...], ..
             raise InvariantError(f"down-set of element {i} is not generated by its covers")
         for c in lower:
             covers[c].append(i)
-    return layers[1:], tuple(map(tuple, covers))
+    return tuple(map(tuple, covers))
 
 
 def build_lattice(n: int, force: bool = False) -> OmegaLattice:

@@ -22,11 +22,9 @@ The elements of the lattice are the pre-orders satisfying two axioms:
 ``mu`` sends a permutation to such a pre-order (descending runs become
 blocks, overlapping runs are ordered left-below-right) and ``lam`` is its
 inverse.  One kernel computes it, ``mu_words``, for a whole list of words
-(``mu`` is its one-word case): it reads each word left to right, fills
-the columns of a finished run with one product of its down-set and the
-run, and keeps the state before each letter, so a word resumes at the
-prefix it shares with the word before it.  It carries the runs, the
-word's ``run_masks``.
+(``mu`` is its one-word case): it reads each word left to right in one
+pass and fills the columns of a finished run with one product of its
+down-set and the run.  It carries the runs, the word's ``run_masks``.
 ``lam`` writes the blocks as descending runs in their run order: a
 block's run is preceded by the blocks below it and by the incomparable
 blocks to its numeric left, its before-set.  Those masks must be the
@@ -467,11 +465,8 @@ def mu_words(words, n: int) -> list[Preorder]:
     product, spread(down) * run, where spread(down) has bit (a-1)*n for
     each value a of the down-set.
 
-    The state before each letter (bits, the open run and its spread, the
-    number of finished runs) is kept, so a word resumes at the prefix it
-    shares with the word before it: in a sorted list that is most of it.
-    Each element carries its runs, with no scan, for the image of every
-    permutation is an element:
+    Each word is one pass from an empty state.  Each element carries its
+    runs, with no scan, for the image of every permutation is an element:
 
     - No runs merge: every generator points right, so a run is below only
       runs to its right, and two runs are never related both ways.
@@ -481,20 +476,11 @@ def mu_words(words, n: int) -> list[Preorder]:
       block strictly between its ends, so it is one generator, and the
       runs of a generator overlap.
     """
-    out, runs, done = [], [], []  # done: (interval, spread down-set) of each finished run
-    states = [(0, 0, 0, 0)] * (n + 1)  # (bits, open run, its spread, finished runs) before each letter
-    last = ()
+    out = []
     for word in words:
-        i = 0
-        for a, b in zip(word, last):
-            if a != b:
-                break
-            i += 1
-        bits, run, spread, m = states[i]
-        del runs[m:], done[m:]
-        for v in (*word[i:], n + 1):  # n + 1 ends the last run
-            states[i] = (bits, run, spread, m)
-            i += 1
+        bits = run = spread = 0
+        runs, done = [], []  # done: (interval, spread down-set) of each finished run
+        for v in (*word, n + 1):  # n + 1 ends the last run
             bit = 1 << (v - 1)
             if run & (bit - 1):  # v is above the run's last letter: the run ends
                 span, down = (1 << run.bit_length()) - (run & -run), spread
@@ -505,7 +491,6 @@ def mu_words(words, n: int) -> list[Preorder]:
                 runs.append(run)
                 done.append((span, down))
                 run = spread = 0
-                m += 1
             run |= bit
             spread |= 1 << n * (v - 1)
         q = _new(Preorder)  # Preorder._unchecked and _carry, inlined: this runs once per word
@@ -513,7 +498,6 @@ def mu_words(words, n: int) -> list[Preorder]:
         _set_bits(q, bits)
         _set_state(q, tuple(runs))
         out.append(q)
-        last = word
     return out
 
 

@@ -23,10 +23,9 @@ Under mu the c-sortable permutations are exactly the pre-orders whose
 blocks are noncrossing on the cycle and whose overlapping blocks are
 oriented by the bar of any strictly inside witness (Reading,
 arXiv:0909.3288), so ``noncrossing_preorders(c)`` is one ``mu_words``
-pass over the sorted sorting-word list, where most of each word is
-shared with the one before.  Each noncrossing partition is the block partition
-of exactly one of them, which ``_order_of_partition`` builds from the
-blocks alone: that is partition mode, where no word exists, and the
+pass over the sorted sorting-word list.  Each noncrossing partition is
+the block partition of exactly one of them, which ``_order_of_partition``
+builds from the blocks alone: that is partition mode, where no word exists, and the
 check of the theorem in ``verify --suite sortable``.
 
 One mask function (``_demands``) decides noncrossing: the members of

@@ -712,7 +712,7 @@ def test_sortable_words_index_the_noncrossing_sublattice():
         for c in all_coxeter_elements(n):
             sub = OmegaLattice(n, sortable_permutations(c))
             assert sub.elements == tuple(q for q in elements if is_noncrossing_preorder(q, c)), c
-            assert [layer.bit_count() for layer in sub.layers] == narayana, c
+            assert Counter(sub.rank) == dict(enumerate(narayana)), c
 
 
 @pytest.mark.parametrize(

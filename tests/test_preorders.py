@@ -144,8 +144,8 @@ def _check_mu_words(words, n, expected=None):
 
 
 def test_mu_words_is_mu_by_definition_over_s_n():
-    # S_n in lex order, where each word resumes at the prefix it shares
-    # with the word before, and the same list shuffled
+    # S_n in lex order, where each word shares most of its prefix with the
+    # word before, and the same list shuffled
     rng = random.Random(29)
     for n in range(1, 8):
         words = [p.word for p in all_permutations(n)]
